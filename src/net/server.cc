@@ -93,6 +93,31 @@ uint64_t OffsetMicros(uint64_t now_us, uint64_t origin_us) {
   return now_us > origin_us ? now_us - origin_us : 0;
 }
 
+/// Per-kind pieces of the query-frame handler: the body codecs, the
+/// response frame type, and the backend's stamped submit.
+template <typename Request>
+struct QueryCodec;
+
+template <>
+struct QueryCodec<NwcRequest> {
+  using Response = NwcResponse;
+  static constexpr MsgType kResponseType = MsgType::kNwcResponse;
+  static constexpr auto Decode = &DecodeNwcRequest;
+  static constexpr auto Encode = &EncodeNwcResponse;
+  static constexpr auto EncodeFrame = &EncodeNwcResponseFrame;
+  static constexpr auto kSubmit = &QueryBackend::SubmitNwcAsyncTraced;
+};
+
+template <>
+struct QueryCodec<KnwcRequest> {
+  using Response = KnwcResponse;
+  static constexpr MsgType kResponseType = MsgType::kKnwcResponse;
+  static constexpr auto Decode = &DecodeKnwcRequest;
+  static constexpr auto Encode = &EncodeKnwcResponse;
+  static constexpr auto EncodeFrame = &EncodeKnwcResponseFrame;
+  static constexpr auto kSubmit = &QueryBackend::SubmitKnwcAsyncTraced;
+};
+
 }  // namespace
 
 class NetServer::Impl {
@@ -235,13 +260,13 @@ class NetServer::Impl {
     [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
 
-  // Worker-thread side: queue one encoded response and wake the loop.
-  void PushCompletion(uint64_t conn_id, std::string bytes, bool traced = false,
-                      uint64_t receive_us = 0) {
-    {
-      std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(Completion{conn_id, std::move(bytes), traced, receive_us});
-    }
+  // Worker-thread side: queue one encoded response and wake the loop. The
+  // wakeup is written under the lock: the loop can consume this completion
+  // (and so reach drain-complete and close wake_fd_) only after the lock is
+  // released, so the write can never hit a closed — or reused — fd.
+  void PushCompletion(uint64_t conn_id, std::string bytes, bool traced, uint64_t receive_us) {
+    std::lock_guard<std::mutex> lock(completions_mu_);
+    completions_.push_back(Completion{conn_id, std::move(bytes), traced, receive_us});
     Wake();
   }
 
@@ -437,111 +462,12 @@ class NetServer::Impl {
 
   void HandleFrame(Connection* conn, const WireFrame& frame) {
     switch (frame.type) {
-      case MsgType::kNwcRequest: {
-        NwcRequest request;
-        const Status status = DecodeNwcRequest(frame.body, &request);
-        if (!status.ok()) {
-          ProtocolError(conn, frame.request_id, status, NetErrorKind::kBody);
-          return;
-        }
-        const Status valid = request.query.Validate();
-        if (!valid.ok()) {
-          // Wire-valid but semantically invalid: a typed response, not a
-          // connection-fatal protocol error. Answered untraced — the
-          // request never entered the pipeline being timed.
-          NwcResponse response;
-          response.status = valid;
-          metrics_.OnFrameSent();
-          SendBytes(conn, EncodeNwcResponseFrame(frame.request_id, response));
-          return;
-        }
-        ++conn->in_flight;
-        outstanding_.fetch_add(1, std::memory_order_acq_rel);
-        const uint64_t conn_id = conn->id;
-        const uint64_t request_id = frame.request_id;
-        if (frame.traced()) {
-          const uint64_t receive_us = conn->read_stamp_us;
-          const uint64_t decode_us = OffsetMicros(SteadyNowMicros(), receive_us);
-          service_.SubmitNwcAsyncTraced(
-              std::move(request),
-              [this, conn_id, request_id, receive_us, decode_us](
-                  NwcResponse response, const AsyncTiming& stamps) {
-                // Worker thread: encode here so the loop only memcpys.
-                // The flush stamp is provisional until the loop patches
-                // it at send time.
-                ServerTiming timing;
-                timing.decode_us = decode_us;
-                timing.enqueue_us = OffsetMicros(stamps.enqueue_us, receive_us);
-                timing.dequeue_us = OffsetMicros(stamps.dequeue_us, receive_us);
-                timing.execute_us = OffsetMicros(stamps.finish_us, receive_us);
-                std::string body;
-                EncodeNwcResponse(response, &body);
-                timing.encode_us = OffsetMicros(SteadyNowMicros(), receive_us);
-                timing.flush_us = timing.encode_us;
-                AppendServerTiming(&body, timing);
-                std::string bytes;
-                AppendFrame(&bytes, MsgType::kNwcResponse, request_id, body,
-                            kEnvelopeFlagTrace);
-                PushCompletion(conn_id, std::move(bytes), /*traced=*/true, receive_us);
-              });
-        } else {
-          service_.SubmitNwcAsync(
-              std::move(request), [this, conn_id, request_id](NwcResponse response) {
-                // Worker thread: encode here so the loop only memcpys.
-                PushCompletion(conn_id, EncodeNwcResponseFrame(request_id, response));
-              });
-        }
+      case MsgType::kNwcRequest:
+        HandleQuery<NwcRequest>(conn, frame);
         return;
-      }
-      case MsgType::kKnwcRequest: {
-        KnwcRequest request;
-        const Status status = DecodeKnwcRequest(frame.body, &request);
-        if (!status.ok()) {
-          ProtocolError(conn, frame.request_id, status, NetErrorKind::kBody);
-          return;
-        }
-        const Status valid = request.query.Validate();
-        if (!valid.ok()) {
-          KnwcResponse response;
-          response.status = valid;
-          metrics_.OnFrameSent();
-          SendBytes(conn, EncodeKnwcResponseFrame(frame.request_id, response));
-          return;
-        }
-        ++conn->in_flight;
-        outstanding_.fetch_add(1, std::memory_order_acq_rel);
-        const uint64_t conn_id = conn->id;
-        const uint64_t request_id = frame.request_id;
-        if (frame.traced()) {
-          const uint64_t receive_us = conn->read_stamp_us;
-          const uint64_t decode_us = OffsetMicros(SteadyNowMicros(), receive_us);
-          service_.SubmitKnwcAsyncTraced(
-              std::move(request),
-              [this, conn_id, request_id, receive_us, decode_us](
-                  KnwcResponse response, const AsyncTiming& stamps) {
-                ServerTiming timing;
-                timing.decode_us = decode_us;
-                timing.enqueue_us = OffsetMicros(stamps.enqueue_us, receive_us);
-                timing.dequeue_us = OffsetMicros(stamps.dequeue_us, receive_us);
-                timing.execute_us = OffsetMicros(stamps.finish_us, receive_us);
-                std::string body;
-                EncodeKnwcResponse(response, &body);
-                timing.encode_us = OffsetMicros(SteadyNowMicros(), receive_us);
-                timing.flush_us = timing.encode_us;
-                AppendServerTiming(&body, timing);
-                std::string bytes;
-                AppendFrame(&bytes, MsgType::kKnwcResponse, request_id, body,
-                            kEnvelopeFlagTrace);
-                PushCompletion(conn_id, std::move(bytes), /*traced=*/true, receive_us);
-              });
-        } else {
-          service_.SubmitKnwcAsync(
-              std::move(request), [this, conn_id, request_id](KnwcResponse response) {
-                PushCompletion(conn_id, EncodeKnwcResponseFrame(request_id, response));
-              });
-        }
+      case MsgType::kKnwcRequest:
+        HandleQuery<KnwcRequest>(conn, frame);
         return;
-      }
       case MsgType::kUpdateRequest: {
         MutationBatch batch;
         const Status status = DecodeUpdateRequest(frame.body, &batch);
@@ -570,6 +496,63 @@ class NetServer::Impl {
                       NetErrorKind::kDirection);
         return;
     }
+  }
+
+  // The one query-frame handler, for both kinds: decode, validate, then
+  // always the backend's stamped submit. The completion encodes on the
+  // worker thread (so the loop only memcpys) and appends ServerTiming only
+  // when the frame asked for it; untraced responses are bit-identical to
+  // the pre-flag protocol.
+  template <typename Request>
+  void HandleQuery(Connection* conn, const WireFrame& frame) {
+    using Codec = QueryCodec<Request>;
+    using Response = typename Codec::Response;
+    Request request;
+    const Status status = Codec::Decode(frame.body, &request);
+    if (!status.ok()) {
+      ProtocolError(conn, frame.request_id, status, NetErrorKind::kBody);
+      return;
+    }
+    const Status valid = request.query.Validate();
+    if (!valid.ok()) {
+      // Wire-valid but semantically invalid: a typed response, not a
+      // connection-fatal protocol error. Answered untraced — the request
+      // never entered the pipeline being timed.
+      Response response;
+      response.status = valid;
+      metrics_.OnFrameSent();
+      SendBytes(conn, Codec::EncodeFrame(frame.request_id, response));
+      return;
+    }
+    ++conn->in_flight;
+    outstanding_.fetch_add(1, std::memory_order_acq_rel);
+    const uint64_t conn_id = conn->id;
+    const uint64_t request_id = frame.request_id;
+    const bool traced = frame.traced();
+    const uint64_t receive_us = conn->read_stamp_us;
+    const uint64_t decode_us = traced ? OffsetMicros(SteadyNowMicros(), receive_us) : 0;
+    (service_.*Codec::kSubmit)(
+        std::move(request), [this, conn_id, request_id, traced, receive_us, decode_us](
+                                Response response, const AsyncTiming& stamps) {
+          std::string body;
+          Codec::Encode(response, &body);
+          if (traced) {
+            // The flush stamp is provisional until the loop patches it at
+            // send time.
+            ServerTiming timing;
+            timing.decode_us = decode_us;
+            timing.enqueue_us = OffsetMicros(stamps.enqueue_us, receive_us);
+            timing.dequeue_us = OffsetMicros(stamps.dequeue_us, receive_us);
+            timing.execute_us = OffsetMicros(stamps.finish_us, receive_us);
+            timing.encode_us = OffsetMicros(SteadyNowMicros(), receive_us);
+            timing.flush_us = timing.encode_us;
+            AppendServerTiming(&body, timing);
+          }
+          std::string bytes;
+          AppendFrame(&bytes, Codec::kResponseType, request_id, body,
+                      traced ? kEnvelopeFlagTrace : 0);
+          PushCompletion(conn_id, std::move(bytes), traced, receive_us);
+        });
   }
 
   // Typed protocol error: report, then close after the backlog flushes.

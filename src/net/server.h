@@ -36,10 +36,11 @@ struct NetServerConfig {
 /// single-tree QueryService or the spatially sharded ShardRouter.
 ///
 /// One event-loop thread owns every socket (level-triggered epoll,
-/// non-blocking fds) and does no query work: decoded requests are handed
-/// to the service's worker threads via SubmitNwcAsync/SubmitKnwcAsync,
-/// and each completion re-enters the loop through an eventfd-signalled
-/// queue, already encoded. Responses are therefore pipelined in
+/// non-blocking fds) and does no query work. NWC and kNWC frames share one
+/// handler, which hands every decoded request to the backend's one
+/// stamped submit path (Submit*AsyncTraced), traced or not; each
+/// completion is encoded on the executor thread and re-enters the loop
+/// through an eventfd-signalled queue. Responses are therefore pipelined in
 /// completion order and matched by request id; many in-flight queries
 /// share one connection.
 ///

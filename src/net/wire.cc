@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -92,6 +93,13 @@ class ByteReader {
 
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t position() const { return pos_; }
+
+  /// Capacity to reserve for `count` records of at least `record_bytes`
+  /// each: never more than the unread bytes could hold, so a corrupt count
+  /// fails as truncation instead of a multi-gigabyte allocation.
+  size_t ReserveFor(uint32_t count, size_t record_bytes) const {
+    return std::min<size_t>(count, (data_.size() - pos_) / record_bytes);
+  }
 
  private:
   std::string_view data_;
@@ -205,7 +213,7 @@ bool ReadObjects(ByteReader* reader, std::vector<DataObject>* out, Status* error
     return false;
   }
   out->clear();
-  out->reserve(count);
+  out->reserve(reader->ReserveFor(count, 20));  // u32 id + two doubles
   for (uint32_t i = 0; i < count; ++i) {
     DataObject obj;
     if (!reader->ReadU32(&obj.id) || !reader->ReadDouble(&obj.pos.x) ||
@@ -218,6 +226,11 @@ bool ReadObjects(ByteReader* reader, std::vector<DataObject>* out, Status* error
   return true;
 }
 
+// Bits of the response flags byte; any other bit is a decode error.
+constexpr uint8_t kResponseFlagCacheHit = 0x01;
+constexpr uint8_t kResponseFlagDegraded = 0x02;
+constexpr uint8_t kResponseKnownFlags = kResponseFlagCacheHit | kResponseFlagDegraded;
+
 // The response fields shared by both kinds (everything but the result).
 template <typename Response>
 void PutResponseCommon(std::string* out, const Response& response) {
@@ -226,24 +239,26 @@ void PutResponseCommon(std::string* out, const Response& response) {
   PutU64(out, response.traversal_reads);
   PutU64(out, response.window_query_reads);
   PutU64(out, response.cache_hits);
-  PutU8(out, response.result_cache_hit ? 1 : 0);
+  PutU8(out, (response.result_cache_hit ? kResponseFlagCacheHit : 0) |
+                 (response.degraded ? kResponseFlagDegraded : 0));
 }
 
 template <typename Response>
 bool ReadResponseCommon(ByteReader* reader, Response* out, Status* error) {
   if (!ReadStatus(reader, &out->status, error)) return false;
-  uint8_t cache_hit;
+  uint8_t flags;
   if (!reader->ReadU64(&out->latency_micros) || !reader->ReadU64(&out->traversal_reads) ||
       !reader->ReadU64(&out->window_query_reads) || !reader->ReadU64(&out->cache_hits) ||
-      !reader->ReadU8(&cache_hit)) {
+      !reader->ReadU8(&flags)) {
     *error = Truncated("response");
     return false;
   }
-  if (cache_hit > 1) {
-    *error = Status::InvalidArgument("wire: result_cache_hit flag out of range");
+  if ((flags & ~kResponseKnownFlags) != 0) {
+    *error = Status::InvalidArgument(StrFormat("wire: unknown response flag bits 0x%02x", flags));
     return false;
   }
-  out->result_cache_hit = cache_hit != 0;
+  out->result_cache_hit = (flags & kResponseFlagCacheHit) != 0;
+  out->degraded = (flags & kResponseFlagDegraded) != 0;
   return true;
 }
 
@@ -398,7 +413,7 @@ Status DecodeKnwcResponse(std::string_view body, KnwcResponse* out) {
   uint32_t group_count;
   if (!reader.ReadU32(&group_count)) return Truncated("knwc response");
   out->result.groups.clear();
-  out->result.groups.reserve(group_count);
+  out->result.groups.reserve(reader.ReserveFor(group_count, 12));  // distance + count
   for (uint32_t i = 0; i < group_count; ++i) {
     NwcGroup group;
     if (!reader.ReadDouble(&group.distance)) return Truncated("knwc response");
@@ -434,7 +449,7 @@ Status DecodeUpdateRequest(std::string_view body, MutationBatch* out) {
   out->clear();
   uint32_t count;
   if (!reader.ReadU32(&count)) return Truncated("update request");
-  out->reserve(count);
+  out->reserve(reader.ReserveFor(count, 21));  // kind + id + two doubles
   for (uint32_t i = 0; i < count; ++i) {
     uint8_t kind;
     Mutation mutation;

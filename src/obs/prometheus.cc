@@ -56,8 +56,6 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot, const LatencyHisto
           snapshot.failures);
   Counter(out, "nwc_query_not_found_total", "OK queries without a qualified window.",
           snapshot.not_found);
-  Counter(out, "nwc_submit_rejections_total", "TrySubmit calls bounced by the full queue.",
-          snapshot.rejections);
   Counter(out, "nwc_slow_queries_total", "Queries at or over the slow-trace threshold.",
           snapshot.slow_queries);
   Counter(out, "nwc_query_cancelled_total", "Queries stopped by cancellation.",

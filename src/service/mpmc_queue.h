@@ -13,10 +13,10 @@ namespace nwc {
 ///
 /// The queue is the backpressure point of the query service: producers
 /// either block in Push() until a consumer frees a slot, or use TryPush()
-/// and handle the rejection themselves (the service surfaces rejections in
-/// its metrics). Closing the queue wakes every blocked producer and
-/// consumer; consumers drain the remaining items before Pop() returns
-/// false, so no accepted work is dropped by a graceful shutdown.
+/// and handle the rejection themselves. Closing the queue wakes every
+/// blocked producer and consumer; consumers drain the remaining items
+/// before Pop() returns false, so no accepted work is dropped by a
+/// graceful shutdown.
 ///
 /// ThreadSafety: every member is safe to call concurrently from any number
 /// of threads; all state is guarded by one internal mutex. This is a

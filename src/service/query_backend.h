@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -17,29 +19,26 @@
 
 namespace nwc {
 
-/// One NWC request: the query plus an optional per-request option
-/// override (scheme + measure); absent means the service default.
+/// One request: the query plus an optional per-request option override
+/// (scheme + measure); absent means the service default.
 /// `deadline_micros` bounds the request's total time from submit (queue
 /// wait included); 0 applies the service's default_deadline_micros.
-struct NwcRequest {
-  NwcQuery query;
+template <typename Query>
+struct QueryRequest {
+  Query query;
   std::optional<NwcOptions> options;
   uint64_t deadline_micros = 0;
 };
+using NwcRequest = QueryRequest<NwcQuery>;
+using KnwcRequest = QueryRequest<KnwcQuery>;
 
-/// One kNWC request; see NwcRequest.
-struct KnwcRequest {
-  KnwcQuery query;
-  std::optional<NwcOptions> options;
-  uint64_t deadline_micros = 0;
-};
-
-/// Outcome of one NWC request. `result` is meaningful only when
-/// status.ok(); `io` is the query's private counter (also merged into the
-/// service metrics), `latency_micros` the wall time inside the worker.
-struct NwcResponse {
+/// Outcome of one request. `result` is meaningful only when status.ok();
+/// the read counters are the query's private IoCounter (also merged into
+/// the service metrics), `latency_micros` the wall time inside the worker.
+template <typename Result>
+struct QueryResponse {
   Status status;
-  NwcResult result;
+  Result result;
   uint64_t latency_micros = 0;
   uint64_t traversal_reads = 0;
   uint64_t window_query_reads = 0;
@@ -53,18 +52,8 @@ struct NwcResponse {
   /// true optimum. Always false from a single-instance QueryService.
   bool degraded = false;
 };
-
-/// Outcome of one kNWC request; see NwcResponse.
-struct KnwcResponse {
-  Status status;
-  KnwcResult result;
-  uint64_t latency_micros = 0;
-  uint64_t traversal_reads = 0;
-  uint64_t window_query_reads = 0;
-  uint64_t cache_hits = 0;
-  bool result_cache_hit = false;
-  bool degraded = false;
-};
+using NwcResponse = QueryResponse<NwcResult>;
+using KnwcResponse = QueryResponse<KnwcResult>;
 
 /// Outcome of one ApplyUpdate call (dynamic services only). `epoch` is the
 /// epoch the mutations were published under; on a static service `status`
@@ -80,23 +69,29 @@ struct UpdateResponse {
   uint64_t latency_micros = 0;
 };
 
-/// Worker-side timestamps for one traced async request: absolute
-/// microseconds on the steady clock (SteadyNowMicros()), so a caller on
-/// the same host subtracts them from its own marks directly. On the
-/// synchronous failure paths (invalid, shed, shutdown) all three carry
-/// the same instant — the request never reached the queue.
+/// Worker-side timestamps for one request on the stamped submit path:
+/// absolute microseconds on the steady clock (SteadyNowMicros()), so a
+/// caller on the same host subtracts them from its own marks directly. On
+/// the synchronous failure paths (unsupported scheme, shed, shutdown) all
+/// three carry the same instant — the request never reached the queue.
 struct AsyncTiming {
   uint64_t enqueue_us = 0;  ///< accepted into the pool queue
   uint64_t dequeue_us = 0;  ///< a worker picked the job up
   uint64_t finish_us = 0;   ///< response populated, handed to `done`
 };
 
+/// Completion callback of the stamped submit path: the response plus the
+/// request's worker-side timestamps.
+template <typename Response>
+using StampedDone = std::function<void(Response, const AsyncTiming&)>;
+
 /// What the serving layer needs from a query execution engine — the
 /// interface NetServer is written against, implemented by the single-tree
-/// QueryService and by the spatially sharded ShardRouter. Callback-based
-/// submits suit the event loop (done may run synchronously on failure
-/// paths or on an executor thread otherwise); the metrics accessors feed
-/// the /metrics, /varz and /debug/slow admin endpoints.
+/// QueryService and by the spatially sharded ShardRouter. Each backend
+/// implements exactly one submit path per query kind, the stamped
+/// Submit*AsyncTraced; the untraced callback and future submits are
+/// non-virtual adapters over it that drop the stamps. The metrics
+/// accessors feed the /metrics, /varz and /debug/slow admin endpoints.
 ///
 /// ThreadSafety: every member may be called from any thread; `done`
 /// callbacks must tolerate any calling context.
@@ -104,18 +99,35 @@ class QueryBackend {
  public:
   virtual ~QueryBackend() = default;
 
-  /// `done` is invoked exactly once with the response — possibly
-  /// synchronously inside this call when the request is invalid, shed, or
-  /// the backend is shut down (typed response statuses, never exceptions).
-  virtual void SubmitNwcAsync(NwcRequest request, std::function<void(NwcResponse)> done) = 0;
-  virtual void SubmitKnwcAsync(KnwcRequest request, std::function<void(KnwcResponse)> done) = 0;
+  /// The stamped submit: `done` is invoked exactly once with the response
+  /// and its AsyncTiming — possibly synchronously inside this call when
+  /// the request is rejected up front (typed response statuses, never
+  /// exceptions), otherwise on an executor thread. Blocks the caller while
+  /// the backend's queue is full.
+  virtual void SubmitNwcAsyncTraced(NwcRequest request, StampedDone<NwcResponse> done) = 0;
+  virtual void SubmitKnwcAsyncTraced(KnwcRequest request, StampedDone<KnwcResponse> done) = 0;
 
-  /// Traced variants: `done` additionally receives worker-side timestamps
-  /// (see AsyncTiming).
-  virtual void SubmitNwcAsyncTraced(
-      NwcRequest request, std::function<void(NwcResponse, const AsyncTiming&)> done) = 0;
-  virtual void SubmitKnwcAsyncTraced(
-      KnwcRequest request, std::function<void(KnwcResponse, const AsyncTiming&)> done) = 0;
+  /// Adapters over the stamped submit that drop the stamps.
+  void SubmitNwcAsync(NwcRequest request, std::function<void(NwcResponse)> done) {
+    SubmitNwcAsyncTraced(std::move(request), DropStamps(std::move(done)));
+  }
+  void SubmitKnwcAsync(KnwcRequest request, std::function<void(KnwcResponse)> done) {
+    SubmitKnwcAsyncTraced(std::move(request), DropStamps(std::move(done)));
+  }
+
+  /// Future adapters: the future is always valid, and a backend-level
+  /// failure (shutdown, shed, unsupported scheme) surfaces as a non-OK
+  /// response status.
+  std::future<NwcResponse> SubmitNwc(NwcRequest request) {
+    auto promise = std::make_shared<std::promise<NwcResponse>>();
+    SubmitNwcAsyncTraced(std::move(request), FulfillPromise(promise));
+    return promise->get_future();
+  }
+  std::future<KnwcResponse> SubmitKnwc(KnwcRequest request) {
+    auto promise = std::make_shared<std::promise<KnwcResponse>>();
+    SubmitKnwcAsyncTraced(std::move(request), FulfillPromise(promise));
+    return promise->get_future();
+  }
 
   /// Applies a mutation batch and publishes the next epoch (synchronous).
   /// Static backends answer FailedPrecondition.
@@ -138,6 +150,21 @@ class QueryBackend {
   /// Sharded backends override to emit per-shard series carrying a
   /// `shard` label; the default appends nothing.
   virtual void AppendPrometheusText(std::string* out) const { (void)out; }
+
+ private:
+  template <typename Response>
+  static StampedDone<Response> DropStamps(std::function<void(Response)> done) {
+    return [done = std::move(done)](Response response, const AsyncTiming&) {
+      done(std::move(response));
+    };
+  }
+
+  template <typename Response>
+  static StampedDone<Response> FulfillPromise(std::shared_ptr<std::promise<Response>> promise) {
+    return [promise = std::move(promise)](Response response, const AsyncTiming&) {
+      promise->set_value(std::move(response));
+    };
+  }
 };
 
 }  // namespace nwc

@@ -362,270 +362,54 @@ Response FailedResponse(Status status) {
   return response;
 }
 
-/// Adapts a shared promise into Execute's completion callable.
-template <typename Response>
-auto FulfillPromise(std::shared_ptr<std::promise<Response>> promise) {
-  return [promise](Response response) { promise->set_value(std::move(response)); };
-}
-
 }  // namespace
 
-std::future<NwcResponse> QueryService::SubmitNwc(NwcRequest request) {
-  auto promise = std::make_shared<std::promise<NwcResponse>>();
-  std::future<NwcResponse> future = promise->get_future();
+template <typename Response, typename Request>
+void QueryService::Submit(Request request, StampedDone<Response> done) {
   NwcOptions options;
-  const Status status = CheckRequest(request.options, &options);
-  if (!status.ok()) {
-    promise->set_value(FailedResponse<NwcResponse>(status));
-    return future;
-  }
+  Status status = CheckRequest(request.options, &options);
   // Load shedding: past the watermark, failing fast beats blocking the
   // caller on a queue that is already drowning. AdmitJob decides and
   // reserves the slot in one atomic step.
-  if (!AdmitJob(1)) {
-    promise->set_value(FailedResponse<NwcResponse>(
-        Status::Unavailable("request shed: queue past the shed watermark")));
-    return future;
+  if (status.ok() && !AdmitJob(1)) {
+    status = Status::Unavailable("request shed: queue past the shed watermark");
   }
-  const RequestTiming timing = MakeTiming(request.deadline_micros);
-  const bool accepted = pool_.Submit(
-      [this, query = request.query, options, timing, promise](size_t worker) mutable {
-        ReleaseJobSlot();
-        Execute<NwcResponse>(worker, query, options, timing, FulfillPromise(promise));
-      });
-  if (!accepted) {
-    ReleaseJobSlot();
-    promise->set_value(FailedResponse<NwcResponse>(
-        Status::FailedPrecondition("query service is shut down")));
-  }
-  return future;
-}
-
-std::future<KnwcResponse> QueryService::SubmitKnwc(KnwcRequest request) {
-  auto promise = std::make_shared<std::promise<KnwcResponse>>();
-  std::future<KnwcResponse> future = promise->get_future();
-  NwcOptions options;
-  const Status status = CheckRequest(request.options, &options);
-  if (!status.ok()) {
-    promise->set_value(FailedResponse<KnwcResponse>(status));
-    return future;
-  }
-  if (!AdmitJob(1)) {
-    promise->set_value(FailedResponse<KnwcResponse>(
-        Status::Unavailable("request shed: queue past the shed watermark")));
-    return future;
-  }
-  const RequestTiming timing = MakeTiming(request.deadline_micros);
-  const bool accepted = pool_.Submit(
-      [this, query = request.query, options, timing, promise](size_t worker) mutable {
-        ReleaseJobSlot();
-        Execute<KnwcResponse>(worker, query, options, timing, FulfillPromise(promise));
-      });
-  if (!accepted) {
-    ReleaseJobSlot();
-    promise->set_value(FailedResponse<KnwcResponse>(
-        Status::FailedPrecondition("query service is shut down")));
-  }
-  return future;
-}
-
-bool QueryService::TrySubmitNwc(NwcRequest request, std::future<NwcResponse>* out) {
-  auto promise = std::make_shared<std::promise<NwcResponse>>();
-  std::future<NwcResponse> future = promise->get_future();
-  NwcOptions options;
-  const Status status = CheckRequest(request.options, &options);
-  if (!status.ok()) {
-    promise->set_value(FailedResponse<NwcResponse>(status));
-    *out = std::move(future);
-    return true;
-  }
-  const RequestTiming timing = MakeTiming(request.deadline_micros);
-  // TrySubmit never sheds (full-queue fast-fail is its own admission
-  // control) but still occupies a slot, so the watermark keeps counting
-  // every queued job under mixed Try/blocking traffic.
-  TakeJobSlot();
-  const bool accepted = pool_.TrySubmit(
-      [this, query = request.query, options, timing, promise](size_t worker) mutable {
-        ReleaseJobSlot();
-        Execute<NwcResponse>(worker, query, options, timing, FulfillPromise(promise));
-      });
-  if (!accepted) {
-    ReleaseJobSlot();
-    metrics_.RecordRejection();
-    return false;
-  }
-  metrics_.RecordQueueDepth(pool_.QueueDepth());
-  *out = std::move(future);
-  return true;
-}
-
-bool QueryService::TrySubmitKnwc(KnwcRequest request, std::future<KnwcResponse>* out) {
-  auto promise = std::make_shared<std::promise<KnwcResponse>>();
-  std::future<KnwcResponse> future = promise->get_future();
-  NwcOptions options;
-  const Status status = CheckRequest(request.options, &options);
-  if (!status.ok()) {
-    promise->set_value(FailedResponse<KnwcResponse>(status));
-    *out = std::move(future);
-    return true;
-  }
-  const RequestTiming timing = MakeTiming(request.deadline_micros);
-  TakeJobSlot();
-  const bool accepted = pool_.TrySubmit(
-      [this, query = request.query, options, timing, promise](size_t worker) mutable {
-        ReleaseJobSlot();
-        Execute<KnwcResponse>(worker, query, options, timing, FulfillPromise(promise));
-      });
-  if (!accepted) {
-    ReleaseJobSlot();
-    metrics_.RecordRejection();
-    return false;
-  }
-  metrics_.RecordQueueDepth(pool_.QueueDepth());
-  *out = std::move(future);
-  return true;
-}
-
-void QueryService::SubmitNwcAsync(NwcRequest request, std::function<void(NwcResponse)> done) {
-  NwcOptions options;
-  const Status status = CheckRequest(request.options, &options);
-  if (!status.ok()) {
-    done(FailedResponse<NwcResponse>(status));
-    return;
-  }
-  if (!AdmitJob(1)) {
-    done(FailedResponse<NwcResponse>(
-        Status::Unavailable("request shed: queue past the shed watermark")));
-    return;
-  }
-  const RequestTiming timing = MakeTiming(request.deadline_micros);
-  // shared_ptr keeps the (possibly move-only-state) callback alive for the
-  // copyable ThreadPool::Job and for the rejection path below.
-  auto shared_done = std::make_shared<std::function<void(NwcResponse)>>(std::move(done));
-  const bool accepted = pool_.Submit(
-      [this, query = request.query, options, timing, shared_done](size_t worker) {
-        ReleaseJobSlot();
-        Execute<NwcResponse>(worker, query, options, timing,
-                             [&shared_done](NwcResponse response) {
-                               (*shared_done)(std::move(response));
-                             });
-      });
-  if (!accepted) {
-    ReleaseJobSlot();
-    (*shared_done)(
-        FailedResponse<NwcResponse>(Status::FailedPrecondition("query service is shut down")));
-  }
-}
-
-void QueryService::SubmitKnwcAsync(KnwcRequest request, std::function<void(KnwcResponse)> done) {
-  NwcOptions options;
-  const Status status = CheckRequest(request.options, &options);
-  if (!status.ok()) {
-    done(FailedResponse<KnwcResponse>(status));
-    return;
-  }
-  if (!AdmitJob(1)) {
-    done(FailedResponse<KnwcResponse>(
-        Status::Unavailable("request shed: queue past the shed watermark")));
-    return;
-  }
-  const RequestTiming timing = MakeTiming(request.deadline_micros);
-  auto shared_done = std::make_shared<std::function<void(KnwcResponse)>>(std::move(done));
-  const bool accepted = pool_.Submit(
-      [this, query = request.query, options, timing, shared_done](size_t worker) {
-        ReleaseJobSlot();
-        Execute<KnwcResponse>(worker, query, options, timing,
-                              [&shared_done](KnwcResponse response) {
-                                (*shared_done)(std::move(response));
-                              });
-      });
-  if (!accepted) {
-    ReleaseJobSlot();
-    (*shared_done)(
-        FailedResponse<KnwcResponse>(Status::FailedPrecondition("query service is shut down")));
-  }
-}
-
-void QueryService::SubmitNwcAsyncTraced(
-    NwcRequest request, std::function<void(NwcResponse, const AsyncTiming&)> done) {
-  NwcOptions options;
-  const Status status = CheckRequest(request.options, &options);
   if (!status.ok()) {
     const uint64_t now = SteadyNowMicros();
-    done(FailedResponse<NwcResponse>(status), AsyncTiming{now, now, now});
-    return;
-  }
-  if (!AdmitJob(1)) {
-    const uint64_t now = SteadyNowMicros();
-    done(FailedResponse<NwcResponse>(
-             Status::Unavailable("request shed: queue past the shed watermark")),
-         AsyncTiming{now, now, now});
+    done(FailedResponse<Response>(std::move(status)), AsyncTiming{now, now, now});
     return;
   }
   const RequestTiming timing = MakeTiming(request.deadline_micros);
-  auto shared_done =
-      std::make_shared<std::function<void(NwcResponse, const AsyncTiming&)>>(std::move(done));
-  AsyncTiming stamps;
-  stamps.enqueue_us = SteadyNowMicros();
+  // shared_ptr keeps the callback alive for the copyable ThreadPool::Job
+  // and for the shutdown path below.
+  auto shared_done = std::make_shared<StampedDone<Response>>(std::move(done));
+  const uint64_t enqueue_us = SteadyNowMicros();
   const bool accepted = pool_.Submit(
-      [this, query = request.query, options, timing, stamps, shared_done](size_t worker) mutable {
+      [this, query = std::move(request.query), options, timing, enqueue_us,
+       shared_done](size_t worker) {
         ReleaseJobSlot();
-        stamps.dequeue_us = SteadyNowMicros();
-        Execute<NwcResponse>(
-            worker, query, options, timing,
-            [&shared_done, &stamps](NwcResponse response) {
-              stamps.finish_us = SteadyNowMicros();
-              (*shared_done)(std::move(response), stamps);
-            });
+        AsyncTiming stamps{enqueue_us, SteadyNowMicros(), 0};
+        Execute<Response>(worker, query, options, timing,
+                          [&shared_done, &stamps](Response response) {
+                            stamps.finish_us = SteadyNowMicros();
+                            (*shared_done)(std::move(response), stamps);
+                          });
       });
   if (!accepted) {
     ReleaseJobSlot();
     const uint64_t now = SteadyNowMicros();
     (*shared_done)(
-        FailedResponse<NwcResponse>(Status::FailedPrecondition("query service is shut down")),
+        FailedResponse<Response>(Status::FailedPrecondition("query service is shut down")),
         AsyncTiming{now, now, now});
   }
 }
 
-void QueryService::SubmitKnwcAsyncTraced(
-    KnwcRequest request, std::function<void(KnwcResponse, const AsyncTiming&)> done) {
-  NwcOptions options;
-  const Status status = CheckRequest(request.options, &options);
-  if (!status.ok()) {
-    const uint64_t now = SteadyNowMicros();
-    done(FailedResponse<KnwcResponse>(status), AsyncTiming{now, now, now});
-    return;
-  }
-  if (!AdmitJob(1)) {
-    const uint64_t now = SteadyNowMicros();
-    done(FailedResponse<KnwcResponse>(
-             Status::Unavailable("request shed: queue past the shed watermark")),
-         AsyncTiming{now, now, now});
-    return;
-  }
-  const RequestTiming timing = MakeTiming(request.deadline_micros);
-  auto shared_done =
-      std::make_shared<std::function<void(KnwcResponse, const AsyncTiming&)>>(std::move(done));
-  AsyncTiming stamps;
-  stamps.enqueue_us = SteadyNowMicros();
-  const bool accepted = pool_.Submit(
-      [this, query = request.query, options, timing, stamps, shared_done](size_t worker) mutable {
-        ReleaseJobSlot();
-        stamps.dequeue_us = SteadyNowMicros();
-        Execute<KnwcResponse>(
-            worker, query, options, timing,
-            [&shared_done, &stamps](KnwcResponse response) {
-              stamps.finish_us = SteadyNowMicros();
-              (*shared_done)(std::move(response), stamps);
-            });
-      });
-  if (!accepted) {
-    ReleaseJobSlot();
-    const uint64_t now = SteadyNowMicros();
-    (*shared_done)(
-        FailedResponse<KnwcResponse>(Status::FailedPrecondition("query service is shut down")),
-        AsyncTiming{now, now, now});
-  }
+void QueryService::SubmitNwcAsyncTraced(NwcRequest request, StampedDone<NwcResponse> done) {
+  Submit<NwcResponse>(std::move(request), std::move(done));
+}
+
+void QueryService::SubmitKnwcAsyncTraced(KnwcRequest request, StampedDone<KnwcResponse> done) {
+  Submit<KnwcResponse>(std::move(request), std::move(done));
 }
 
 std::vector<NwcResponse> QueryService::RunNwcBatch(const std::vector<NwcRequest>& requests) {
@@ -711,7 +495,7 @@ std::vector<std::future<Response>> QueryService::SubmitBatchImpl(
     }
     // Shed admission per group job, shed accounting per request: a group
     // bounced by the watermark fails each member with a typed Unavailable
-    // and counts indices.size() sheds, so nwc_requests_shed_total stays
+    // and counts indices.size() sheds, so nwc_load_shed_total stays
     // comparable between batched and per-query load.
     if (!AdmitJob(request_indices.size())) {
       for (const size_t i : request_indices) {

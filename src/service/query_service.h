@@ -72,10 +72,9 @@ struct ServiceConfig {
   /// Deadline applied to requests that carry none, measured from *submit*
   /// time so queue wait counts against it; 0 means no default deadline.
   uint64_t default_deadline_micros = 0;
-  /// Load shedding: blocking submits observing a queue at or past this
-  /// depth fail immediately with Unavailable instead of blocking (the
-  /// non-blocking TrySubmits already fail fast at full capacity); 0
-  /// disables shedding.
+  /// Load shedding: submits observing a queue at or past this depth fail
+  /// immediately with Unavailable instead of blocking; 0 disables
+  /// shedding.
   size_t shed_queue_depth = 0;
   /// Transient-fault handling: a query failing with IoError is re-executed
   /// up to this many extra times (exponential backoff below) before the
@@ -123,9 +122,15 @@ struct ServiceConfig {
 /// The service owns a fixed ThreadPool; each worker runs queries against
 /// the shared read-only index stack with strictly per-query mutable state
 /// (IoCounter, engine locals) plus an optional per-worker BufferPool, so
-/// execution is concurrency-correct by construction. Results come back
-/// through std::future; rejected TrySubmits and per-query latency/I/O are
-/// visible in metrics().
+/// execution is concurrency-correct by construction.
+///
+/// Every single request takes one path, Submit<Response>: CheckRequest,
+/// shed admission, deadline capture, the enqueue stamp, the pool hand-off,
+/// then the dequeue and finish stamps around Execute. The stamped
+/// Submit*AsyncTraced overrides forward to it; the future (SubmitNwc) and
+/// plain callback (SubmitNwcAsync) submits are QueryBackend adapters over
+/// those. Only the batch APIs plan their own pool jobs. Sheds and
+/// per-query latency/I/O are visible in SnapshotMetrics().
 ///
 /// Snapshots published within the IWP staleness bound carry no IWP; the
 /// service silently degrades a use_iwp request to its SRR+DIP(+DEP)
@@ -133,9 +138,9 @@ struct ServiceConfig {
 /// so degraded and full answers never mix.
 ///
 /// Shutdown (or destruction) drains accepted requests before returning,
-/// so every future obtained from a successful submit becomes ready.
+/// so every accepted request's `done` runs (every future becomes ready).
 ///
-/// ThreadSafety: Submit/TrySubmit/RunBatch, ApplyUpdate and the metrics
+/// ThreadSafety: the submits, RunBatch, ApplyUpdate and the metrics
 /// accessors may be called from any thread. The Session / SnapshotStore
 /// must outlive the service.
 class QueryService : public QueryBackend {
@@ -154,43 +159,18 @@ class QueryService : public QueryBackend {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues a request, blocking while the queue is full. The future is
-  /// always valid; a service-level failure (shutdown, unsupported scheme)
-  /// surfaces as a non-OK response status.
-  std::future<NwcResponse> SubmitNwc(NwcRequest request);
-  std::future<KnwcResponse> SubmitKnwc(KnwcRequest request);
-
-  /// Non-blocking submit. Returns false — and counts a rejection in the
-  /// metrics — when the queue is full; `out` is untouched in that case.
-  bool TrySubmitNwc(NwcRequest request, std::future<NwcResponse>* out);
-  bool TrySubmitKnwc(KnwcRequest request, std::future<KnwcResponse>* out);
-
-  /// Callback-based submit for event-loop callers (the network layer):
-  /// `done` is invoked exactly once with the response — on a worker thread
-  /// on the normal path, or synchronously inside this call when the
-  /// request is invalid, shed past the watermark, or the service is shut
-  /// down. Shed/shutdown outcomes arrive as typed Unavailable /
-  /// FailedPrecondition response statuses, same as SubmitNwc. `done` must
-  /// tolerate being called from any of those contexts.
-  void SubmitNwcAsync(NwcRequest request, std::function<void(NwcResponse)> done) override;
-  void SubmitKnwcAsync(KnwcRequest request, std::function<void(KnwcResponse)> done) override;
-
-  /// Worker-side timestamps of one traced async request (namespace-scope
-  /// type from query_backend.h; the alias keeps QueryService::AsyncTiming
-  /// spelling working for existing callers).
-  using AsyncTiming = nwc::AsyncTiming;
-
-  /// Traced variants of the async submits for the serving layer: `done`
-  /// additionally receives the request's worker-side timestamps. The
-  /// stamps are three SteadyNowMicros() reads — deliberately NOT a full
-  /// QueryTrace, whose per-span recording costs real throughput; deep
-  /// span traces remain the slow-query machinery's job (trace_slow_queries
-  /// arms every query, traced or not). Untraced requests keep the
-  /// null-recorder path — one branch per record site.
-  void SubmitNwcAsyncTraced(
-      NwcRequest request, std::function<void(NwcResponse, const AsyncTiming&)> done) override;
-  void SubmitKnwcAsyncTraced(
-      KnwcRequest request, std::function<void(KnwcResponse, const AsyncTiming&)> done) override;
+  /// The stamped submit (QueryBackend): CheckRequest, shed admission and
+  /// the enqueue are all synchronous, so an unsupported scheme, a request
+  /// shed past the watermark, or a shut-down service calls `done` inside
+  /// this call with a typed FailedPrecondition / Unavailable status and
+  /// three equal stamps. Otherwise `done` runs once on a worker thread.
+  /// The stamps are three SteadyNowMicros() reads — deliberately NOT a
+  /// full QueryTrace, whose per-span recording costs real throughput; deep
+  /// span traces remain the slow-query machinery's job
+  /// (trace_slow_queries arms every query). SubmitNwc/SubmitNwcAsync and
+  /// their kNWC twins are QueryBackend adapters over these.
+  void SubmitNwcAsyncTraced(NwcRequest request, StampedDone<NwcResponse> done) override;
+  void SubmitKnwcAsyncTraced(KnwcRequest request, StampedDone<KnwcResponse> done) override;
 
   /// Jobs queued but not yet picked up by a worker (approximate — for
   /// monitoring and external admission control).
@@ -214,7 +194,7 @@ class QueryService : public QueryBackend {
   /// to individual submission. Groups are admitted against the same shed
   /// watermark as the single-request submits: a group arriving past the
   /// watermark fails its requests with typed Unavailable responses and
-  /// counts one shed PER REQUEST (not per job), so nwc_requests_shed_total
+  /// counts one shed PER REQUEST (not per job), so nwc_load_shed_total
   /// means the same thing under batched and per-query load. Admitted
   /// groups still block on queue backpressure.
   std::vector<std::future<NwcResponse>> SubmitNwcBatch(const std::vector<NwcRequest>& requests);
@@ -336,11 +316,10 @@ class QueryService : public QueryBackend {
   /// admitted job releases exactly once.
   void ReleaseJobSlot() { admitted_depth_.fetch_sub(1, std::memory_order_relaxed); }
 
-  /// Bypass used by paths that never shed (TrySubmit has its own fast-fail
-  /// at queue capacity): takes a slot unconditionally so the admitted-job
-  /// counter keeps covering ALL queued jobs and the watermark stays
-  /// meaningful under mixed traffic.
-  void TakeJobSlot() { admitted_depth_.fetch_add(1, std::memory_order_relaxed); }
+  /// The one single-request submit path behind both query kinds (see the
+  /// class comment); always delivers AsyncTiming.
+  template <typename Response, typename Request>
+  void Submit(Request request, StampedDone<Response> done);
 
   /// Runs one query on a worker: binds the per-worker pool and fault
   /// injector (if any) to a fresh IoCounter, arms a QueryControl from

@@ -10,8 +10,7 @@ std::string MetricsSnapshot::ToString() const {
                    static_cast<unsigned long long>(queries),
                    static_cast<unsigned long long>(failures),
                    static_cast<unsigned long long>(not_found));
-  out += StrFormat("rejections: %llu, max queue depth %llu, slow queries %llu\n",
-                   static_cast<unsigned long long>(rejections),
+  out += StrFormat("queue:      max depth %llu, slow queries %llu\n",
                    static_cast<unsigned long long>(max_queue_depth),
                    static_cast<unsigned long long>(slow_queries));
   out += StrFormat(
@@ -50,8 +49,7 @@ std::string MetricsSnapshot::ToJson() const {
                    static_cast<unsigned long long>(queries),
                    static_cast<unsigned long long>(failures),
                    static_cast<unsigned long long>(not_found));
-  out += StrFormat("\"rejections\":%llu,\"slow_queries\":%llu,\"max_queue_depth\":%llu,",
-                   static_cast<unsigned long long>(rejections),
+  out += StrFormat("\"slow_queries\":%llu,\"max_queue_depth\":%llu,",
                    static_cast<unsigned long long>(slow_queries),
                    static_cast<unsigned long long>(max_queue_depth));
   out += StrFormat(
@@ -115,11 +113,6 @@ void ServiceMetrics::RecordQuery(uint64_t latency_micros, const IoCounter& io, S
   }
 }
 
-void ServiceMetrics::RecordRejection() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++rejections_;
-}
-
 void ServiceMetrics::RecordShed(uint64_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   shed_ += count;
@@ -151,7 +144,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snapshot.queries = queries_;
   snapshot.failures = failures_;
   snapshot.not_found = not_found_;
-  snapshot.rejections = rejections_;
   snapshot.slow_queries = slow_queries_;
   snapshot.cancelled = cancelled_;
   snapshot.deadline_exceeded = deadline_exceeded_;
@@ -188,7 +180,6 @@ void ServiceMetrics::Reset() {
   queries_ = 0;
   failures_ = 0;
   not_found_ = 0;
-  rejections_ = 0;
   slow_queries_ = 0;
   cancelled_ = 0;
   deadline_exceeded_ = 0;

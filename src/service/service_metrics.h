@@ -18,7 +18,6 @@ struct MetricsSnapshot {
   uint64_t queries = 0;       ///< completed queries (ok or failed)
   uint64_t failures = 0;      ///< queries that returned a non-OK status
   uint64_t not_found = 0;     ///< OK queries with no qualified window / 0 groups
-  uint64_t rejections = 0;    ///< TrySubmit calls bounced by the full queue
   uint64_t slow_queries = 0;  ///< queries at/over the slow-trace threshold
   /// Failure breakdown by cause (each failed query increments exactly one
   /// of these, or none for other codes; cancelled + deadline_exceeded +
@@ -27,7 +26,7 @@ struct MetricsSnapshot {
   uint64_t deadline_exceeded = 0;  ///< queries stopped by their deadline
   uint64_t io_errors = 0;          ///< queries failed by (injected) I/O faults
   /// Queries shed at submit time because the queue was past the
-  /// shed watermark (like rejections, these never ran).
+  /// shed watermark (these never ran).
   uint64_t shed = 0;
   /// Transient-fault retry attempts (each retried execution adds one; the
   /// query itself still counts once in `queries`).
@@ -107,13 +106,10 @@ class ServiceMetrics {
   /// non-OK codes).
   void RecordQuery(uint64_t latency_micros, const IoCounter& io, StatusCode code, bool found);
 
-  /// Records one TrySubmit rejection (queue full).
-  void RecordRejection();
-
   /// Records `count` requests shed at submit time (queue past the
   /// watermark). The count matters on the batch path, where one shed group
   /// job carries many requests — shed accounting is per request, not per
-  /// job, so `nwc_requests_shed_total` stays comparable across submit APIs.
+  /// job, so `nwc_load_shed_total` stays comparable across submit APIs.
   void RecordShed(uint64_t count = 1);
 
   /// Records one transient-fault retry attempt.
@@ -147,7 +143,6 @@ class ServiceMetrics {
   uint64_t queries_ = 0;
   uint64_t failures_ = 0;
   uint64_t not_found_ = 0;
-  uint64_t rejections_ = 0;
   uint64_t slow_queries_ = 0;
   uint64_t cancelled_ = 0;
   uint64_t deadline_exceeded_ = 0;

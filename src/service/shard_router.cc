@@ -316,10 +316,13 @@ bool ShardRouter::RemainingBudget(uint64_t deadline_micros, uint64_t elapsed_mic
   return true;
 }
 
-NwcResponse ShardRouter::RouteNwcInternal(const NwcRequest& request, uint64_t cancel_epoch) {
+NwcResponse ShardRouter::RouteInternal(const NwcRequest& request, uint64_t cancel_epoch) {
   Stopwatch timer;
   NwcResponse best;
-  best.status = Status::Ok();
+  // Validated once, up front: an invalid query is the caller's error, not
+  // a per-shard failure to count (or degrade past) on every shard.
+  best.status = request.query.Validate();
+  if (!best.status.ok()) return best;
 
   if (Cancelled(cancel_epoch)) {
     best.status = Status::Cancelled("request cancelled");
@@ -417,10 +420,11 @@ NwcResponse ShardRouter::RouteNwcInternal(const NwcRequest& request, uint64_t ca
   return best;
 }
 
-KnwcResponse ShardRouter::RouteKnwcInternal(const KnwcRequest& request, uint64_t cancel_epoch) {
+KnwcResponse ShardRouter::RouteInternal(const KnwcRequest& request, uint64_t cancel_epoch) {
   Stopwatch timer;
   KnwcResponse merged;
-  merged.status = Status::Ok();
+  merged.status = request.query.Validate();
+  if (!merged.status.ok()) return merged;
 
   if (Cancelled(cancel_epoch)) {
     merged.status = Status::Cancelled("request cancelled");
@@ -531,78 +535,37 @@ KnwcResponse ShardRouter::RouteKnwcInternal(const KnwcRequest& request, uint64_t
   return merged;
 }
 
-void ShardRouter::SubmitNwcAsync(NwcRequest request, std::function<void(NwcResponse)> done) {
-  auto shared_done = std::make_shared<std::function<void(NwcResponse)>>(std::move(done));
-  const uint64_t epoch = cancel_epoch_.load(std::memory_order_relaxed);
-  const bool accepted =
-      router_pool_.Submit([this, request = std::move(request), shared_done, epoch](size_t) {
-        (*shared_done)(RouteNwcInternal(request, epoch));
-      });
-  if (!accepted) {
-    NwcResponse response;
-    response.status = Status::FailedPrecondition("router is shut down");
-    (*shared_done)(std::move(response));
-  }
-}
-
-void ShardRouter::SubmitKnwcAsync(KnwcRequest request, std::function<void(KnwcResponse)> done) {
-  auto shared_done = std::make_shared<std::function<void(KnwcResponse)>>(std::move(done));
-  const uint64_t epoch = cancel_epoch_.load(std::memory_order_relaxed);
-  const bool accepted =
-      router_pool_.Submit([this, request = std::move(request), shared_done, epoch](size_t) {
-        (*shared_done)(RouteKnwcInternal(request, epoch));
-      });
-  if (!accepted) {
-    KnwcResponse response;
-    response.status = Status::FailedPrecondition("router is shut down");
-    (*shared_done)(std::move(response));
-  }
-}
-
-void ShardRouter::SubmitNwcAsyncTraced(
-    NwcRequest request, std::function<void(NwcResponse, const AsyncTiming&)> done) {
+template <typename Response, typename Request>
+void ShardRouter::SubmitRouted(Request request, StampedDone<Response> done) {
   const uint64_t enqueue_us = SteadyNowMicros();
-  auto shared_done =
-      std::make_shared<std::function<void(NwcResponse, const AsyncTiming&)>>(std::move(done));
+  auto shared_done = std::make_shared<StampedDone<Response>>(std::move(done));
   const uint64_t epoch = cancel_epoch_.load(std::memory_order_relaxed);
   const bool accepted = router_pool_.Submit(
       [this, request = std::move(request), shared_done, enqueue_us, epoch](size_t) {
-        AsyncTiming timing;
-        timing.enqueue_us = enqueue_us;
-        timing.dequeue_us = SteadyNowMicros();
-        NwcResponse response = RouteNwcInternal(request, epoch);
+        AsyncTiming timing{enqueue_us, SteadyNowMicros(), 0};
+        Response response = RouteInternal(request, epoch);
         timing.finish_us = SteadyNowMicros();
         (*shared_done)(std::move(response), timing);
       });
   if (!accepted) {
-    NwcResponse response;
+    Response response;
     response.status = Status::FailedPrecondition("router is shut down");
     const uint64_t now = SteadyNowMicros();
     (*shared_done)(std::move(response), AsyncTiming{now, now, now});
   }
 }
 
-void ShardRouter::SubmitKnwcAsyncTraced(
-    KnwcRequest request, std::function<void(KnwcResponse, const AsyncTiming&)> done) {
-  const uint64_t enqueue_us = SteadyNowMicros();
-  auto shared_done =
-      std::make_shared<std::function<void(KnwcResponse, const AsyncTiming&)>>(std::move(done));
-  const uint64_t epoch = cancel_epoch_.load(std::memory_order_relaxed);
-  const bool accepted = router_pool_.Submit(
-      [this, request = std::move(request), shared_done, enqueue_us, epoch](size_t) {
-        AsyncTiming timing;
-        timing.enqueue_us = enqueue_us;
-        timing.dequeue_us = SteadyNowMicros();
-        KnwcResponse response = RouteKnwcInternal(request, epoch);
-        timing.finish_us = SteadyNowMicros();
-        (*shared_done)(std::move(response), timing);
-      });
-  if (!accepted) {
-    KnwcResponse response;
-    response.status = Status::FailedPrecondition("router is shut down");
-    const uint64_t now = SteadyNowMicros();
-    (*shared_done)(std::move(response), AsyncTiming{now, now, now});
-  }
+void ShardRouter::SubmitNwcAsyncTraced(NwcRequest request, StampedDone<NwcResponse> done) {
+  SubmitRouted<NwcResponse>(std::move(request), std::move(done));
+}
+
+void ShardRouter::SubmitKnwcAsyncTraced(KnwcRequest request, StampedDone<KnwcResponse> done) {
+  SubmitRouted<KnwcResponse>(std::move(request), std::move(done));
+}
+
+void ShardRouter::Shutdown() {
+  router_pool_.Shutdown();
+  for (Shard& shard : shards_) shard.service->Shutdown();
 }
 
 void ShardRouter::CancelAll() {
@@ -675,7 +638,6 @@ MetricsSnapshot ShardRouter::SnapshotMetrics() const {
     total.queries += s.queries;
     total.failures += s.failures;
     total.not_found += s.not_found;
-    total.rejections += s.rejections;
     total.slow_queries += s.slow_queries;
     total.cancelled += s.cancelled;
     total.deadline_exceeded += s.deadline_exceeded;

@@ -172,24 +172,29 @@ class ShardRouter : public QueryBackend {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Blocking routed execution (the async submits run these on the router
-  /// executor). Deadlines are measured from this call and span the whole
-  /// shard chain.
+  /// Blocking routed execution (the stamped submits run the same code on
+  /// the router executor). Deadlines are measured from this call and span
+  /// the whole shard chain. An invalid query fails InvalidArgument before
+  /// any shard is touched.
   NwcResponse RouteNwc(const NwcRequest& request) {
-    return RouteNwcInternal(request, cancel_epoch_.load(std::memory_order_relaxed));
+    return RouteInternal(request, cancel_epoch_.load(std::memory_order_relaxed));
   }
   KnwcResponse RouteKnwc(const KnwcRequest& request) {
-    return RouteKnwcInternal(request, cancel_epoch_.load(std::memory_order_relaxed));
+    return RouteInternal(request, cancel_epoch_.load(std::memory_order_relaxed));
   }
 
-  // QueryBackend interface.
-  void SubmitNwcAsync(NwcRequest request, std::function<void(NwcResponse)> done) override;
-  void SubmitKnwcAsync(KnwcRequest request, std::function<void(KnwcResponse)> done) override;
-  void SubmitNwcAsyncTraced(
-      NwcRequest request, std::function<void(NwcResponse, const AsyncTiming&)> done) override;
-  void SubmitKnwcAsyncTraced(
-      KnwcRequest request, std::function<void(KnwcResponse, const AsyncTiming&)> done) override;
+  // QueryBackend interface. The stamped submits are the router's one
+  // async path: `done` runs on the router executor (stamps bracket the
+  // whole fan-out), or synchronously with equal stamps once the router is
+  // shut down.
+  void SubmitNwcAsyncTraced(NwcRequest request, StampedDone<NwcResponse> done) override;
+  void SubmitKnwcAsyncTraced(KnwcRequest request, StampedDone<KnwcResponse> done) override;
   UpdateResponse ApplyUpdate(const MutationBatch& mutations) override;
+
+  /// Drains routed requests already accepted, then stops the router
+  /// executor and every shard service. Idempotent; later submits fail with
+  /// FailedPrecondition responses.
+  void Shutdown();
 
   /// Cancels every routed request currently queued on the router executor
   /// or in flight on a shard (each completes with a Cancelled response);
@@ -241,8 +246,13 @@ class ShardRouter : public QueryBackend {
 
   /// Routed execution bound to the cancel epoch captured at submit, so
   /// CancelAll reaches requests still queued on the router executor.
-  NwcResponse RouteNwcInternal(const NwcRequest& request, uint64_t cancel_epoch);
-  KnwcResponse RouteKnwcInternal(const KnwcRequest& request, uint64_t cancel_epoch);
+  NwcResponse RouteInternal(const NwcRequest& request, uint64_t cancel_epoch);
+  KnwcResponse RouteInternal(const KnwcRequest& request, uint64_t cancel_epoch);
+
+  /// The one async submit path behind both query kinds: hands
+  /// RouteInternal to the router executor, stamping around it.
+  template <typename Response, typename Request>
+  void SubmitRouted(Request request, StampedDone<Response> done);
 
   /// True when `cancel_epoch` (captured at submit) has been overtaken by a
   /// CancelAll call.

@@ -17,8 +17,6 @@ ThreadPool::~ThreadPool() { Shutdown(); }
 
 bool ThreadPool::Submit(Job job) { return queue_.Push(std::move(job)); }
 
-bool ThreadPool::TrySubmit(Job job) { return queue_.TryPush(std::move(job)); }
-
 void ThreadPool::Shutdown() {
   if (shut_down_.exchange(true)) return;
   queue_.Close();

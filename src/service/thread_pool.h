@@ -21,8 +21,8 @@ namespace nwc {
 /// to give each worker its own BufferPool, since the pool's LRU state must
 /// never be shared across threads (see storage/buffer_pool.h).
 ///
-/// Backpressure: Submit() blocks while the queue is full; TrySubmit()
-/// returns false instead, so callers can count rejections and shed load.
+/// Backpressure: Submit() blocks while the queue is full; callers that
+/// want to shed load do their own admission before submitting.
 ///
 /// Shutdown is graceful: the queue is closed, workers drain every job that
 /// was already accepted, then exit. The destructor shuts down implicitly.
@@ -51,11 +51,6 @@ class ThreadPool {
   /// Enqueues a job, blocking while the queue is full. Returns false when
   /// the pool has been shut down (the job is dropped).
   bool Submit(Job job);
-
-  /// Non-blocking enqueue. Returns false when the queue is full or the
-  /// pool has been shut down; the caller decides how to handle the
-  /// rejection.
-  bool TrySubmit(Job job);
 
   /// Closes the queue and joins all workers after they drain the accepted
   /// jobs. Idempotent.

@@ -2,7 +2,7 @@
 // by the service design — batch results across 4 workers must be
 // *identical* (bit-for-bit: distances, ids, positions) to single-threaded
 // NwcEngine/KnwcEngine runs over the same session — plus session/option
-// plumbing, shutdown semantics, TrySubmit backpressure, and metrics.
+// plumbing, shutdown semantics, shed admission, and metrics.
 
 #include "service/query_service.h"
 
@@ -218,39 +218,6 @@ TEST(QueryServiceTest, SubmitAfterShutdownFailsGracefully) {
   service.Shutdown();
   const NwcResponse after = service.SubmitNwc(request).get();
   EXPECT_EQ(after.status.code(), StatusCode::kFailedPrecondition);
-  std::future<NwcResponse> unused;
-  EXPECT_FALSE(service.TrySubmitNwc(request, &unused));
-}
-
-TEST(QueryServiceTest, TrySubmitShedsLoadWhenSaturated) {
-  const Session session = OpenTestSession(4000);
-  ServiceConfig config;
-  config.num_threads = 1;
-  config.queue_capacity = 1;  // one in flight + one waiting
-  QueryService service(session, config);
-
-  // Expensive queries (large n + plain scheme) keep the single worker busy
-  // while we hammer TrySubmit; with capacity 1 a rejection must occur long
-  // before the cap.
-  NwcRequest heavy;
-  heavy.query = NwcQuery{Point{5000, 5000}, 500, 500, 24};
-  heavy.options = NwcOptions::Plain();
-
-  std::vector<std::future<NwcResponse>> accepted;
-  bool rejected = false;
-  for (int i = 0; i < 10000 && !rejected; ++i) {
-    std::future<NwcResponse> future;
-    if (service.TrySubmitNwc(heavy, &future)) {
-      accepted.push_back(std::move(future));
-    } else {
-      rejected = true;
-    }
-  }
-  EXPECT_TRUE(rejected) << "bounded queue should shed load under a slow worker";
-  for (auto& future : accepted) {
-    EXPECT_TRUE(future.get().status.ok());
-  }
-  EXPECT_GE(service.SnapshotMetrics().rejections, 1u);
 }
 
 TEST(QueryServiceTest, ConcurrentSubmittersNeverAdmitPastTheShedWatermark) {

@@ -37,29 +37,26 @@ TEST(ServiceMetricsTest, RollsUpPhaseCountsAcrossQueries) {
   EXPECT_NEAR(snapshot.latency_mean_us, 200.0, 1e-9);
 }
 
-TEST(ServiceMetricsTest, TracksRejectionsAndQueueHighWaterMark) {
+TEST(ServiceMetricsTest, TracksQueueHighWaterMark) {
   ServiceMetrics metrics;
-  metrics.RecordRejection();
-  metrics.RecordRejection();
   metrics.RecordQueueDepth(3);
   metrics.RecordQueueDepth(9);
   metrics.RecordQueueDepth(5);
 
   const MetricsSnapshot snapshot = metrics.Snapshot();
-  EXPECT_EQ(snapshot.rejections, 2u);
   EXPECT_EQ(snapshot.max_queue_depth, 9u);
 }
 
 TEST(ServiceMetricsTest, ResetZeroesEverything) {
   ServiceMetrics metrics;
   metrics.RecordQuery(123, CounterWith(4, 4), StatusCode::kOk, true);
-  metrics.RecordRejection();
+  metrics.RecordShed(2);
   metrics.RecordQueueDepth(7);
   metrics.Reset();
 
   const MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.queries, 0u);
-  EXPECT_EQ(snapshot.rejections, 0u);
+  EXPECT_EQ(snapshot.shed, 0u);
   EXPECT_EQ(snapshot.max_queue_depth, 0u);
   EXPECT_EQ(snapshot.total_reads(), 0u);
   EXPECT_EQ(snapshot.latency_p99_us, 0u);
@@ -105,7 +102,7 @@ TEST(ServiceMetricsTest, ToStringMentionsEverySection) {
   EXPECT_NE(report.find("queries:"), std::string::npos);
   EXPECT_NE(report.find("latency:"), std::string::npos);
   EXPECT_NE(report.find("node reads:"), std::string::npos);
-  EXPECT_NE(report.find("rejections:"), std::string::npos);
+  EXPECT_NE(report.find("queue:"), std::string::npos);
   EXPECT_NE(report.find("slow queries"), std::string::npos);
   EXPECT_NE(report.find("wall:"), std::string::npos);
 }
@@ -239,7 +236,6 @@ TEST(ServiceMetricsTest, ToJsonRendersEverySectionAsValidKeyValues) {
   ServiceMetrics metrics;
   metrics.RecordQuery(100, CounterWith(3, 5), StatusCode::kOk, /*found=*/true);
   metrics.RecordQuery(200, CounterWith(2, 7), StatusCode::kOk, /*found=*/false);
-  metrics.RecordRejection();
   metrics.RecordSlowQuery();
   metrics.RecordQueueDepth(4);
   const std::string json = metrics.Snapshot().ToJson();
@@ -249,7 +245,6 @@ TEST(ServiceMetricsTest, ToJsonRendersEverySectionAsValidKeyValues) {
   EXPECT_NE(json.find("\"queries\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"failures\":0"), std::string::npos) << json;
   EXPECT_NE(json.find("\"not_found\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"rejections\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"slow_queries\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"max_queue_depth\":4"), std::string::npos) << json;
   EXPECT_NE(json.find("\"cancelled\":0"), std::string::npos) << json;

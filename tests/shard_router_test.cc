@@ -202,6 +202,38 @@ TEST(ShardRouter, SingleShardPassesOversizedWindowsThrough) {
   EXPECT_TRUE(router->RouteNwc(request).status.ok());
 }
 
+// An invalid query is the caller's error, not a partial failure: it fails
+// InvalidArgument before any shard runs, under either policy, and is never
+// reported as a degraded answer.
+TEST(ShardRouter, InvalidQueryFailsBeforeAnyShardUnderBothPolicies) {
+  for (const PartialFailurePolicy policy :
+       {PartialFailurePolicy::kFail, PartialFailurePolicy::kDegrade}) {
+    ShardRouterConfig config = FourShardConfig();
+    config.partial_failure = policy;
+    const auto router = OpenRouter(config, 1000);
+    NwcRequest nwc;
+    nwc.query = NwcQuery{Point{5000, 5000}, 300, 300, 0};  // n == 0
+    KnwcRequest knwc;
+    knwc.query = KnwcQuery{NwcQuery{Point{5000, 5000}, 0, 300, 4}, 2, 1};  // l <= 0
+
+    const NwcResponse routed_nwc = router->RouteNwc(nwc);
+    const KnwcResponse routed_knwc = router->RouteKnwc(knwc);
+    const NwcResponse async_nwc = router->SubmitNwc(nwc).get();
+    const KnwcResponse async_knwc = router->SubmitKnwc(knwc).get();
+    for (const auto& [status, degraded] :
+         {std::pair{routed_nwc.status, routed_nwc.degraded},
+          std::pair{routed_knwc.status, routed_knwc.degraded},
+          std::pair{async_nwc.status, async_nwc.degraded},
+          std::pair{async_knwc.status, async_knwc.degraded}}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+      EXPECT_FALSE(degraded);
+    }
+    for (size_t s = 0; s < router->num_shards(); ++s) {
+      EXPECT_EQ(router->ShardMetrics(s).queries, 0u) << "shard " << s;
+    }
+  }
+}
+
 TEST(ShardRouter, AsyncSubmitsResolveAndAggregateMetrics) {
   const auto router = OpenRouter(FourShardConfig());
   std::promise<NwcResponse> nwc_promise;

@@ -30,7 +30,6 @@ TEST(ThreadPoolTest, ShutdownIsIdempotentAndRejectsLaterSubmits) {
   pool.Shutdown();
   pool.Shutdown();
   EXPECT_FALSE(pool.Submit([](size_t) {}));
-  EXPECT_FALSE(pool.TrySubmit([](size_t) {}));
   EXPECT_EQ(pool.jobs_executed(), 0u);
 }
 
@@ -50,42 +49,6 @@ TEST(ThreadPoolTest, WorkerIndexesCoverThePool) {
   }
   EXPECT_FALSE(indexes.empty());
   for (const size_t index : indexes) EXPECT_LT(index, kThreads);
-}
-
-// Backpressure: with every worker parked on a gate and the queue full,
-// TrySubmit must reject instead of blocking.
-TEST(ThreadPoolTest, TrySubmitRejectsWhenQueueFull) {
-  constexpr size_t kThreads = 2;
-  constexpr size_t kCapacity = 3;
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  std::atomic<size_t> blocked{0};
-  const auto blocker = [&](size_t) {
-    blocked.fetch_add(1);
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  };
-
-  ThreadPool pool(kThreads, kCapacity);
-  // Occupy both workers...
-  ASSERT_TRUE(pool.Submit(blocker));
-  ASSERT_TRUE(pool.Submit(blocker));
-  while (blocked.load() < kThreads) std::this_thread::yield();
-  // ...then fill the queue behind them.
-  for (size_t i = 0; i < kCapacity; ++i) {
-    ASSERT_TRUE(pool.TrySubmit([](size_t) {}));
-  }
-  EXPECT_EQ(pool.QueueDepth(), kCapacity);
-  EXPECT_FALSE(pool.TrySubmit([](size_t) {}));  // full -> rejected
-
-  {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  pool.Shutdown();
-  EXPECT_EQ(pool.jobs_executed(), kThreads + kCapacity);
 }
 
 TEST(ThreadPoolTest, PropagatesFirstJobException) {

@@ -100,7 +100,6 @@ TEST(TraceExportTest, PrometheusTextMatchesGolden) {
   snapshot.queries = 4;
   snapshot.failures = 1;
   snapshot.not_found = 1;
-  snapshot.rejections = 2;
   snapshot.slow_queries = 3;
   snapshot.max_queue_depth = 9;
   snapshot.wall_seconds = 2.0;

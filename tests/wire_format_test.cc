@@ -71,6 +71,7 @@ void ExpectSameNwcResponse(const NwcResponse& a, const NwcResponse& b) {
   EXPECT_EQ(a.window_query_reads, b.window_query_reads);
   EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.result_cache_hit, b.result_cache_hit);
+  EXPECT_EQ(a.degraded, b.degraded);
 }
 
 // Pulls the single frame out of a fully buffered encoding.
@@ -127,6 +128,73 @@ TEST(WireFormat, NwcResponseRoundtrip) {
   NwcResponse decoded;
   ASSERT_TRUE(DecodeNwcResponse(frame.body, &decoded).ok());
   ExpectSameNwcResponse(decoded, response);
+}
+
+// The response flags byte carries both result_cache_hit (bit 0) and
+// degraded (bit 1), so a sharded server's partial answer stays marked as
+// partial on the wire; any other bit fails like an unknown envelope flag.
+TEST(WireFormat, ResponseFlagsRoundtripDegradedAndRejectUnknownBits) {
+  for (const bool cache_hit : {false, true}) {
+    for (const bool degraded : {false, true}) {
+      NwcResponse response = MakeNwcResponse();
+      response.result_cache_hit = cache_hit;
+      response.degraded = degraded;
+      NwcResponse decoded;
+      ASSERT_TRUE(
+          DecodeNwcResponse(MustDecodeFrame(EncodeNwcResponseFrame(3, response)).body, &decoded)
+              .ok());
+      ExpectSameNwcResponse(decoded, response);
+
+      KnwcResponse knwc = MakeKnwcResponse();
+      knwc.result_cache_hit = cache_hit;
+      knwc.degraded = degraded;
+      KnwcResponse knwc_decoded;
+      ASSERT_TRUE(
+          DecodeKnwcResponse(MustDecodeFrame(EncodeKnwcResponseFrame(4, knwc)).body, &knwc_decoded)
+              .ok());
+      EXPECT_EQ(knwc_decoded.result_cache_hit, cache_hit);
+      EXPECT_EQ(knwc_decoded.degraded, degraded);
+    }
+  }
+
+  // The flags byte follows the status (code u8 + u32 length + message)
+  // and four u64 counters; the encoding's size is unchanged by the flags.
+  NwcResponse response = MakeNwcResponse();
+  std::string body;
+  EncodeNwcResponse(response, &body);
+  response.degraded = true;
+  std::string degraded_body;
+  EncodeNwcResponse(response, &degraded_body);
+  EXPECT_EQ(body.size(), degraded_body.size());
+  const size_t flags_at = 1 + 4 + response.status.message().size() + 4 * 8;
+  EXPECT_EQ(static_cast<uint8_t>(degraded_body[flags_at]), 0x03);
+  NwcResponse decoded;
+  for (const uint8_t bad : {0x04, 0x80, 0xFF}) {
+    std::string corrupt = degraded_body;
+    corrupt[flags_at] = static_cast<char>(bad);
+    EXPECT_EQ(DecodeNwcResponse(corrupt, &decoded).code(), StatusCode::kInvalidArgument)
+        << "flags byte " << static_cast<int>(bad);
+  }
+}
+
+// A corrupt element count must fail as truncation, never size an
+// allocation: the decoders reserve at most what the unread bytes can hold.
+TEST(WireFormat, HugeElementCountsFailWithoutAllocating) {
+  const std::string huge_count("\xff\xff\xff\xff", 4);
+  MutationBatch batch;
+  EXPECT_EQ(DecodeUpdateRequest(huge_count, &batch).code(), StatusCode::kInvalidArgument);
+
+  std::string knwc_body;
+  EncodeKnwcResponse(KnwcResponse{}, &knwc_body);
+  knwc_body.replace(knwc_body.size() - 4, 4, huge_count);  // group count
+  KnwcResponse knwc;
+  EXPECT_EQ(DecodeKnwcResponse(knwc_body, &knwc).code(), StatusCode::kInvalidArgument);
+
+  std::string nwc_body;
+  EncodeNwcResponse(NwcResponse{}, &nwc_body);
+  nwc_body.replace(nwc_body.size() - 4, 4, huge_count);  // object count
+  NwcResponse nwc;
+  EXPECT_EQ(DecodeNwcResponse(nwc_body, &nwc).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WireFormat, ErrorResponseRoundtripKeepsStatus) {

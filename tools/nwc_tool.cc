@@ -531,28 +531,6 @@ Result<ShardRouterConfig> ShardConfigFromArgs(const Args& args,
   return config;
 }
 
-/// Future adapters over the QueryBackend callback submits, so the replay
-/// loop in serve-batch is agnostic to single-tree vs sharded backends.
-/// Both backends block the caller on queue backpressure, preserving the
-/// submit loop's natural flow control.
-std::future<NwcResponse> SubmitNwcFuture(QueryBackend& backend, NwcRequest request) {
-  auto promise = std::make_shared<std::promise<NwcResponse>>();
-  std::future<NwcResponse> future = promise->get_future();
-  backend.SubmitNwcAsync(std::move(request), [promise](NwcResponse response) {
-    promise->set_value(std::move(response));
-  });
-  return future;
-}
-
-std::future<KnwcResponse> SubmitKnwcFuture(QueryBackend& backend, KnwcRequest request) {
-  auto promise = std::make_shared<std::promise<KnwcResponse>>();
-  std::future<KnwcResponse> future = promise->get_future();
-  backend.SubmitKnwcAsync(std::move(request), [promise](KnwcResponse response) {
-    promise->set_value(std::move(response));
-  });
-  return future;
-}
-
 int CmdServeBatch(const Args& args) {
   const Result<NwcOptions> options = ParseOptions(args);
   if (!options.ok()) return Fail(options.status().ToString());
@@ -700,9 +678,9 @@ int CmdServeBatch(const Args& args) {
         since_mutation = 0;
       }
       if (entry.is_knwc) {
-        knwc_futures.push_back(SubmitKnwcFuture(*backend, KnwcRequest{entry.knwc, {}}));
+        knwc_futures.push_back(backend->SubmitKnwc(KnwcRequest{entry.knwc, {}}));
       } else {
-        nwc_futures.push_back(SubmitNwcFuture(*backend, NwcRequest{entry.nwc, {}}));
+        nwc_futures.push_back(backend->SubmitNwc(NwcRequest{entry.nwc, {}}));
       }
       ++since_mutation;
     }
