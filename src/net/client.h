@@ -57,7 +57,7 @@ class NetClient {
 
   /// Frames and writes one mutation batch. The server applies it and
   /// publishes a new epoch; the kUpdateResponse reply carries the apply
-  /// outcome (or FailedPrecondition from a static server).
+  /// outcome (NotFound when a delete matched no stored object).
   Status SendUpdate(uint64_t request_id, const MutationBatch& batch);
 
   /// Writes raw bytes verbatim — the fuzz/robustness tests' way of

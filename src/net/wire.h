@@ -49,8 +49,8 @@ enum class MsgType : uint8_t {
   /// Protocol-level failure (undecodable frame, draining server). The
   /// body is a Status; request id 0 means "no frame could be attributed".
   kError = 5,
-  /// Data mutation batch (insert/delete objects); dynamic servers apply
-  /// and publish it, static servers answer FailedPrecondition.
+  /// Data mutation batch (insert/delete objects); the server applies and
+  /// publishes it (every backend accepts updates).
   kUpdateRequest = 6,
   kUpdateResponse = 7,
 };

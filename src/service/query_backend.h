@@ -55,11 +55,10 @@ struct QueryResponse {
 using NwcResponse = QueryResponse<NwcResult>;
 using KnwcResponse = QueryResponse<KnwcResult>;
 
-/// Outcome of one ApplyUpdate call (dynamic services only). `epoch` is the
-/// epoch the mutations were published under; on a static service `status`
-/// is FailedPrecondition and everything else is zero. A NotFound status
-/// reports delete misses — the other mutations in the batch were still
-/// applied and published.
+/// Outcome of one ApplyUpdate call. `epoch` is the epoch the mutations
+/// were published under (for a router, the max over the shards it
+/// touched). A NotFound status reports delete misses — the other mutations
+/// in the batch were still applied and published.
 struct UpdateResponse {
   Status status;
   uint64_t epoch = 0;

@@ -47,15 +47,16 @@ uint64_t RetryBackoffMicros(uint64_t base_micros, int attempt) {
 }
 
 QueryService::QueryService(const Session& session, const ServiceConfig& config)
-    : QueryService(&session, nullptr, config) {}
+    : QueryService(std::make_unique<SnapshotStore>(session), config) {}
+
+QueryService::QueryService(std::unique_ptr<SnapshotStore> owned_store,
+                           const ServiceConfig& config)
+    : QueryService(*owned_store, config) {
+  owned_store_ = std::move(owned_store);
+}
 
 QueryService::QueryService(SnapshotStore& store, const ServiceConfig& config)
-    : QueryService(nullptr, &store, config) {}
-
-QueryService::QueryService(const Session* session, SnapshotStore* store,
-                           const ServiceConfig& config)
-    : static_session_(session),
-      store_(store),
+    : store_(store),
       config_(config),
       worker_pools_(config.num_threads == 0 ? 1 : config.num_threads),
       pool_(config.num_threads, config.queue_capacity) {
@@ -88,42 +89,22 @@ void QueryService::Shutdown() { pool_.Shutdown(); }
 Status QueryService::CheckRequest(const std::optional<NwcOptions>& override_options,
                                   NwcOptions* effective) const {
   *effective = override_options.value_or(config_.default_options);
-  // Dynamic mode checks against the store's configuration, not a specific
-  // snapshot: a snapshot missing its IWP inside the staleness bound is a
-  // per-query degrade (EffectiveOptions), not a request error.
-  const bool supported =
-      store_ != nullptr ? store_->Supports(*effective) : static_session_->Supports(*effective);
-  if (!supported) {
+  // Checked against the store's configuration, not a specific snapshot: a
+  // snapshot missing its IWP inside the staleness bound is a per-query
+  // degrade (EffectiveOptions), not a request error.
+  if (!store_.Supports(*effective)) {
     return Status::FailedPrecondition(
         "session lacks the IWP index / density grid required by the requested scheme");
   }
   return Status::Ok();
 }
 
-QueryService::SessionLease QueryService::AcquireLease() const {
-  SessionLease lease;
-  if (store_ != nullptr) {
-    SnapshotStore::SnapshotRef ref = store_->Acquire();
-    lease.session = ref.session.get();
-    lease.snapshot = std::move(ref.session);
-    lease.epoch = ref.epoch;
-  } else {
-    lease.session = static_session_;
-  }
-  return lease;
-}
-
 UpdateResponse QueryService::ApplyUpdate(const MutationBatch& mutations) {
   UpdateResponse response;
   Stopwatch timer;
-  if (store_ == nullptr) {
-    response.status =
-        Status::FailedPrecondition("service is static: updates require a SnapshotStore");
-    return response;
-  }
   SnapshotStore::ApplyStats stats;
   SnapshotStore::SnapshotRef ref;
-  response.status = store_->ApplyAndPublish(mutations, &stats, &ref);
+  response.status = store_.ApplyAndPublish(mutations, &stats, &ref);
   // Old-epoch cache entries are already unreachable (the epoch is part of
   // the key); the generation bump lets the cache lazily reclaim them.
   InvalidateResultCache();
@@ -208,7 +189,7 @@ void CacheInsert(ResultCache& cache, const KnwcQuery& query, const NwcOptions& o
 template <typename Response, typename Query, typename Done>
 void QueryService::Execute(size_t worker_index, const Query& query, const NwcOptions& requested,
                            const RequestTiming& timing, Done done, WindowQueryMemo* memo,
-                           const SessionLease* lease) {
+                           const SnapshotStore::SnapshotRef* snapshot) {
   // Dequeue-time queue-depth observation: the submit-side sample alone
   // under-reports bursts, because submitters that would see the peak are
   // the ones blocked on the full queue.
@@ -216,17 +197,17 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
 
   // Pin one epoch for the whole query (all retry attempts included):
   // queries never observe a publish mid-flight. Batch groups pass their
-  // own lease so every member — and the shared window memo — sees one
+  // own snapshot so every member — and the shared window memo — sees one
   // consistent epoch.
-  SessionLease own_lease;
-  if (lease == nullptr) {
-    own_lease = AcquireLease();
-    lease = &own_lease;
+  SnapshotStore::SnapshotRef own_snapshot;
+  if (snapshot == nullptr) {
+    own_snapshot = store_.Acquire();
+    snapshot = &own_snapshot;
   }
-  const Session& session = *lease->session;
+  const Session& session = *snapshot->session;
   // The effective options also key the result cache, so a degraded
   // (IWP-less) answer can never be replayed to a fully-indexed epoch.
-  const NwcOptions options = EffectiveOptions(*lease, requested);
+  const NwcOptions options = EffectiveOptions(*snapshot, requested);
 
   Response response;
   IoCounter total_io;  // merged across attempts for metrics/response
@@ -272,7 +253,7 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
     // first attempt keeps the cache's miss counter one-per-query.
     bool cache_hit = false;
     if (attempt == 0 && result_cache_ != nullptr && !control.ShouldStop() &&
-        CacheLookup(*result_cache_, query, options, &response.result, lease->epoch)) {
+        CacheLookup(*result_cache_, query, options, &response.result, snapshot->epoch)) {
       cache_hit = true;
       response.status = Status::Ok();
       response.result_cache_hit = true;
@@ -332,7 +313,7 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
     // faulted query would poison it with partial answers, and re-inserting
     // on a hit would churn the LRU for nothing.
     if (result_cache_ != nullptr && !cache_hit && response.status.ok()) {
-      CacheInsert(*result_cache_, query, options, response.result, lease->epoch);
+      CacheInsert(*result_cache_, query, options, response.result, snapshot->epoch);
     }
 
     response.latency_micros = timer.ElapsedMicros();
@@ -482,8 +463,8 @@ std::vector<std::future<Response>> QueryService::SubmitBatchImpl(
   }
 
   // Planning only needs the data bounds for its Z-order normalization, so
-  // a momentary lease suffices here; each group job pins its own epoch.
-  const Rect plan_bounds = AcquireLease().session->tree().bounds();
+  // a momentary pin suffices here; each group job pins its own epoch.
+  const Rect plan_bounds = store_.Acquire().session->tree().bounds();
   const std::vector<std::vector<size_t>> groups =
       PlanBatchGroups(plan_items, plan_bounds, config_.batch_group_size);
 
@@ -511,9 +492,9 @@ std::vector<std::future<Response>> QueryService::SubmitBatchImpl(
           // One memo per group: repeated window walks within the group are
           // answered from memory, and the Z-order visit order keeps the
           // worker's buffer pool warm across consecutive queries. The
-          // group shares ONE lease — a publish landing mid-group must not
-          // let the memo mix window walks from two different epochs.
-          const SessionLease lease = AcquireLease();
+          // group shares ONE snapshot — a publish landing mid-group must
+          // not let the memo mix window walks from two different epochs.
+          const SnapshotStore::SnapshotRef snapshot = store_.Acquire();
           WindowQueryMemo memo(config_.window_memo_entries);
           WindowQueryMemo* memo_ptr = config_.window_memo_entries > 0 ? &memo : nullptr;
           for (const size_t i : indices) {
@@ -522,7 +503,7 @@ std::vector<std::future<Response>> QueryService::SubmitBatchImpl(
                 [&state, i](Response response) {
                   state->promises[i].set_value(std::move(response));
                 },
-                memo_ptr, &lease);
+                memo_ptr, &snapshot);
           }
           metrics_.RecordWindowMemoHits(memo.hits());
         });

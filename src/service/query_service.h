@@ -109,15 +109,16 @@ struct ServiceConfig {
 // AsyncTiming live in service/query_backend.h (re-exported here): they are
 // the vocabulary of the QueryBackend interface this service implements.
 
-/// Concurrent query execution over an immutable index stack.
+/// Concurrent query execution over a SnapshotStore's published index
+/// stacks.
 ///
-/// Two modes share one implementation:
-///  * **static** — bound to one immutable Session for its whole lifetime
-///    (the paper's setting; ApplyUpdate is rejected);
-///  * **dynamic** — bound to a SnapshotStore; every query pins the
-///    currently-published snapshot (and its epoch) for exactly its own
-///    execution, and ApplyUpdate() applies a MutationBatch and publishes
-///    the next epoch while in-flight readers keep serving the old one.
+/// Every query pins the currently-published snapshot (and its epoch) for
+/// exactly its own execution, and ApplyUpdate() applies a MutationBatch
+/// and publishes the next epoch while in-flight readers keep serving the
+/// old one. A service built over a Session serves it through a store of
+/// its own whose epoch 1 is that Session: until the first update (which
+/// clones it) this costs nothing over reading the Session directly — the
+/// paper's static setting is simply a store that is never updated.
 ///
 /// The service owns a fixed ThreadPool; each worker runs queries against
 /// the shared read-only index stack with strictly per-query mutable state
@@ -145,13 +146,13 @@ struct ServiceConfig {
 /// must outlive the service.
 class QueryService : public QueryBackend {
  public:
-  /// Binds to `session` (not owned, must outlive the service) and starts
-  /// the workers. `config` must already be validated.
+  /// Serves `session` (not owned, must outlive the service, never mutated)
+  /// through a SnapshotStore the service owns, and starts the workers.
+  /// `config` must already be validated.
   QueryService(const Session& session, const ServiceConfig& config);
 
-  /// Dynamic mode: binds to `store` (not owned, must outlive the service).
-  /// Each query acquires the store's current snapshot; ApplyUpdate becomes
-  /// functional.
+  /// Serves `store` (not owned, must outlive the service): each query
+  /// acquires the store's current snapshot.
   QueryService(SnapshotStore& store, const ServiceConfig& config);
 
   ~QueryService() override;
@@ -207,12 +208,10 @@ class QueryService : public QueryBackend {
   /// Invalidate and publish are coupled here: after this returns, no
   /// future query can observe a pre-publish cached answer — epoch-keyed
   /// cache entries make that structural, and the generation bump lets the
-  /// cache reclaim the dead epoch's entries lazily. On a static service,
-  /// returns FailedPrecondition and changes nothing.
+  /// cache reclaim the dead epoch's entries lazily. Mutations already
+  /// applied to the store but not yet published (SnapshotStore::Apply)
+  /// are published by the same call.
   UpdateResponse ApplyUpdate(const MutationBatch& mutations) override;
-
-  /// True when this service was constructed over a SnapshotStore.
-  bool is_dynamic() const { return store_ != nullptr; }
 
   /// Cancels every request currently queued or executing: each observes
   /// the epoch bump at its next checkpoint and completes with a Cancelled
@@ -264,34 +263,21 @@ class QueryService : public QueryBackend {
     uint64_t epoch = 0;
   };
 
-  /// The index stack one query (or one batch group) runs against. In
-  /// static mode `session` points at the bound Session and `snapshot` is
-  /// empty; in dynamic mode `snapshot` pins a published epoch for the
-  /// lease's lifetime and `epoch` keys the result cache. One lease spans a
-  /// whole batch group so its shared window memo never mixes epochs.
-  struct SessionLease {
-    std::shared_ptr<const Session> snapshot;
-    const Session* session = nullptr;
-    uint64_t epoch = 0;
-  };
+  /// The Session constructor's path: serves `*owned_store` and keeps it.
+  QueryService(std::unique_ptr<SnapshotStore> owned_store, const ServiceConfig& config);
 
-  /// Pins the current snapshot (dynamic) or the bound session (static).
-  SessionLease AcquireLease() const;
-
-  /// Common constructor behind the two public modes.
-  QueryService(const Session* session, SnapshotStore* store, const ServiceConfig& config);
-
-  /// Drops techniques the leased snapshot cannot serve — today only
+  /// Drops techniques the pinned snapshot cannot serve — today only
   /// use_iwp, when the snapshot was published inside the IWP staleness
   /// bound. The result stays bit-exact for the *effective* scheme, which
   /// is also what keys the result cache.
-  static NwcOptions EffectiveOptions(const SessionLease& lease, const NwcOptions& options) {
+  static NwcOptions EffectiveOptions(const SnapshotStore::SnapshotRef& snapshot,
+                                     const NwcOptions& options) {
     NwcOptions effective = options;
-    if (effective.use_iwp && lease.session->iwp() == nullptr) effective.use_iwp = false;
+    if (effective.use_iwp && snapshot.session->iwp() == nullptr) effective.use_iwp = false;
     return effective;
   }
 
-  /// Resolves the effective options and checks the session supports them.
+  /// Resolves the effective options and checks the store supports them.
   Status CheckRequest(const std::optional<NwcOptions>& override_options,
                       NwcOptions* effective) const;
 
@@ -329,20 +315,22 @@ class QueryService : public QueryBackend {
   /// fields common to both query kinds. Only OK responses populate the
   /// cache. `done` receives the finished response exactly once (promise
   /// fulfilment or the network layer's completion callback). `memo`
-  /// (batch path) shares window walks within a group.
+  /// (batch path) shares window walks within a group, and `snapshot`
+  /// (batch path) is the group's pinned epoch; single requests pin their
+  /// own.
   template <typename Response, typename Query, typename Done>
   void Execute(size_t worker_index, const Query& query, const NwcOptions& options,
                const RequestTiming& timing, Done done, WindowQueryMemo* memo = nullptr,
-               const SessionLease* lease = nullptr);
+               const SnapshotStore::SnapshotRef* snapshot = nullptr);
 
   /// Shared implementation of SubmitNwcBatch/SubmitKnwcBatch.
   template <typename Response, typename Request>
   std::vector<std::future<Response>> SubmitBatchImpl(const std::vector<Request>& requests);
 
-  // Exactly one of the two is set: the static session, or the snapshot
-  // store queries acquire epochs from.
-  const Session* static_session_ = nullptr;
-  SnapshotStore* store_ = nullptr;
+  // The store queries acquire epochs from, and its owner when the service
+  // was built over a Session (declared first: it outlives every worker).
+  std::unique_ptr<SnapshotStore> owned_store_;
+  SnapshotStore& store_;
   ServiceConfig config_;
   ServiceMetrics metrics_;
   // One pool per worker, indexed by the worker id ThreadPool hands to each

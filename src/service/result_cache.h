@@ -30,8 +30,8 @@ namespace nwc {
 ///    differently between schemes, so serving a Star result for a Plain
 ///    request would not be bit-exact. Keeping the scheme in the key keeps
 ///    the cache's contract exact instead of merely optimal.
-///  - the data epoch the answer was computed against (0 for static
-///    sessions). Pinning the epoch into the key makes publish-vs-cache
+///  - the data epoch the answer was computed against (published epochs
+///    start at 1; 0 is free for callers with no store). Pinning the epoch into the key makes publish-vs-cache
 ///    races structurally impossible: a result computed on epoch N and
 ///    inserted after epoch N+1 published can only ever be found by a
 ///    reader still pinned to N — for whom it is exactly right.
@@ -46,7 +46,7 @@ struct ResultCacheKey {
   uint64_t n = 0;
   uint64_t k = 0;  ///< 0 for NWC
   uint64_t m = 0;  ///< 0 for NWC
-  uint64_t data_epoch = 0;  ///< snapshot epoch (0 = static session)
+  uint64_t data_epoch = 0;  ///< snapshot epoch (0 = no store)
 
   static ResultCacheKey ForNwc(const NwcQuery& query, const NwcOptions& options,
                                uint64_t data_epoch = 0);
@@ -109,7 +109,7 @@ class ResultCache {
 
   /// Probes for an exact NWC result. On a hit, copies it into `out` and
   /// refreshes the entry's LRU position. Counts one hit or one miss.
-  /// `data_epoch` pins the probe to one snapshot epoch (0 = static).
+  /// `data_epoch` pins the probe to one snapshot epoch (0 = no store).
   bool LookupNwc(const NwcQuery& query, const NwcOptions& options, NwcResult* out,
                  uint64_t data_epoch = 0);
 

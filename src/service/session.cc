@@ -45,7 +45,8 @@ Result<Session> Session::Open(RStarTree tree, const SessionConfig& config) {
     if (space.IsEmpty()) space = session.tree_->bounds();
     if (space.IsEmpty()) {
       // Empty tree: a 1-cell grid with zero counts keeps DEP sound (it
-      // prunes everything, which is the right answer for no data).
+      // prunes everything, which is the right answer for no data; in a
+      // SnapshotStore, later inserts clamp into the single cell).
       space = Rect{0.0, 0.0, config.grid_cell_size, config.grid_cell_size};
     }
     session.grid_ = std::make_unique<DensityGrid>(space, config.grid_cell_size,

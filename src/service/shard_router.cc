@@ -250,20 +250,13 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(std::vector<DataObject> o
             ? config.fault_plan
             : FaultPlan::None();
 
-    if (config.dynamic) {
-      SnapshotStore::Config store_config;
-      store_config.session = session_config;
-      store_config.iwp_staleness_limit = config.iwp_staleness_limit;
-      auto store = SnapshotStore::Open(std::move(tree), store_config);
-      if (!store.ok()) return store.status();
-      shard.store = std::move(store).value();
-      shard.service = std::make_unique<QueryService>(*shard.store, service_config);
-    } else {
-      auto session = Session::Open(std::move(tree), session_config);
-      if (!session.ok()) return session.status();
-      shard.session = std::make_unique<Session>(std::move(session).value());
-      shard.service = std::make_unique<QueryService>(*shard.session, service_config);
-    }
+    SnapshotStore::Config store_config;
+    store_config.session = session_config;
+    store_config.iwp_staleness_limit = config.iwp_staleness_limit;
+    auto store = SnapshotStore::Open(std::move(tree), store_config);
+    if (!store.ok()) return store.status();
+    shard.store = std::move(store).value();
+    shard.service = std::make_unique<QueryService>(*shard.store, service_config);
   }
 
   return router;
@@ -576,11 +569,6 @@ void ShardRouter::CancelAll() {
 UpdateResponse ShardRouter::ApplyUpdate(const MutationBatch& mutations) {
   UpdateResponse response;
   Stopwatch timer;
-  if (!config_.dynamic) {
-    response.status =
-        Status::FailedPrecondition("service is static: updates require a SnapshotStore");
-    return response;
-  }
 
   // Split the batch: owned mutations carry the authoritative counts;
   // replica mutations keep halo copies in lockstep (same deterministic
@@ -598,27 +586,21 @@ UpdateResponse ShardRouter::ApplyUpdate(const MutationBatch& mutations) {
 
   response.status = Status::Ok();
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!owned[s].empty()) {
-      const UpdateResponse shard_response = shards_[s].service->ApplyUpdate(owned[s]);
-      response.applied_inserts += shard_response.applied_inserts;
-      response.applied_deletes += shard_response.applied_deletes;
-      response.delete_misses += shard_response.delete_misses;
-      response.epoch = std::max(response.epoch, shard_response.epoch);
-      if (!shard_response.status.ok() &&
-          shard_response.status.code() != StatusCode::kNotFound) {
-        response.status = shard_response.status;
-      }
-    }
-    if (!replicas[s].empty()) {
-      const UpdateResponse shard_response = shards_[s].service->ApplyUpdate(replicas[s]);
-      response.epoch = std::max(response.epoch, shard_response.epoch);
-      // A replica delete missing is expected exactly when the owner also
-      // missed (the object never existed); only non-NotFound errors
-      // propagate.
-      if (!shard_response.status.ok() &&
-          shard_response.status.code() != StatusCode::kNotFound) {
-        response.status = shard_response.status;
-      }
+    if (owned[s].empty() && replicas[s].empty()) continue;
+    // Replicas go to the writer stack unpublished; the owned batch's
+    // ApplyUpdate then publishes both in ONE epoch (and invalidates the
+    // shard's cache), so no reader sees owned objects without their halo
+    // copies. A replica delete missing is expected exactly when the owner
+    // also missed (the object never existed), so Apply's NotFound — its
+    // only error — is dropped.
+    if (!replicas[s].empty()) shards_[s].store->Apply(replicas[s]);
+    const UpdateResponse shard_response = shards_[s].service->ApplyUpdate(owned[s]);
+    response.applied_inserts += shard_response.applied_inserts;
+    response.applied_deletes += shard_response.applied_deletes;
+    response.delete_misses += shard_response.delete_misses;
+    response.epoch = std::max(response.epoch, shard_response.epoch);
+    if (!shard_response.status.ok() && shard_response.status.code() != StatusCode::kNotFound) {
+      response.status = shard_response.status;
     }
   }
   if (response.status.ok() && response.delete_misses > 0) {
@@ -720,11 +702,9 @@ void ShardRouter::AppendPrometheusText(std::string* out) const {
   for (size_t s = 0; s < shards_.size(); ++s) {
     PromSeries(out, "nwc_shard_owned_objects", s, shards_[s].owned_count);
   }
-  if (config_.dynamic) {
-    PromGauge(out, "nwc_shard_epoch", "Currently published snapshot epoch per shard.");
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      PromSeries(out, "nwc_shard_epoch", s, shards_[s].store->epoch());
-    }
+  PromGauge(out, "nwc_shard_epoch", "Currently published snapshot epoch per shard.");
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    PromSeries(out, "nwc_shard_epoch", s, shards_[s].store->epoch());
   }
 }
 

@@ -70,11 +70,7 @@ struct ShardRouterConfig {
   SessionConfig session;
   RTreeOptions tree;
 
-  /// Dynamic mode: back each shard with a SnapshotStore (ApplyUpdate
-  /// becomes functional, routed to owning shards). Static mode binds each
-  /// shard to an immutable Session.
-  bool dynamic = false;
-  /// SnapshotStore::Config::iwp_staleness_limit for dynamic shards.
+  /// SnapshotStore::Config::iwp_staleness_limit for every shard's store.
   size_t iwp_staleness_limit = 0;
 
   /// Fault plan installed into shard services for resilience drills:
@@ -110,9 +106,9 @@ std::vector<Rect> ZOrderRangeRegion(uint64_t key_lo, uint64_t key_hi, const Rect
 /// Exposed for unit tests.
 std::vector<uint64_t> EqualCountKeyBoundaries(std::vector<uint64_t> keys, size_t num_shards);
 
-/// Spatially sharded serving: one QueryService (over a Session or
-/// SnapshotStore) per Z-order range shard, behind the same QueryBackend
-/// interface the network layer speaks.
+/// Spatially sharded serving: one SnapshotStore plus a QueryService over
+/// it per Z-order range shard, behind the same QueryBackend interface the
+/// network layer speaks.
 ///
 /// **Partitioning.** Object positions map to Morton keys over the global
 /// data space (the batch planner's ZOrderKey); the key space is split into
@@ -142,14 +138,14 @@ std::vector<uint64_t> EqualCountKeyBoundaries(std::vector<uint64_t> keys, size_t
 /// chains are the same adversarial tie-like structures the single-tree
 /// engine already documents as approximate.
 ///
-/// **Updates (dynamic mode).** Each mutation is applied to its owner shard
-/// and to every shard whose halo contains the position — the same
-/// deterministic rule for inserts and deletes, so replicas never drift.
-/// Counts come from the owner shard only; the response epoch is the max
-/// per-shard epoch. Shards publish independently, so a query racing an
-/// update may observe it on some shards before others (each shard is
-/// individually MVCC-consistent); quiesce updates for cross-shard
-/// bit-exactness.
+/// **Updates.** Each mutation is applied to its owner shard and to every
+/// shard whose halo contains the position — the same deterministic rule
+/// for inserts and deletes, so replicas never drift. A shard touched by a
+/// batch publishes once, owned and replica mutations together. Counts come
+/// from the owner shard only; the response epoch is the max per-shard
+/// epoch. Shards publish independently, so a query racing an update may
+/// observe it on some shards before others (each shard is individually
+/// MVCC-consistent); quiesce updates for cross-shard bit-exactness.
 ///
 /// **Metrics.** SnapshotMetrics()/SnapshotLatencyHistogram() aggregate
 /// over shards (counter sums / bucket-wise merge — `queries` counts
@@ -207,7 +203,6 @@ class ShardRouter : public QueryBackend {
   void AppendPrometheusText(std::string* out) const override;
 
   size_t num_shards() const { return shards_.size(); }
-  bool is_dynamic() const { return config_.dynamic; }
   const ShardRouterConfig& config() const { return config_; }
   /// The global data space the partition was built over.
   const Rect& space() const { return space_; }
@@ -234,8 +229,6 @@ class ShardRouter : public QueryBackend {
     std::vector<Rect> region;       ///< conservative cover of the owned range
     std::vector<Rect> halo_region;  ///< region rects inflated by the halo
     Rect halo_bounds;               ///< bbox of halo_region (quick reject)
-    // Exactly one of session/store is set, per config_.dynamic.
-    std::unique_ptr<Session> session;
     std::unique_ptr<SnapshotStore> store;
     std::unique_ptr<QueryService> service;
     size_t owned_count = 0;

@@ -9,28 +9,29 @@
 namespace nwc {
 
 Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(RStarTree tree, const Config& config) {
-  const Status valid = config.Validate();
-  if (!valid.ok()) return valid;
-
-  std::unique_ptr<SnapshotStore> store(new SnapshotStore(config));
-  store->writer_tree_ = std::make_unique<RStarTree>(std::move(tree));
-  if (config.session.build_grid) {
-    Rect space = config.session.grid_space;
-    if (space.IsEmpty()) space = store->writer_tree_->bounds();
-    if (space.IsEmpty()) {
-      // Empty tree: a 1-cell grid with zero counts keeps DEP sound until
-      // the first inserts land (they clamp into the single cell).
-      space = Rect{0.0, 0.0, config.session.grid_cell_size, config.session.grid_cell_size};
-    }
-    store->writer_grid_ = std::make_unique<DensityGrid>(space, config.session.grid_cell_size,
-                                                        CollectTreeObjects(*store->writer_tree_));
-  }
-  {
-    std::lock_guard<std::mutex> lock(store->writer_mu_);
-    store->PublishLocked();
-  }
-  return store;
+  Result<Session> session = Session::Open(std::move(tree), config.session);
+  if (!session.ok()) return session.status();
+  return std::unique_ptr<SnapshotStore>(new SnapshotStore(
+      config, std::make_shared<const Session>(std::move(session).value())));
 }
+
+namespace {
+
+SnapshotStore::Config ConfigOf(const Session& session) {
+  SnapshotStore::Config config;
+  config.session.build_iwp = session.iwp() != nullptr;
+  config.session.build_grid = session.grid() != nullptr;
+  if (session.grid() != nullptr) config.session.grid_cell_size = session.grid()->cell_size();
+  return config;
+}
+
+}  // namespace
+
+// The aliasing constructor with an empty owner yields a non-owning pointer:
+// the caller keeps the Session alive, and copies of it cost no refcount.
+SnapshotStore::SnapshotStore(const Session& session)
+    : SnapshotStore(ConfigOf(session), std::shared_ptr<const Session>(
+                                           std::shared_ptr<const Session>(), &session)) {}
 
 SnapshotStore::SnapshotRef SnapshotStore::Acquire() const {
   std::lock_guard<std::mutex> lock(publish_mu_);
@@ -44,7 +45,7 @@ uint64_t SnapshotStore::epoch() const {
 
 size_t SnapshotStore::writer_object_count() const {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  return writer_tree_->size();
+  return writer_tree_ != nullptr ? writer_tree_->size() : Acquire().session->tree().size();
 }
 
 size_t SnapshotStore::mutations_since_iwp_build() const {
@@ -72,6 +73,17 @@ Status SnapshotStore::ApplyAndPublish(const MutationBatch& batch, ApplyStats* st
 }
 
 Status SnapshotStore::ApplyLocked(const MutationBatch& batch, ApplyStats* stats) {
+  if (writer_tree_ == nullptr) {
+    // First write: the writer stack starts as a copy of the published
+    // snapshot (epoch 1, as nothing has been published since), which
+    // itself is never mutated.
+    const SnapshotRef current = Acquire();
+    const Session& published = *current.session;
+    writer_tree_ = std::make_unique<RStarTree>(published.tree().Clone());
+    if (published.grid() != nullptr) {
+      writer_grid_ = std::make_unique<DensityGrid>(*published.grid());
+    }
+  }
   ApplyStats local;
   for (const Mutation& m : batch) {
     if (m.kind == Mutation::Kind::kInsert) {
@@ -103,14 +115,7 @@ Status SnapshotStore::ApplyLocked(const MutationBatch& batch, ApplyStats* stats)
 }
 
 SnapshotStore::SnapshotRef SnapshotStore::PublishLocked() {
-  uint64_t current_epoch = 0;
-  {
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    if (published_ != nullptr && unpublished_mutations_ == 0) {
-      return SnapshotRef{published_, epoch_};
-    }
-    current_epoch = epoch_;
-  }
+  if (unpublished_mutations_ == 0) return Acquire();
 
   // Copy-on-write: the writer stack stays mutable; readers get a deep
   // clone they can hold across any number of future publishes.
@@ -118,8 +123,7 @@ SnapshotStore::SnapshotRef SnapshotStore::PublishLocked() {
 
   std::unique_ptr<IwpIndex> iwp;
   if (config_.session.build_iwp) {
-    const bool first_publish = current_epoch == 0;
-    if (first_publish || mutations_since_iwp_build_ > config_.iwp_staleness_limit) {
+    if (mutations_since_iwp_build_ > config_.iwp_staleness_limit) {
       // Built over the clone — the exact tree this snapshot serves.
       iwp = std::make_unique<IwpIndex>(IwpIndex::Build(*tree));
       mutations_since_iwp_build_ = 0;

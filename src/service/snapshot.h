@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -32,14 +33,18 @@ struct Mutation {
 /// An ordered group of mutations applied (and usually published) together.
 using MutationBatch = std::vector<Mutation>;
 
-/// Epoch-based copy-on-write snapshot manager over the index stack.
+/// Epoch-based copy-on-write snapshot manager over the index stack — the
+/// one thing every serving backend serves from.
 ///
-/// The store owns a *writer* stack — a mutable R*-tree plus an
-/// incrementally-maintained density grid — and a *published* immutable
-/// Session readers share. Apply() mutates only the writer stack; Publish()
-/// clones it (deep tree copy, grid copy with frozen prefix sums, IWP
-/// rebuilt or omitted per the staleness bound below) into a fresh Session
-/// and atomically swaps it in under a new epoch number. Readers that
+/// Epoch 1 is the index the store is opened with, built by Session::Open
+/// (or a caller's Session, borrowed), with no copy. The store keeps a
+/// *writer* stack — a mutable R*-tree plus an incrementally-maintained
+/// density grid — that it builds on the first Apply() by cloning the
+/// published snapshot, so a store that never receives an update costs what
+/// a Session costs. Apply() mutates only the writer stack; Publish() clones
+/// it (deep tree copy, grid copy with frozen prefix sums, IWP rebuilt or
+/// omitted per the staleness bound below) into a fresh Session and
+/// atomically swaps it in under a new epoch number. Readers that
 /// Acquire()d the previous epoch keep their shared_ptr — and therefore
 /// bit-exact answers for that epoch — until they drop it; the old Session
 /// is destroyed when the last holder releases.
@@ -55,10 +60,12 @@ using MutationBatch = std::vector<Mutation>;
 /// and the next snapshots carry a fresh IWP again. The default limit of 0
 /// rebuilds on every publish (every snapshot has a fresh IWP).
 ///
-/// ThreadSafety: Acquire()/epoch() are safe from any thread at any time.
-/// Apply()/Publish()/ApplyAndPublish() are serialized internally, so
-/// multiple writers do not corrupt the stack — but the store is designed
-/// for the one-writer/many-readers regime the service exposes.
+/// ThreadSafety: Acquire()/epoch() are safe from any thread at any time;
+/// each takes `publish_mu_` for a pointer copy, which contends only with
+/// the swap at the end of a publish. Apply()/Publish()/ApplyAndPublish()
+/// are serialized internally, so multiple writers do not corrupt the
+/// stack — but the store is designed for the one-writer/many-readers
+/// regime the service exposes.
 class SnapshotStore {
  public:
   struct Config {
@@ -66,8 +73,6 @@ class SnapshotStore {
     /// Mutations a published snapshot may be missing from its IWP before
     /// Publish() pays the rebuild. 0 = rebuild every publish.
     size_t iwp_staleness_limit = 0;
-
-    Status Validate() const { return session.Validate(); }
   };
 
   /// A pinned view: the Session plus the epoch it was published under.
@@ -85,12 +90,18 @@ class SnapshotStore {
     size_t delete_misses = 0;  ///< deletes whose (id, position) was absent
   };
 
-  /// Adopts `tree` as the writer stack, builds the configured auxiliary
-  /// structures, and publishes epoch 1. The grid's data space is fixed at
-  /// open time (config or tree bounds); later inserts outside it clamp to
-  /// the boundary cells, which keeps the DEP bound sound (every object is
-  /// in some cell) at some pruning-precision cost.
+  /// Opens `tree` with Session::Open (building the configured auxiliary
+  /// structures) and publishes the result as epoch 1. The grid's data
+  /// space is fixed at open time (config or tree bounds); later inserts
+  /// outside it clamp to the boundary cells, which keeps the DEP bound
+  /// sound (every object is in some cell) at some pruning-precision cost.
   static Result<std::unique_ptr<SnapshotStore>> Open(RStarTree tree, const Config& config);
+
+  /// A store whose epoch 1 is `session`, borrowed: it must outlive the
+  /// store and is never mutated (the first Apply() clones it). The config
+  /// follows from the Session — IWP and grid are configured exactly when
+  /// it carries them — with an IWP staleness limit of 0.
+  explicit SnapshotStore(const Session& session);
 
   /// The currently-published snapshot. Never null after Open().
   SnapshotRef Acquire() const;
@@ -115,7 +126,7 @@ class SnapshotStore {
   Status ApplyAndPublish(const MutationBatch& batch, ApplyStats* stats, SnapshotRef* out);
 
   /// Number of objects in the *writer* stack (>= published when unflushed
-  /// inserts exist, etc.).
+  /// inserts exist, etc.); the published count until the first Apply().
   size_t writer_object_count() const;
 
   /// Mutations applied since the last IWP build (test/monitoring hook).
@@ -133,7 +144,8 @@ class SnapshotStore {
   const Config& config() const { return config_; }
 
  private:
-  explicit SnapshotStore(const Config& config) : config_(config) {}
+  SnapshotStore(const Config& config, std::shared_ptr<const Session> epoch_one)
+      : config_(config), published_(std::move(epoch_one)), epoch_(1) {}
 
   Status ApplyLocked(const MutationBatch& batch, ApplyStats* stats);
   SnapshotRef PublishLocked();
@@ -143,6 +155,7 @@ class SnapshotStore {
   /// Serializes writers (Apply/Publish). Never held while executing
   /// queries; readers don't touch it.
   mutable std::mutex writer_mu_;
+  /// Null until the first Apply() clones the published snapshot.
   std::unique_ptr<RStarTree> writer_tree_;
   std::unique_ptr<DensityGrid> writer_grid_;  ///< null when !build_grid
   size_t unpublished_mutations_ = 0;

@@ -557,9 +557,18 @@ TEST(NetServer, UpdateOnDynamicServerIsVisibleToLaterQueries) {
   EXPECT_EQ(reply.update.epoch, 3u);
   EXPECT_EQ(reply.update.applied_inserts, 1u);
   EXPECT_EQ(reply.update.delete_misses, 1u);
+
+  // The connection stays healthy after a non-OK update reply.
+  ASSERT_TRUE(client.SendNwc(5, NwcRequest{probe, {}, 0}).ok());
+  ASSERT_TRUE(client.Receive(&reply).ok());
+  ASSERT_EQ(reply.type, MsgType::kNwcResponse);
+  EXPECT_EQ(reply.request_id, 5u);
+  EXPECT_TRUE(reply.nwc.status.ok()) << reply.nwc.status;
 }
 
-TEST(NetServer, UpdateOnStaticServerIsFailedPrecondition) {
+TEST(NetServer, SessionBuiltServerAppliesUpdateFrames) {
+  // One serving mode: a service built over a plain Session accepts update
+  // frames too (its store clones the Session on the first update).
   const Session session = OpenTestSession(500);
   QueryService service(session, ServiceConfig{});
   const auto server = StartServer(service);
@@ -571,10 +580,11 @@ TEST(NetServer, UpdateOnStaticServerIsFailedPrecondition) {
   ASSERT_TRUE(client.Receive(&reply).ok());
   ASSERT_EQ(reply.type, MsgType::kUpdateResponse);
   EXPECT_EQ(reply.request_id, 9u);
-  EXPECT_EQ(reply.update.status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(reply.update.epoch, 0u);
+  ASSERT_TRUE(reply.update.status.ok()) << reply.update.status;
+  EXPECT_EQ(reply.update.epoch, 2u);
+  EXPECT_EQ(reply.update.applied_inserts, 1u);
+  EXPECT_EQ(session.tree().size(), 500u) << "the caller's Session is never mutated";
 
-  // The connection stays healthy: a query after the rejection still works.
   ASSERT_TRUE(client.SendNwc(10, NwcRequest{NwcQuery{Point{0, 0}, 100, 100, 2}, {}, 0}).ok());
   ASSERT_TRUE(client.Receive(&reply).ok());
   EXPECT_EQ(reply.type, MsgType::kNwcResponse);

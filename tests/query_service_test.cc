@@ -650,6 +650,98 @@ TEST(QueryServiceBatchTest, ConcurrentBatchesWithCacheAndPoolsStayExact) {
   EXPECT_GT(metrics.result_cache_hits, 0u) << "repeated batches must hit the shared cache";
 }
 
+bool SameNwcResult(const NwcResult& a, const NwcResult& b) {
+  return a.found == b.found && a.distance == b.distance && a.objects == b.objects;
+}
+
+TEST(QueryServiceTest, SubmittersRacingTheFirstUpdateSeeEpochOneOrEpochTwo) {
+  // A Session-built service builds its store's writer on the first
+  // ApplyUpdate. Four submitters query throughout: every `done` must fire
+  // exactly once and every answer must be one of the two epochs' answers.
+  Dataset dataset = MakeCaLike(kSeed, 1500);
+  SessionConfig session_config;
+  session_config.grid_space = dataset.space;
+  Result<Session> session =
+      Session::Open(BulkLoadStr(dataset.objects, RTreeOptions{}), session_config);
+  ASSERT_TRUE(session.ok()) << session.status();
+
+  std::vector<NwcQuery> probes;
+  MutationBatch batch;
+  for (int i = 0; i < 8; ++i) {
+    const Point q{1000.0 + 1100.0 * i, 9000.0 - 1000.0 * i};
+    probes.push_back(NwcQuery{q, 40, 40, 4});
+    // Epoch 2 puts a qualifying group right at every other probe point.
+    if (i % 2 == 0) {
+      for (int j = 0; j < 4; ++j) {
+        batch.push_back(Mutation::Insert(DataObject{static_cast<ObjectId>(800000 + 10 * i + j),
+                                                    Point{q.x + 0.5 * j, q.y + 0.5}}));
+      }
+    }
+  }
+  std::vector<DataObject> mutated = dataset.objects;
+  for (const Mutation& m : batch) mutated.push_back(m.object);
+  Result<Session> oracle_two =
+      Session::Open(BulkLoadStr(mutated, RTreeOptions{}), session_config);
+  ASSERT_TRUE(oracle_two.ok()) << oracle_two.status();
+  std::vector<NwcResult> epoch_one;
+  std::vector<NwcResult> epoch_two;
+  size_t changed = 0;
+  for (const NwcQuery& probe : probes) {
+    NwcEngine one(session->tree(), session->iwp(), session->grid());
+    NwcEngine two(oracle_two->tree(), oracle_two->iwp(), oracle_two->grid());
+    epoch_one.push_back(*one.Execute(probe, NwcOptions::Star(), nullptr));
+    epoch_two.push_back(*two.Execute(probe, NwcOptions::Star(), nullptr));
+    if (!SameNwcResult(epoch_one.back(), epoch_two.back())) ++changed;
+  }
+  ASSERT_GE(changed, 4u) << "the update must change the answers it races";
+
+  ServiceConfig config;
+  config.num_threads = 2;
+  config.queue_capacity = 64;
+  QueryService service(*session, config);
+
+  constexpr size_t kSubmitters = 4;
+  constexpr size_t kRounds = 12;
+  const size_t per_thread = kRounds * probes.size();
+  std::vector<NwcResponse> responses(kSubmitters * per_thread);
+  std::vector<std::atomic<int>> calls(responses.size());
+  std::atomic<size_t> submitted{0};
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (size_t i = 0; i < per_thread; ++i) {
+        const size_t slot = t * per_thread + i;
+        service.SubmitNwcAsync(NwcRequest{probes[i % probes.size()], {}},
+                               [&responses, &calls, slot](NwcResponse response) {
+                                 responses[slot] = std::move(response);
+                                 calls[slot].fetch_add(1);
+                               });
+        submitted.fetch_add(1);
+      }
+    });
+  }
+  // Update once the submitters are well under way.
+  while (submitted.load() < responses.size() / 4) std::this_thread::yield();
+  const UpdateResponse update = service.ApplyUpdate(batch);
+  for (std::thread& submitter : submitters) submitter.join();
+  service.Shutdown();  // drains: every accepted request has completed
+
+  ASSERT_TRUE(update.status.ok()) << update.status;
+  EXPECT_EQ(update.epoch, 2u);
+  EXPECT_EQ(update.applied_inserts, batch.size());
+  for (size_t slot = 0; slot < responses.size(); ++slot) {
+    ASSERT_EQ(calls[slot].load(), 1) << "slot " << slot;
+    const NwcResponse& response = responses[slot];
+    ASSERT_TRUE(response.status.ok()) << "slot " << slot << ": " << response.status;
+    const size_t p = (slot % per_thread) % probes.size();
+    EXPECT_TRUE(SameNwcResult(response.result, epoch_one[p]) ||
+                SameNwcResult(response.result, epoch_two[p]))
+        << "slot " << slot << " probe " << p;
+  }
+  // The caller's Session still holds epoch 1.
+  EXPECT_EQ(session->tree().size(), dataset.objects.size());
+}
+
 TEST(QueryServiceTest, EmptyTreeSessionServesNotFound) {
   Result<Session> session = Session::Open(RStarTree(RTreeOptions{}), SessionConfig{});
   ASSERT_TRUE(session.ok()) << session.status();

@@ -1,7 +1,7 @@
 // Sharded-serving acceptance differential: routed NWC and kNWC answers
 // through a 4-shard ShardRouter must be bit-exact (statuses, distances,
 // member ids, positions) against a single-tree oracle over the same data,
-// across all four scheme presets, in static AND dynamic (MVCC) mode, and
+// across all four scheme presets, before and across MVCC updates, and
 // under per-shard fault injection the router must answer bit-exact or
 // fail with the shard's typed error (policy kFail) / answer with the
 // degraded flag set (policy kDegrade) — never silently wrong.
@@ -45,12 +45,11 @@ namespace {
 constexpr uint64_t kSeed = 20160315;
 constexpr double kMaxWindow = 400.0;
 
-ShardRouterConfig RouterConfig(size_t num_shards, bool dynamic) {
+ShardRouterConfig RouterConfig(size_t num_shards) {
   ShardRouterConfig config;
   config.num_shards = num_shards;
   config.max_window_length = kMaxWindow;
   config.max_window_width = kMaxWindow;
-  config.dynamic = dynamic;
   config.service.num_threads = 2;
   return config;
 }
@@ -230,7 +229,7 @@ void ExpectKnwcBitExact(const KnwcResponse& routed, const KnwcResponse& oracle,
 }
 
 // ---------------------------------------------------------------------------
-// Static mode: 4-shard router vs a single-tree QueryService oracle.
+// Never-updated data: 4-shard router vs a single-tree QueryService oracle.
 
 class ShardStaticDifferential : public ::testing::Test {
  protected:
@@ -247,7 +246,7 @@ class ShardStaticDifferential : public ::testing::Test {
     oracle_ = std::make_unique<QueryService>(*oracle_session_, service_config);
 
     Result<std::unique_ptr<ShardRouter>> router =
-        ShardRouter::Open(dataset_.objects, RouterConfig(4, /*dynamic=*/false));
+        ShardRouter::Open(dataset_.objects, RouterConfig(4));
     ASSERT_TRUE(router.ok()) << router.status();
     router_ = std::move(router).value();
   }
@@ -294,7 +293,7 @@ TEST_F(ShardStaticDifferential, ShardCountSweepStaysBitExact) {
   const std::vector<NwcRequest> requests = SeededNwcRequests(60, 0xCE);
   for (const size_t shards : {size_t{2}, size_t{8}}) {
     Result<std::unique_ptr<ShardRouter>> router =
-        ShardRouter::Open(dataset_.objects, RouterConfig(shards, false));
+        ShardRouter::Open(dataset_.objects, RouterConfig(shards));
     ASSERT_TRUE(router.ok()) << router.status();
     for (size_t i = 0; i < requests.size(); ++i) {
       const NwcResponse routed = (*router)->RouteNwc(requests[i]);
@@ -305,7 +304,7 @@ TEST_F(ShardStaticDifferential, ShardCountSweepStaysBitExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic mode: mutations quiesced between query phases (each shard is
+// Updated data: mutations quiesced between query phases (each shard is
 // individually MVCC-consistent; cross-shard publication is not atomic, so
 // bit-exactness is asserted at update quiescence — the documented
 // contract).
@@ -322,7 +321,7 @@ TEST(ShardDynamicDifferential, BitExactAcrossEpochsAgainstSingleStoreOracle) {
   QueryService oracle(**store, service_config);
 
   Result<std::unique_ptr<ShardRouter>> router =
-      ShardRouter::Open(dataset.objects, RouterConfig(4, /*dynamic=*/true));
+      ShardRouter::Open(dataset.objects, RouterConfig(4));
   ASSERT_TRUE(router.ok()) << router.status();
 
   // Mutation stream: inserts clustered near query hot spots plus deletes
@@ -390,7 +389,7 @@ class ShardFaultDifferential : public ::testing::Test {
   }
 
   std::unique_ptr<ShardRouter> OpenFaulty(PartialFailurePolicy policy) {
-    ShardRouterConfig config = RouterConfig(4, false);
+    ShardRouterConfig config = RouterConfig(4);
     config.partial_failure = policy;
     config.fault_plan = FaultPlan::EveryNth(1);  // every read on the shard fails
     config.fault_shard = 2;

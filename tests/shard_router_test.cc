@@ -11,6 +11,7 @@
 #include <future>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -299,9 +300,7 @@ TEST(ShardRouter, CancelAllCancelsQueuedWorkButNotLaterSubmits) {
 }
 
 TEST(ShardRouter, UpdateRoutingKeepsOwnerCountsAuthoritative) {
-  ShardRouterConfig config = FourShardConfig();
-  config.dynamic = true;
-  const auto router = OpenRouter(config);
+  const auto router = OpenRouter(FourShardConfig());
 
   // Probe near the space center, then insert a tight cluster next to it:
   // the answer must strictly improve, proving the inserts landed in every
@@ -322,7 +321,8 @@ TEST(ShardRouter, UpdateRoutingKeepsOwnerCountsAuthoritative) {
   EXPECT_EQ(applied.applied_inserts, 4u);
   EXPECT_EQ(applied.applied_deletes, 0u);
   EXPECT_EQ(applied.delete_misses, 0u);
-  EXPECT_GE(applied.epoch, 2u);
+  // Every shard opened at epoch 1 and a touched shard publishes once.
+  EXPECT_EQ(applied.epoch, 2u);
 
   const NwcResponse after = router->RouteNwc(NwcRequest{probe, {}, 0});
   ASSERT_TRUE(after.status.ok()) << after.status;
@@ -357,12 +357,53 @@ TEST(ShardRouter, UpdateRoutingKeepsOwnerCountsAuthoritative) {
   EXPECT_EQ(missed.delete_misses, 1u);
 }
 
-TEST(ShardRouter, StaticRouterRejectsUpdates) {
+/// Shard `s`'s published epoch, read back from the router's exposition.
+uint64_t ShardEpoch(const ShardRouter& router, size_t s) {
+  std::string text;
+  router.AppendPrometheusText(&text);
+  const std::string key = "nwc_shard_epoch{shard=\"" + std::to_string(s) + "\"} ";
+  const size_t at = text.find(key);
+  EXPECT_NE(at, std::string::npos) << text;
+  return at == std::string::npos ? 0 : std::stoull(text.substr(at + key.size()));
+}
+
+TEST(ShardRouter, OwnedAndHaloMutationsPublishAShardOnce) {
   const auto router = OpenRouter(FourShardConfig());
-  const UpdateResponse response =
-      router->ApplyUpdate(MutationBatch{Mutation::Insert(DataObject{1, Point{1, 1}})});
-  EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(response.epoch, 0u);
+  // A point replicated into some shard K's halo (owned elsewhere), and a
+  // point K owns outright.
+  const Rect& space = router->space();
+  std::optional<Point> replica;
+  size_t shard = 0;
+  for (double x = space.min_x; x <= space.max_x && !replica; x += 25.0) {
+    for (double y = space.min_y; y <= space.max_y && !replica; y += 25.0) {
+      const std::vector<size_t> targets = router->TargetShards(Point{x, y});
+      for (const size_t t : targets) {
+        if (t != router->OwnerShard(Point{x, y})) {
+          replica = Point{x, y};
+          shard = t;
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(replica.has_value()) << "a 4-shard router must replicate some halo";
+  std::optional<Point> owned;
+  for (double x = space.min_x; x <= space.max_x && !owned; x += 25.0) {
+    for (double y = space.min_y; y <= space.max_y && !owned; y += 25.0) {
+      if (router->OwnerShard(Point{x, y}) == shard) owned = Point{x, y};
+    }
+  }
+  ASSERT_TRUE(owned.has_value());
+
+  ASSERT_EQ(ShardEpoch(*router, shard), 1u);
+  const UpdateResponse applied = router->ApplyUpdate(
+      MutationBatch{Mutation::Insert(DataObject{710000, *owned}),
+                    Mutation::Insert(DataObject{710001, *replica})});
+  ASSERT_TRUE(applied.status.ok()) << applied.status;
+  EXPECT_EQ(applied.applied_inserts, 2u);
+  // One publish carries both the owned insert and the halo copy.
+  EXPECT_EQ(ShardEpoch(*router, shard), 2u) << "shard " << shard;
+  EXPECT_EQ(applied.epoch, 2u);
 }
 
 TEST(ShardRouter, PrometheusTextCarriesPerShardSeries) {
@@ -382,16 +423,13 @@ TEST(ShardRouter, PrometheusTextCarriesPerShardSeries) {
   // Distinct family names: the per-shard series must not collide with the
   // aggregate families the exposition renderer emits.
   EXPECT_EQ(text.find("nwc_queries_total{"), std::string::npos);
-  // Static router: no epoch gauge.
-  EXPECT_EQ(text.find("nwc_shard_epoch"), std::string::npos);
-
-  ShardRouterConfig dynamic_config = FourShardConfig();
-  dynamic_config.dynamic = true;
-  const auto dynamic_router = OpenRouter(dynamic_config, 1000);
-  std::string dynamic_text;
-  dynamic_router->AppendPrometheusText(&dynamic_text);
-  EXPECT_NE(dynamic_text.find("nwc_shard_epoch{shard=\"0\"}"), std::string::npos)
-      << dynamic_text;
+  // Every shard serves from a store: a never-updated router reports
+  // epoch 1 on each.
+  for (size_t s = 0; s < router->num_shards(); ++s) {
+    EXPECT_NE(text.find("nwc_shard_epoch{shard=\"" + std::to_string(s) + "\"} 1\n"),
+              std::string::npos)
+        << text;
+  }
 }
 
 }  // namespace

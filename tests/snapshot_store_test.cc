@@ -1,8 +1,9 @@
 // SnapshotStore semantics: epoch-based copy-on-write publishing, snapshot
 // lifetime pinned by readers, lazy IWP rebuild behind the staleness bound,
 // and the service-level guarantees built on top — epoch-keyed result-cache
-// correctness under real mutations (positive and negative entries) and the
-// typed update API's static/dynamic split.
+// correctness under real mutations (positive and negative entries), and a
+// service built over a plain Session taking updates through a store of its
+// own without touching the caller's Session.
 
 #include <future>
 #include <memory>
@@ -58,6 +59,14 @@ bool SameResult(const NwcResult& a, const NwcResult& b) {
     if (!(a.objects[i] == b.objects[i])) return false;
   }
   return true;
+}
+
+std::vector<NwcQuery> ProbeQueries() {
+  std::vector<NwcQuery> queries;
+  for (int i = 0; i < 12; ++i) {
+    queries.push_back(NwcQuery{Point{8.0 * i, 95.0 - 7.0 * i}, 12.0, 10.0, static_cast<size_t>(3 + i % 3)});
+  }
+  return queries;
 }
 
 TEST(SnapshotStoreTest, OpenPublishesEpochOne) {
@@ -203,6 +212,45 @@ TEST(SnapshotStoreTest, LazyIwpRespectsStalenessBoundAndStaysBitExact) {
   EXPECT_EQ(store->mutations_since_iwp_build(), 0u);
 }
 
+TEST(SnapshotStoreTest, EpochOneStaysPinnedAndBitExactAfterTheFirstPublish) {
+  const std::vector<DataObject> objects = UniformObjects(300, 12);
+  auto store = OpenStore(objects);
+  const SnapshotStore::SnapshotRef epoch_one = store->Acquire();
+  const std::vector<NwcQuery> probes = ProbeQueries();
+  std::vector<NwcResult> before;
+  for (const NwcQuery& probe : probes) {
+    before.push_back(RunQuery(*epoch_one.session, probe, NwcOptions::Star()));
+  }
+
+  // The first Apply builds the writer from epoch 1; Publish clones it.
+  MutationBatch batch;
+  for (int i = 0; i < 6; ++i) {
+    batch.push_back(Mutation::Insert(
+        DataObject{static_cast<ObjectId>(7000 + i), Point{2.0 + 0.5 * i, 94.0}}));
+  }
+  batch.push_back(Mutation::Delete(objects[3]));
+  ASSERT_TRUE(store->Apply(batch).ok());
+  EXPECT_EQ(store->writer_object_count(), objects.size() + 5);
+  const SnapshotStore::SnapshotRef epoch_two = store->Publish();
+  ASSERT_EQ(epoch_two.epoch, 2u);
+  EXPECT_NE(epoch_two.session.get(), epoch_one.session.get());
+  EXPECT_EQ(epoch_two.session->tree().size(), objects.size() + 5);
+
+  // Epoch 1 is untouched: same size, valid, and bit-exact against both its
+  // own earlier answers and a from-scratch stack over the original data.
+  EXPECT_EQ(epoch_one.session->tree().size(), objects.size());
+  EXPECT_TRUE(ValidateTree(epoch_one.session->tree()).ok());
+  EXPECT_EQ(epoch_one.session->grid()->total_count(), objects.size());
+  Result<Session> oracle = Session::Open(BulkLoadStr(objects, RTreeOptions{}));
+  ASSERT_TRUE(oracle.ok());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const NwcResult pinned = RunQuery(*epoch_one.session, probes[i], NwcOptions::Star());
+    EXPECT_TRUE(SameResult(pinned, before[i])) << "probe " << i;
+    EXPECT_TRUE(SameResult(pinned, RunQuery(*oracle, probes[i], NwcOptions::Star())))
+        << "probe " << i;
+  }
+}
+
 TEST(SnapshotStoreTest, ConfigSupportsIsEpochIndependent) {
   SnapshotStore::Config config;
   config.iwp_staleness_limit = 100;
@@ -231,15 +279,52 @@ ServiceConfig CachedServiceConfig() {
   return config;
 }
 
-TEST(DynamicServiceTest, StaticServiceRejectsUpdates) {
-  Result<Session> session = Session::Open(BulkLoadStr(UniformObjects(20, 9), RTreeOptions{}));
+TEST(DynamicServiceTest, SessionBuiltServiceAcceptsUpdatesAndLeavesTheSessionAlone) {
+  const std::vector<DataObject> objects = UniformObjects(250, 9);
+  Result<Session> session = Session::Open(BulkLoadStr(objects, RTreeOptions{}));
   ASSERT_TRUE(session.ok());
+  const std::vector<NwcQuery> probes = ProbeQueries();
+  std::vector<NwcResult> direct_before;
+  for (const NwcQuery& probe : probes) {
+    direct_before.push_back(RunQuery(*session, probe, NwcOptions::Star()));
+  }
+
   QueryService service(*session, CachedServiceConfig());
-  EXPECT_FALSE(service.is_dynamic());
-  const UpdateResponse response =
-      service.ApplyUpdate(MutationBatch{Mutation::Insert(DataObject{1, Point{1, 1}})});
-  EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(response.epoch, 0u);
+  // A cluster next to the first probe, plus a delete of a stored object.
+  MutationBatch batch;
+  for (int i = 0; i < 4; ++i) {
+    batch.push_back(Mutation::Insert(
+        DataObject{static_cast<ObjectId>(5000 + i), Point{1.0 + 0.5 * i, 95.0}}));
+  }
+  batch.push_back(Mutation::Delete(objects[17]));
+  const UpdateResponse update = service.ApplyUpdate(batch);
+  ASSERT_TRUE(update.status.ok()) << update.status.ToString();
+  EXPECT_EQ(update.epoch, 2u);
+  EXPECT_EQ(update.applied_inserts, 4u);
+  EXPECT_EQ(update.applied_deletes, 1u);
+
+  // Epoch 2 answers bit-exactly against a stack rebuilt with the mutation.
+  std::vector<DataObject> mutated(objects.begin(), objects.end());
+  mutated.erase(mutated.begin() + 17);
+  for (const Mutation& m : batch) {
+    if (m.kind == Mutation::Kind::kInsert) mutated.push_back(m.object);
+  }
+  Result<Session> oracle = Session::Open(BulkLoadStr(mutated, RTreeOptions{}));
+  ASSERT_TRUE(oracle.ok());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const NwcResponse served = service.SubmitNwc(NwcRequest{probes[i], {}}).get();
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    EXPECT_TRUE(SameResult(served.result, RunQuery(*oracle, probes[i], NwcOptions::Star())))
+        << "probe " << i;
+  }
+
+  // The caller's Session was cloned, never mutated.
+  EXPECT_EQ(session->tree().size(), objects.size());
+  EXPECT_TRUE(ValidateTree(session->tree()).ok());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_TRUE(SameResult(RunQuery(*session, probes[i], NwcOptions::Star()), direct_before[i]))
+        << "probe " << i;
+  }
 }
 
 TEST(DynamicServiceTest, CachedAnswersNeverSurviveAPublish) {
@@ -255,7 +340,6 @@ TEST(DynamicServiceTest, CachedAnswersNeverSurviveAPublish) {
   }
   auto store = OpenStore(sparse);
   QueryService service(*store, CachedServiceConfig());
-  EXPECT_TRUE(service.is_dynamic());
 
   const NwcQuery probe{Point{10, 10}, 8, 8, 3};
   NwcResponse first = service.SubmitNwc(NwcRequest{probe, {}}).get();

@@ -47,17 +47,19 @@
 //       SubmitKnwcBatch, which groups compatible queries by Z-order
 //       locality (at most --batch-group per group) so each worker reuses
 //       memoized window walks. Results are bit-identical either way.
-//       Dynamic data: --mutations=F.txt replays a mutation file (one
-//       "insert ID X Y" / "delete ID X Y" per line, "---" closing a
-//       batch) interleaved with the query stream through an MVCC
-//       SnapshotStore — each batch applies and publishes a new epoch
-//       after every --mutate-every queries (default: spread evenly).
+//       Every backend serves from an MVCC SnapshotStore (its writer copy
+//       is built on the first update, so an unmutated run pays nothing
+//       for it). Dynamic data: --mutations=F.txt replays a mutation file
+//       (one "insert ID X Y" / "delete ID X Y" per line, "---" closing a
+//       batch) interleaved with the query stream — each batch applies
+//       and publishes a new epoch after every --mutate-every queries
+//       (default: spread evenly).
 //       --iwp-staleness=N lets published snapshots omit the IWP for up
 //       to N mutations since its last build (queries degrade to
 //       SRR+DIP+DEP for those epochs). Incompatible with --batch (the
 //       batch planner snapshots the whole file up front).
 //       Sharded serving: --shards=N splits the tree into N Z-order range
-//       shards behind a ShardRouter (one session + service per shard).
+//       shards behind a ShardRouter (one store + service per shard).
 //       Requires --shard-max-l/--shard-max-w (upper bounds on any query's
 //       window dims; larger queries are rejected). --shard-halo=F scales
 //       the halo replication band, --shard-partial=<fail|degrade> picks
@@ -68,7 +70,7 @@
 //            [--threads=4] [--queue=256] [--scheme=...] [--measure=...]
 //            [--no-iwp] [--no-grid] [--max-frame-bytes=1048576]
 //            [--deadline-us=N] [--shed-watermark=N] [--cache-mb=N]
-//            [--dynamic] [--iwp-staleness=N]
+//            [--iwp-staleness=N]
 //            [--metrics-json=F.json] [--prom=F.prom]
 //       Serve NWC/kNWC queries over TCP (the binary frame protocol of
 //       src/net/wire.h) until SIGINT/SIGTERM, then drain gracefully:
@@ -81,10 +83,12 @@
 //       clients may override the scheme per request; --no-iwp /
 //       --no-grid trade that flexibility for startup time and memory.
 //       Drive it with nwc_load (open-loop QPS, pipelined connections).
-//       --dynamic serves from an MVCC SnapshotStore so clients may send
-//       kUpdateRequest frames (insert/delete batches); each batch
+//       Clients may send kUpdateRequest frames (insert/delete batches):
+//       the index is served from an MVCC SnapshotStore, and each batch
 //       publishes a new epoch that later queries observe while in-flight
-//       ones keep their snapshot. --iwp-staleness as in serve-batch.
+//       ones keep their snapshot. The server has no access control: any
+//       client that can connect can mutate the data. --iwp-staleness as
+//       in serve-batch.
 //       --shards=N (with --shard-max-l/--shard-max-w and the other
 //       --shard-* knobs, as in serve-batch) serves from a ShardRouter
 //       over N Z-order range shards; /metrics then includes per-shard
@@ -118,7 +122,6 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -498,7 +501,7 @@ Result<ServiceConfig> ServiceConfigFromArgs(const Args& args, const NwcOptions& 
 /// --fault-shard scopes --inject-faults to one shard.
 Result<ShardRouterConfig> ShardConfigFromArgs(const Args& args,
                                               const ServiceConfig& service_config,
-                                              const SessionConfig& session_config, bool dynamic) {
+                                              const SessionConfig& session_config) {
   ShardRouterConfig config;
   config.num_shards = static_cast<size_t>(args.GetLong("shards", 1));
   config.max_window_length = args.GetDouble("shard-max-l", 0.0);
@@ -514,7 +517,6 @@ Result<ShardRouterConfig> ShardConfigFromArgs(const Args& args,
   }
   config.service = service_config;
   config.session = session_config;
-  config.dynamic = dynamic;
   config.iwp_staleness_limit = static_cast<size_t>(args.GetLong("iwp-staleness", 0));
   config.fault_plan = service_config.fault_plan;
   config.fault_shard = static_cast<int>(args.GetLong("fault-shard", -1));
@@ -529,6 +531,50 @@ Result<ShardRouterConfig> ShardConfigFromArgs(const Args& args,
   const Status valid = config.Validate();
   if (!valid.ok()) return valid;
   return config;
+}
+
+/// What `serve-batch` and `serve` serve from: with --shards > 1 a
+/// ShardRouter over the tree's objects, otherwise a QueryService over a
+/// SnapshotStore opened on the tree. Either accepts updates; a store
+/// builds its writer copy only on the first one.
+struct Backend {
+  std::unique_ptr<SnapshotStore> store;   ///< null behind a router
+  std::unique_ptr<QueryService> service;  ///< null behind a router
+  std::unique_ptr<ShardRouter> router;    ///< null unless --shards > 1
+
+  QueryBackend& get() const {
+    return router != nullptr ? static_cast<QueryBackend&>(*router) : *service;
+  }
+  void CancelAll() const {
+    if (router != nullptr) {
+      router->CancelAll();
+    } else {
+      service->CancelAll();
+    }
+  }
+};
+
+Result<Backend> OpenBackend(const Args& args, RStarTree tree, const SessionConfig& session_config,
+                            const ServiceConfig& service_config) {
+  Backend backend;
+  if (args.GetLong("shards", 1) > 1) {
+    const Result<ShardRouterConfig> shard_config =
+        ShardConfigFromArgs(args, service_config, session_config);
+    if (!shard_config.ok()) return shard_config.status();
+    Result<std::unique_ptr<ShardRouter>> router =
+        ShardRouter::Open(CollectTreeObjects(tree), *shard_config);
+    if (!router.ok()) return router.status();
+    backend.router = std::move(*router);
+    return backend;
+  }
+  SnapshotStore::Config store_config;
+  store_config.session = session_config;
+  store_config.iwp_staleness_limit = static_cast<size_t>(args.GetLong("iwp-staleness", 0));
+  Result<std::unique_ptr<SnapshotStore>> store = SnapshotStore::Open(std::move(tree), store_config);
+  if (!store.ok()) return store.status();
+  backend.store = std::move(*store);
+  backend.service = std::make_unique<QueryService>(*backend.store, service_config);
+  return backend;
 }
 
 int CmdServeBatch(const Args& args) {
@@ -555,14 +601,9 @@ int CmdServeBatch(const Args& args) {
                 "single-tree)");
   }
 
-  // With --mutations the tree goes behind an MVCC SnapshotStore instead
-  // of a static Session; mutation batches publish new epochs between
-  // query submissions. With --shards > 1 the ShardRouter builds the
-  // per-shard stacks itself from the tree's objects.
+  // Mutation batches publish new epochs between query submissions.
   const std::string mutations_path = args.Get("mutations");
   std::vector<MutationBatch> mutation_batches;
-  std::optional<Session> session;
-  std::unique_ptr<SnapshotStore> store;
   if (!mutations_path.empty()) {
     if (args.Has("batch")) {
       return Fail("--mutations cannot be combined with --batch (the batch planner "
@@ -571,19 +612,6 @@ int CmdServeBatch(const Args& args) {
     Result<std::vector<MutationBatch>> batches = LoadMutationFile(mutations_path);
     if (!batches.ok()) return Fail(batches.status().ToString());
     mutation_batches = std::move(*batches);
-    if (num_shards <= 1) {
-      SnapshotStore::Config store_config;
-      store_config.session = session_config;
-      store_config.iwp_staleness_limit = static_cast<size_t>(args.GetLong("iwp-staleness", 0));
-      Result<std::unique_ptr<SnapshotStore>> opened =
-          SnapshotStore::Open(std::move(tree).value(), store_config);
-      if (!opened.ok()) return Fail(opened.status().ToString());
-      store = std::move(*opened);
-    }
-  } else if (num_shards <= 1) {
-    Result<Session> opened = Session::Open(std::move(tree).value(), session_config);
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    session.emplace(std::move(*opened));
   }
 
   Result<ServiceConfig> service_config = ServiceConfigFromArgs(args, *options);
@@ -595,41 +623,20 @@ int CmdServeBatch(const Args& args) {
   const Status installed = ShutdownSignal::Instance().Install();
   if (!installed.ok()) return Fail(installed.ToString());
 
-  std::optional<QueryService> service_holder;
-  std::unique_ptr<ShardRouter> router;
-  QueryBackend* backend = nullptr;
-  if (num_shards > 1) {
-    const Result<ShardRouterConfig> shard_config =
-        ShardConfigFromArgs(args, *service_config, session_config, !mutations_path.empty());
-    if (!shard_config.ok()) return Fail(shard_config.status().ToString());
-    Result<std::unique_ptr<ShardRouter>> opened =
-        ShardRouter::Open(CollectTreeObjects(*tree), *shard_config);
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    router = std::move(*opened);
-    backend = router.get();
-  } else if (store != nullptr) {
-    service_holder.emplace(*store, *service_config);
-    backend = &*service_holder;
+  Result<Backend> opened =
+      OpenBackend(args, std::move(tree).value(), session_config, *service_config);
+  if (!opened.ok()) return Fail(opened.status().ToString());
+  const Backend& served = *opened;
+  QueryBackend& backend = served.get();
+  DrainWatcher drain_watcher([&served] { served.CancelAll(); });
+  if (served.router != nullptr) {
+    std::printf("serving %zu queries from %s across %zu shard(s) x %zu worker(s), scheme %s\n",
+                entries->size(), queries_path.c_str(), served.router->num_shards(),
+                service_config->num_threads, args.Get("scheme", "star").c_str());
   } else {
-    service_holder.emplace(*session, *service_config);
-    backend = &*service_holder;
-  }
-  DrainWatcher drain_watcher([&service_holder, &router] {
-    if (router != nullptr) {
-      router->CancelAll();
-    } else {
-      service_holder->CancelAll();
-    }
-  });
-  if (router != nullptr) {
-    std::printf("serving %zu queries from %s across %zu shard(s) x %zu worker(s), scheme %s%s\n",
-                entries->size(), queries_path.c_str(), router->num_shards(),
-                service_config->num_threads, args.Get("scheme", "star").c_str(),
-                router->is_dynamic() ? " (dynamic)" : "");
-  } else {
-    std::printf("serving %zu queries from %s across %zu worker(s), scheme %s%s\n",
-                entries->size(), queries_path.c_str(), service_holder->num_workers(),
-                args.Get("scheme", "star").c_str(), store != nullptr ? " (dynamic)" : "");
+    std::printf("serving %zu queries from %s across %zu worker(s), scheme %s\n",
+                entries->size(), queries_path.c_str(), served.service->num_workers(),
+                args.Get("scheme", "star").c_str());
   }
 
   // Submit everything in file order (blocking submit = natural
@@ -651,8 +658,8 @@ int CmdServeBatch(const Args& args) {
         nwc_requests.push_back(NwcRequest{entry.nwc, {}});
       }
     }
-    nwc_futures = service_holder->SubmitNwcBatch(nwc_requests);
-    knwc_futures = service_holder->SubmitKnwcBatch(knwc_requests);
+    nwc_futures = served.service->SubmitNwcBatch(nwc_requests);
+    knwc_futures = served.service->SubmitKnwcBatch(knwc_requests);
   } else {
     // Mutation batches publish after every `mutate_every` submitted
     // queries — by default spaced so the stream outlives the batches.
@@ -670,7 +677,7 @@ int CmdServeBatch(const Args& args) {
           next_batch < mutation_batches.size()) {
         // NotFound (delete misses) is tolerated: a replay against a
         // different seed tree may legitimately miss.
-        const UpdateResponse update = backend->ApplyUpdate(mutation_batches[next_batch++]);
+        const UpdateResponse update = backend.ApplyUpdate(mutation_batches[next_batch++]);
         if (!update.status.ok() && update.status.code() != StatusCode::kNotFound) {
           return Fail(update.status.ToString());
         }
@@ -678,16 +685,16 @@ int CmdServeBatch(const Args& args) {
         since_mutation = 0;
       }
       if (entry.is_knwc) {
-        knwc_futures.push_back(backend->SubmitKnwc(KnwcRequest{entry.knwc, {}}));
+        knwc_futures.push_back(backend.SubmitKnwc(KnwcRequest{entry.knwc, {}}));
       } else {
-        nwc_futures.push_back(backend->SubmitNwc(NwcRequest{entry.nwc, {}}));
+        nwc_futures.push_back(backend.SubmitNwc(NwcRequest{entry.nwc, {}}));
       }
       ++since_mutation;
     }
     // Leftover batches (short query file): apply them so the replay is
     // complete even if nothing queries the final epochs.
     while (next_batch < mutation_batches.size()) {
-      const UpdateResponse update = backend->ApplyUpdate(mutation_batches[next_batch++]);
+      const UpdateResponse update = backend.ApplyUpdate(mutation_batches[next_batch++]);
       if (!update.status.ok() && update.status.code() != StatusCode::kNotFound) {
         return Fail(update.status.ToString());
       }
@@ -737,15 +744,17 @@ int CmdServeBatch(const Args& args) {
   }
   const double seconds = wall.ElapsedSeconds();
 
-  const MetricsSnapshot snapshot = backend->SnapshotMetrics();
+  const MetricsSnapshot snapshot = backend.SnapshotMetrics();
   std::printf("\n--- metrics report ---\n");
   std::printf("wall time:  %.3f s (%.1f queries/sec)\n", seconds,
               seconds > 0.0 ? static_cast<double>(snapshot.queries) / seconds : 0.0);
-  if (store != nullptr) {
+  if (mutation_batches.empty()) {
+    // No update stream, nothing to report.
+  } else if (served.store != nullptr) {
     std::printf("mutations:  %zu batch(es) applied, final epoch %llu, %zu object(s)\n",
-                mutation_batches.size(), static_cast<unsigned long long>(store->epoch()),
-                store->writer_object_count());
-  } else if (router != nullptr && !mutation_batches.empty()) {
+                mutation_batches.size(), static_cast<unsigned long long>(served.store->epoch()),
+                served.store->writer_object_count());
+  } else {
     // The router has no single writer store; report the last update's
     // owner-shard view (max per-shard epoch, counts from the final batch).
     std::printf("mutations:  %zu batch(es) applied, final epoch %llu (last batch: %llu "
@@ -769,8 +778,8 @@ int CmdServeBatch(const Args& args) {
   if (!prom.empty()) {
     std::ofstream file(prom, std::ios::trunc);
     if (!file) return Fail("cannot open " + prom + " for writing");
-    std::string text = ToPrometheusText(snapshot, backend->SnapshotLatencyHistogram());
-    backend->AppendPrometheusText(&text);
+    std::string text = ToPrometheusText(snapshot, backend.SnapshotLatencyHistogram());
+    backend.AppendPrometheusText(&text);
     file << text;
     if (!file.good()) return Fail("failed writing " + prom);
     std::printf("wrote Prometheus metrics to %s\n", prom.c_str());
@@ -780,7 +789,7 @@ int CmdServeBatch(const Args& args) {
     std::error_code ec;
     std::filesystem::create_directories(trace_dir, ec);
     if (ec) return Fail("cannot create " + trace_dir + ": " + ec.message());
-    const auto traces = backend->SlowTraces();
+    const auto traces = backend.SlowTraces();
     size_t written = 0;
     for (const auto& trace : traces) {
       char name[32];
@@ -818,25 +827,6 @@ int CmdServe(const Args& args) {
   session_config.build_grid = !args.Has("no-grid");
   session_config.grid_cell_size = args.GetDouble("grid-cell", 25.0);
 
-  const size_t num_shards = static_cast<size_t>(args.GetLong("shards", 1));
-  std::optional<Session> session;
-  std::unique_ptr<SnapshotStore> store;
-  if (num_shards > 1) {
-    // The ShardRouter builds its own per-shard stacks below.
-  } else if (args.Has("dynamic")) {
-    SnapshotStore::Config store_config;
-    store_config.session = session_config;
-    store_config.iwp_staleness_limit = static_cast<size_t>(args.GetLong("iwp-staleness", 0));
-    Result<std::unique_ptr<SnapshotStore>> opened =
-        SnapshotStore::Open(std::move(tree).value(), store_config);
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    store = std::move(*opened);
-  } else {
-    Result<Session> opened = Session::Open(std::move(tree).value(), session_config);
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    session.emplace(std::move(*opened));
-  }
-
   Result<ServiceConfig> service_config = ServiceConfigFromArgs(args, *options);
   if (!service_config.ok()) return Fail(service_config.status().ToString());
 
@@ -848,37 +838,23 @@ int CmdServe(const Args& args) {
   const Status installed = ShutdownSignal::Instance().Install();
   if (!installed.ok()) return Fail(installed.ToString());
 
-  std::optional<QueryService> service_holder;
-  std::unique_ptr<ShardRouter> router;
-  QueryBackend* backend = nullptr;
-  if (num_shards > 1) {
-    const Result<ShardRouterConfig> shard_config =
-        ShardConfigFromArgs(args, *service_config, session_config, args.Has("dynamic"));
-    if (!shard_config.ok()) return Fail(shard_config.status().ToString());
-    Result<std::unique_ptr<ShardRouter>> opened =
-        ShardRouter::Open(CollectTreeObjects(*tree), *shard_config);
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    router = std::move(*opened);
-    backend = router.get();
-  } else if (store != nullptr) {
-    service_holder.emplace(*store, *service_config);
-    backend = &*service_holder;
-  } else {
-    service_holder.emplace(*session, *service_config);
-    backend = &*service_holder;
-  }
-  Result<std::unique_ptr<NetServer>> server = NetServer::Start(*backend, net_config);
+  Result<Backend> opened =
+      OpenBackend(args, std::move(tree).value(), session_config, *service_config);
+  if (!opened.ok()) return Fail(opened.status().ToString());
+  const Backend& served = *opened;
+  QueryBackend& backend = served.get();
+  Result<std::unique_ptr<NetServer>> server = NetServer::Start(backend, net_config);
   if (!server.ok()) return Fail(server.status().ToString());
 
-  if (router != nullptr) {
-    std::printf("listening on %s:%u (%zu shard(s) x %zu worker(s), scheme %s%s)\n",
+  if (served.router != nullptr) {
+    std::printf("listening on %s:%u (%zu shard(s) x %zu worker(s), scheme %s)\n",
                 net_config.host.c_str(), static_cast<unsigned>((*server)->port()),
-                router->num_shards(), service_config->num_threads,
-                args.Get("scheme", "star").c_str(), router->is_dynamic() ? ", dynamic" : "");
+                served.router->num_shards(), service_config->num_threads,
+                args.Get("scheme", "star").c_str());
   } else {
-    std::printf("listening on %s:%u (%zu worker(s), scheme %s%s)\n", net_config.host.c_str(),
-                static_cast<unsigned>((*server)->port()), service_holder->num_workers(),
-                args.Get("scheme", "star").c_str(), store != nullptr ? ", dynamic" : "");
+    std::printf("listening on %s:%u (%zu worker(s), scheme %s)\n", net_config.host.c_str(),
+                static_cast<unsigned>((*server)->port()), served.service->num_workers(),
+                args.Get("scheme", "star").c_str());
   }
   std::fflush(stdout);
 
@@ -895,7 +871,7 @@ int CmdServe(const Args& args) {
               static_cast<unsigned long long>(stats.responses_sent),
               static_cast<unsigned long long>(stats.protocol_errors),
               static_cast<unsigned long long>(stats.connections_accepted));
-  const MetricsSnapshot snapshot = backend->SnapshotMetrics();
+  const MetricsSnapshot snapshot = backend.SnapshotMetrics();
   std::printf("%s", snapshot.ToString().c_str());
 
   const std::string metrics_json = args.Get("metrics-json");
@@ -909,8 +885,8 @@ int CmdServe(const Args& args) {
   if (!prom.empty()) {
     std::ofstream file(prom, std::ios::trunc);
     if (!file) return Fail("cannot open " + prom + " for writing");
-    std::string text = ToPrometheusText(snapshot, backend->SnapshotLatencyHistogram());
-    backend->AppendPrometheusText(&text);
+    std::string text = ToPrometheusText(snapshot, backend.SnapshotLatencyHistogram());
+    backend.AppendPrometheusText(&text);
     file << text;
     if (!file.good()) return Fail("failed writing " + prom);
   }
