@@ -27,11 +27,6 @@ Rect Rect::Window(const Point& origin, double l, double w) {
   return Rect{origin.x, origin.y, origin.x + l, origin.y + w};
 }
 
-double Rect::Area() const {
-  if (IsEmpty()) return 0.0;
-  return length() * width();
-}
-
 double Rect::Margin() const {
   if (IsEmpty()) return 0.0;
   return length() + width();
@@ -49,12 +44,6 @@ bool Rect::Contains(const Rect& other) const {
          other.max_y <= max_y;
 }
 
-bool Rect::Intersects(const Rect& other) const {
-  if (IsEmpty() || other.IsEmpty()) return false;
-  return min_x <= other.max_x && other.min_x <= max_x && min_y <= other.max_y &&
-         other.min_y <= max_y;
-}
-
 void Rect::Expand(const Point& p) {
   min_x = std::min(min_x, p.x);
   min_y = std::min(min_y, p.y);
@@ -62,27 +51,11 @@ void Rect::Expand(const Point& p) {
   max_y = std::max(max_y, p.y);
 }
 
-void Rect::Expand(const Rect& other) {
-  if (other.IsEmpty()) return;
-  min_x = std::min(min_x, other.min_x);
-  min_y = std::min(min_y, other.min_y);
-  max_x = std::max(max_x, other.max_x);
-  max_y = std::max(max_y, other.max_y);
-}
-
-Rect Rect::Union(const Rect& a, const Rect& b) {
-  Rect out = a;
-  out.Expand(b);
-  return out;
-}
-
 Rect Rect::Intersection(const Rect& a, const Rect& b) {
   if (!a.Intersects(b)) return Empty();
   return Rect{std::max(a.min_x, b.min_x), std::max(a.min_y, b.min_y), std::min(a.max_x, b.max_x),
               std::min(a.max_y, b.max_y)};
 }
-
-double Rect::OverlapArea(const Rect& other) const { return Intersection(*this, other).Area(); }
 
 double Rect::EnlargementArea(const Rect& other) const {
   return Union(*this, other).Area() - Area();

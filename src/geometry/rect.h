@@ -40,8 +40,13 @@ struct Rect {
   double length() const { return max_x - min_x; }  ///< x-extent (paper's l).
   double width() const { return max_y - min_y; }   ///< y-extent (paper's w).
 
+  // Area, Intersects, Expand(Rect), Union and OverlapArea are inline so
+  // the R*-tree's insert path can inline them. simd/kernels_avx2.cc is
+  // built with -mavx2 and sees this header: it must not call them, or its
+  // AVX2 copies could be the ones the linker keeps for every caller.
+
   /// Area; 0 for degenerate (point/segment) rects. Empty rects yield 0.
-  double Area() const;
+  double Area() const { return IsEmpty() ? 0.0 : length() * width(); }
 
   /// Half-perimeter (the R*-tree "margin" used by the split heuristic).
   double Margin() const;
@@ -56,22 +61,42 @@ struct Rect {
   bool Contains(const Rect& other) const;
 
   /// True when the two rects share at least a boundary point.
-  bool Intersects(const Rect& other) const;
+  bool Intersects(const Rect& other) const {
+    if (IsEmpty() || other.IsEmpty()) return false;
+    return min_x <= other.max_x && other.min_x <= max_x && min_y <= other.max_y &&
+           other.min_y <= max_y;
+  }
 
   /// Grows this rect to cover `p`.
   void Expand(const Point& p);
 
   /// Grows this rect to cover `other` (no-op when `other` is empty).
-  void Expand(const Rect& other);
+  void Expand(const Rect& other) {
+    if (other.IsEmpty()) return;
+    min_x = std::min(min_x, other.min_x);
+    min_y = std::min(min_y, other.min_y);
+    max_x = std::max(max_x, other.max_x);
+    max_y = std::max(max_y, other.max_y);
+  }
 
   /// Returns the union MBR of the two rects.
-  static Rect Union(const Rect& a, const Rect& b);
+  static Rect Union(const Rect& a, const Rect& b) {
+    Rect out = a;
+    out.Expand(b);
+    return out;
+  }
 
   /// Returns the intersection, or an empty rect when disjoint.
   static Rect Intersection(const Rect& a, const Rect& b);
 
-  /// Area of overlap with `other` (0 when disjoint).
-  double OverlapArea(const Rect& other) const;
+  /// Area of overlap with `other` (0 when disjoint): the area of
+  /// Intersection(*this, other).
+  double OverlapArea(const Rect& other) const {
+    if (!Intersects(other)) return 0.0;
+    return Rect{std::max(min_x, other.min_x), std::max(min_y, other.min_y),
+                std::min(max_x, other.max_x), std::min(max_y, other.max_y)}
+        .Area();
+  }
 
   /// Area increase needed for this rect to cover `other`.
   double EnlargementArea(const Rect& other) const;

@@ -6,19 +6,11 @@
 #include <cstdint>
 #include <memory>
 
+#include "geometry/morton.h"
+
 namespace nwc {
 
 namespace {
-
-// Interleaves the low 16 bits of v with zeros (x -> bits 0,2,4,...).
-uint32_t SpreadBits16(uint32_t v) {
-  v &= 0xFFFF;
-  v = (v | (v << 8)) & 0x00FF00FF;
-  v = (v | (v << 4)) & 0x0F0F0F0F;
-  v = (v | (v << 2)) & 0x33333333;
-  v = (v | (v << 1)) & 0x55555555;
-  return v;
-}
 
 // Sorts one leaf group along the Z-order (Morton) curve of its own bounding
 // box, quantized to 16 bits per axis. Intra-leaf order is invisible to
@@ -109,7 +101,7 @@ uint32_t LeafMortonKey(const Rect& bounds, const Point& p) {
   };
   const uint32_t gx = cell(p.x, bounds.min_x, spread_x);
   const uint32_t gy = cell(p.y, bounds.min_y, spread_y);
-  return SpreadBits16(gx) | (SpreadBits16(gy) << 1);
+  return MortonKey16(gx, gy);
 }
 
 RStarTree BulkLoadStr(const std::vector<DataObject>& objects, RTreeOptions tree_options,

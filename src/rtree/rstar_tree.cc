@@ -130,36 +130,56 @@ NodeId RStarTree::ChooseSubtree(const Rect& entry_mbr, int target_level) {
       // enlargement, ties broken by area enlargement, then area. For large
       // fanouts, scan only the kOverlapCandidateLimit entries with least
       // area enlargement (the R* approximation).
-      std::vector<size_t> candidates(children.size());
-      for (size_t i = 0; i < children.size(); ++i) candidates[i] = i;
+      //
+      // The scan is exact but short-cut. Every overlap term
+      // OverlapArea(enlarged, j) - OverlapArea(child, j) is >= 0 in IEEE
+      // arithmetic (enlarged contains child and rounding is monotone), so
+      // the partial sum never decreases. Hence: a child that already
+      // contains the entry adds exactly +0.0; a j that misses `enlarged`
+      // adds +0.0 and is skipped; a sum past best_overlap is abandoned; and
+      // once best_overlap is 0 only a strict (enlarge, area) win can still
+      // be picked. Visiting order and the strict < keep exact ties on the
+      // same child the exhaustive scan picks (rstar_insert_golden_test).
+      const size_t count = children.size();
+      std::vector<double> enlarge(count);
+      std::vector<double> area(count);
+      std::vector<size_t> candidates(count);
+      for (size_t i = 0; i < count; ++i) {
+        area[i] = children[i].mbr.Area();
+        enlarge[i] = Rect::Union(children[i].mbr, entry_mbr).Area() - area[i];
+        candidates[i] = i;
+      }
       if (candidates.size() > kOverlapCandidateLimit) {
         std::nth_element(candidates.begin(),
                          candidates.begin() + static_cast<ptrdiff_t>(kOverlapCandidateLimit),
-                         candidates.end(), [&](size_t a, size_t b) {
-                           return children[a].mbr.EnlargementArea(entry_mbr) <
-                                  children[b].mbr.EnlargementArea(entry_mbr);
-                         });
+                         candidates.end(),
+                         [&](size_t a, size_t b) { return enlarge[a] < enlarge[b]; });
         candidates.resize(kOverlapCandidateLimit);
       }
       double best_overlap = std::numeric_limits<double>::infinity();
       double best_enlarge = std::numeric_limits<double>::infinity();
       double best_area = std::numeric_limits<double>::infinity();
       for (const size_t i : candidates) {
-        const Rect enlarged = Rect::Union(children[i].mbr, entry_mbr);
+        const bool wins_tie =
+            enlarge[i] < best_enlarge || (enlarge[i] == best_enlarge && area[i] < best_area);
+        if (best_overlap == 0.0 && !wins_tie) continue;
+        const Rect& child = children[i].mbr;
+        const Rect enlarged = Rect::Union(child, entry_mbr);
         double overlap_delta = 0.0;
-        for (size_t j = 0; j < children.size(); ++j) {
-          if (j == i) continue;
-          overlap_delta +=
-              enlarged.OverlapArea(children[j].mbr) - children[i].mbr.OverlapArea(children[j].mbr);
+        // If `child` contains the entry, every term is x - x = +0.0; a
+        // finite area rules out inf - inf.
+        if (!(enlarged == child) || !std::isfinite(area[i])) {
+          for (size_t j = 0; j < count; ++j) {
+            if (j == i || !enlarged.Intersects(children[j].mbr)) continue;
+            overlap_delta +=
+                enlarged.OverlapArea(children[j].mbr) - child.OverlapArea(children[j].mbr);
+            if (overlap_delta > best_overlap) break;
+          }
         }
-        const double enlarge = children[i].mbr.EnlargementArea(entry_mbr);
-        const double area = children[i].mbr.Area();
-        if (overlap_delta < best_overlap ||
-            (overlap_delta == best_overlap &&
-             (enlarge < best_enlarge || (enlarge == best_enlarge && area < best_area)))) {
+        if (overlap_delta < best_overlap || (overlap_delta == best_overlap && wins_tie)) {
           best_overlap = overlap_delta;
-          best_enlarge = enlarge;
-          best_area = area;
+          best_enlarge = enlarge[i];
+          best_area = area[i];
           best = i;
         }
       }
@@ -331,8 +351,7 @@ void RStarTree::UpdateParentEntry(NodeId child) {
 }
 
 Status RStarTree::Delete(const DataObject& object) {
-  const Rect object_rect = MbrOfObject(object);
-  const NodeId leaf_id = FindLeafFor(object, root_, object_rect);
+  const NodeId leaf_id = FindLeafFor(object, root_);
   if (leaf_id == kInvalidNodeId) {
     return Status::NotFound(
         StrFormat("object id=%u at (%f, %f) is not stored", object.id, object.pos.x,
@@ -360,8 +379,7 @@ Status RStarTree::Delete(const DataObject& object) {
   return Status::Ok();
 }
 
-NodeId RStarTree::FindLeafFor(const DataObject& object, NodeId subtree,
-                              const Rect& object_rect) const {
+NodeId RStarTree::FindLeafFor(const DataObject& object, NodeId subtree) const {
   const RTreeNode& n = node(subtree);
   if (n.is_leaf()) {
     for (const DataObject& stored : n.objects) {
@@ -371,7 +389,7 @@ NodeId RStarTree::FindLeafFor(const DataObject& object, NodeId subtree,
   }
   for (const ChildEntry& entry : n.children) {
     if (!entry.mbr.Contains(object.pos)) continue;
-    const NodeId found = FindLeafFor(object, entry.child, object_rect);
+    const NodeId found = FindLeafFor(object, entry.child);
     if (found != kInvalidNodeId) return found;
   }
   return kInvalidNodeId;

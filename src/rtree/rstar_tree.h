@@ -158,7 +158,7 @@ class RStarTree {
   void UpdateParentEntry(NodeId child);
 
   /// Deletion helper: finds the leaf containing `object`, or kInvalidNodeId.
-  NodeId FindLeafFor(const DataObject& object, NodeId subtree, const Rect& object_rect) const;
+  NodeId FindLeafFor(const DataObject& object, NodeId subtree) const;
 
   /// Deletion helper: prunes underfull ancestors and reinserts orphans.
   void CondenseTree(NodeId leaf_id);

@@ -3,29 +3,20 @@
 #include <algorithm>
 #include <cmath>
 
+#include "geometry/morton.h"
+
 namespace nwc {
 namespace {
 
-// Spreads the low 16 bits of `v` into the even bit positions.
-uint64_t SpreadBits16(uint64_t v) {
-  v &= 0xFFFFull;
-  v = (v | (v << 16)) & 0x0000FFFF0000FFFFull;
-  v = (v | (v << 8)) & 0x00FF00FF00FF00FFull;
-  v = (v | (v << 4)) & 0x0F0F0F0F0F0F0F0Full;
-  v = (v | (v << 2)) & 0x3333333333333333ull;
-  v = (v | (v << 1)) & 0x5555555555555555ull;
-  return v;
-}
-
 // Normalizes `value` within [lo, hi] onto the 16-bit grid, clamping
 // out-of-range and non-finite inputs.
-uint64_t GridCoord(double value, double lo, double hi) {
+uint32_t GridCoord(double value, double lo, double hi) {
   const double extent = hi - lo;
   if (!(extent > 0.0)) return 0;  // degenerate or inverted axis
   double t = (value - lo) / extent;
   if (!(t > 0.0)) t = 0.0;  // also catches NaN
   if (t > 1.0) t = 1.0;
-  return static_cast<uint64_t>(t * 65535.0);
+  return static_cast<uint32_t>(t * 65535.0);
 }
 
 uint32_t OptionsSignature(const NwcOptions& options) {
@@ -37,9 +28,8 @@ uint32_t OptionsSignature(const NwcOptions& options) {
 }  // namespace
 
 uint64_t ZOrderKey(const Point& q, const Rect& space) {
-  const uint64_t gx = GridCoord(q.x, space.min_x, space.max_x);
-  const uint64_t gy = GridCoord(q.y, space.min_y, space.max_y);
-  return SpreadBits16(gx) | (SpreadBits16(gy) << 1);
+  return MortonKey16(GridCoord(q.x, space.min_x, space.max_x),
+                     GridCoord(q.y, space.min_y, space.max_y));
 }
 
 std::vector<std::vector<size_t>> PlanBatchGroups(const std::vector<BatchItem>& items,

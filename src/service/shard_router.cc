@@ -1,12 +1,15 @@
 #include "service/shard_router.h"
 
 #include <algorithm>
+#include <atomic>
 #include <future>
 #include <limits>
+#include <thread>
 #include <utility>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "geometry/morton.h"
 #include "service/batch_planner.h"
 
 namespace nwc {
@@ -17,18 +20,6 @@ namespace {
 // geometrically own an unbounded slab. Large but far from overflow when
 // inflated by window- or halo-sized amounts.
 constexpr double kUnboundedSide = 1e300;
-
-// Inverse of batch_planner's SpreadBits16: gathers the even bits of `v`
-// into the low 16 bits.
-uint64_t CompactBits16(uint64_t v) {
-  v &= 0x5555555555555555ull;
-  v = (v | (v >> 1)) & 0x3333333333333333ull;
-  v = (v | (v >> 2)) & 0x0F0F0F0F0F0F0F0Full;
-  v = (v | (v >> 4)) & 0x00FF00FF00FF00FFull;
-  v = (v | (v >> 8)) & 0x0000FFFF0000FFFFull;
-  v = (v | (v >> 16)) & 0x00000000FFFFFFFFull;
-  return v;
-}
 
 // Data-space interval covered by grid cells [g_lo, g_hi) on one axis.
 // GridCoord maps v -> floor(clamp01((v - lo) / extent) * 65535), so cell g
@@ -145,8 +136,9 @@ std::vector<Rect> ZOrderRangeRegion(uint64_t key_lo, uint64_t key_hi, const Rect
   region.reserve(blocks.size());
   for (const MortonBlock& block : blocks) {
     const uint64_t cell_span = 1ull << (16 - block.level);
-    const uint64_t gx = CompactBits16(block.start);
-    const uint64_t gy = CompactBits16(block.start >> 1);
+    // Keys are below kZOrderKeyEnd = 2^32, so the narrowing is lossless.
+    const uint64_t gx = CompactBits16(static_cast<uint32_t>(block.start));
+    const uint64_t gy = CompactBits16(static_cast<uint32_t>(block.start >> 1));
     Rect r;
     CellSpan(gx, gx + cell_span, space.min_x, space.max_x, &r.min_x, &r.max_x);
     CellSpan(gy, gy + cell_span, space.min_y, space.max_y, &r.min_y, &r.max_y);
@@ -229,13 +221,35 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(std::vector<DataObject> o
       }
     }
   }
+  std::vector<DataObject>().swap(objects);  // every copy a tree needs is in `members`
+
+  // Insert-build the shard trees concurrently. Each tree depends only on
+  // its own member list, so the trees are the same on any number of
+  // threads. A member list is freed as soon as its tree is built.
+  std::vector<RStarTree> trees;
+  trees.reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) trees.emplace_back(config.tree);
+  std::atomic<size_t> next_shard{0};
+  const auto build_trees = [&] {
+    for (size_t s = next_shard++; s < num_shards; s = next_shard++) {
+      for (const DataObject& object : members[s]) trees[s].Insert(object);
+      std::vector<DataObject>().swap(members[s]);
+    }
+  };
+  const size_t build_threads =
+      std::min<size_t>(num_shards, std::max(1u, std::thread::hardware_concurrency()));
+  // std::async futures join in their destructors and rethrow a builder's
+  // exception from get(), so no path leaves a builder running.
+  std::vector<std::future<void>> builders;
+  for (size_t t = 1; t < build_threads; ++t) {
+    builders.push_back(std::async(std::launch::async, build_trees));
+  }
+  build_trees();
+  for (std::future<void>& builder : builders) builder.get();
 
   for (size_t s = 0; s < num_shards; ++s) {
     Shard& shard = router->shards_[s];
-    shard.resident_count = members[s].size();
-
-    RStarTree tree(config.tree);
-    for (const DataObject& object : members[s]) tree.Insert(object);
+    shard.resident_count = trees[s].size();
 
     SessionConfig session_config = config.session;
     // One grid geometry across shards: the global space, not the shard's
@@ -253,7 +267,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(std::vector<DataObject> o
     SnapshotStore::Config store_config;
     store_config.session = session_config;
     store_config.iwp_staleness_limit = config.iwp_staleness_limit;
-    auto store = SnapshotStore::Open(std::move(tree), store_config);
+    auto store = SnapshotStore::Open(std::move(trees[s]), store_config);
     if (!store.ok()) return store.status();
     shard.store = std::move(store).value();
     shard.service = std::make_unique<QueryService>(*shard.store, service_config);

@@ -223,6 +223,8 @@ class ShardRouter : public QueryBackend {
   MetricsSnapshot ShardMetrics(size_t s) const { return shards_[s].service->SnapshotMetrics(); }
 
  private:
+  friend class ShardRouterTestPeer;
+
   struct Shard {
     uint64_t key_lo = 0;
     uint64_t key_hi = 0;

@@ -2,13 +2,17 @@
 // boundaries, Morton range -> rect cover), ownership/halo routing of
 // points and mutations, the sharded-serving guard rails (window cap,
 // config validation), cancel semantics, update routing with authoritative
-// owner counts, and the per-shard Prometheus series.
+// owner counts, the per-shard Prometheus series, and the parallel shard
+// build's byte-identity with a serial one.
 
 #include "service/shard_router.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -19,9 +23,19 @@
 
 #include "common/rng.h"
 #include "datasets/generators.h"
+#include "rtree/serialize.h"
 #include "service/batch_planner.h"
 
 namespace nwc {
+
+class ShardRouterTestPeer {
+ public:
+  /// Shard `s`'s currently published snapshot.
+  static SnapshotStore::SnapshotRef AcquireShard(const ShardRouter& router, size_t s) {
+    return router.shards_[s].store->Acquire();
+  }
+};
+
 namespace {
 
 constexpr uint64_t kSeed = 20160315;
@@ -404,6 +418,48 @@ TEST(ShardRouter, OwnedAndHaloMutationsPublishAShardOnce) {
   // One publish carries both the owned insert and the halo copy.
   EXPECT_EQ(ShardEpoch(*router, shard), 2u) << "shard " << shard;
   EXPECT_EQ(applied.epoch, 2u);
+}
+
+/// The tree's SaveTree bytes.
+std::string TreeBytes(const RStarTree& tree, const std::string& name) {
+  const std::string path = testing::TempDir() + "shard_router_test_" + name + ".nwctree";
+  const Status saved = SaveTree(tree, path);
+  EXPECT_TRUE(saved.ok()) << saved;
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+TEST(ShardRouter, ParallelBuildMatchesSerialInsert) {
+  const ShardRouterConfig config = FourShardConfig();
+  const Dataset dataset = MakeCaLike(kSeed, 6000);
+  Result<std::unique_ptr<ShardRouter>> opened = ShardRouter::Open(dataset.objects, config);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  const std::unique_ptr<ShardRouter> router = std::move(opened).value();
+  std::string text;
+  router->AppendPrometheusText(&text);
+
+  for (size_t s = 0; s < router->num_shards(); ++s) {
+    // The shard's members in input order, inserted on this thread alone.
+    RStarTree serial(config.tree);
+    for (const DataObject& object : dataset.objects) {
+      const std::vector<size_t> targets = router->TargetShards(object.pos);
+      if (std::find(targets.begin(), targets.end(), s) != targets.end()) serial.Insert(object);
+    }
+    ASSERT_GT(serial.size(), 0u) << "shard " << s;
+    EXPECT_EQ(router->shard_resident_count(s), serial.size()) << "shard " << s;
+    const std::string series = "nwc_shard_resident_objects{shard=\"" + std::to_string(s) +
+                               "\"} " + std::to_string(serial.size()) + "\n";
+    EXPECT_NE(text.find(series), std::string::npos) << series;
+
+    const SnapshotStore::SnapshotRef snapshot = ShardRouterTestPeer::AcquireShard(*router, s);
+    ASSERT_EQ(snapshot.epoch, 1u);
+    const std::string name = "shard" + std::to_string(s);
+    EXPECT_TRUE(TreeBytes(snapshot.session->tree(), name + "_routed") ==
+                TreeBytes(serial, name + "_serial"))
+        << "shard " << s << "'s tree differs from a serial insert build";
+  }
 }
 
 TEST(ShardRouter, PrometheusTextCarriesPerShardSeries) {
