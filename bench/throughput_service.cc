@@ -26,9 +26,9 @@
 // baseline; the armed figure is the price of "every query has a deadline".
 //
 // A caching section replays an 80/20-skewed workload (20% of a query pool
-// receives 80% of the draws — the shape of real repeat traffic) uncached,
-// through a 64 MiB result cache, and through the cache + SubmitNwcBatch
-// planner, reporting qps, speedup over uncached, and the cache hit rate.
+// receives 80% of the draws — the shape of real repeat traffic) uncached
+// and through a 64 MiB result cache, reporting qps, speedup over uncached,
+// and the cache hit rate.
 //
 // `--smoke` runs a small fixed gate instead (used by CI): best-of-3 qps
 // uncached vs cached-all-miss on distinct queries. An all-miss workload
@@ -273,9 +273,8 @@ int main(int argc, char** argv) {
   robustness.Print();
 
   // Caching under skew: an 80/20 workload (80% of draws from a hot 20% of
-  // the pool) replayed uncached, cached, and cached + batched. The cache
-  // serves repeats with zero tree reads, so qps should multiply with the
-  // hit rate; batching adds window-memo reuse on top.
+  // the pool) replayed uncached and cached. The cache serves repeats with
+  // zero tree reads, so qps should multiply with the hit rate.
   const size_t pool_size = 50;
   const size_t hot_size = pool_size / 5;  // hot 20%
   const std::vector<Point> pool_points = SampleQueryPoints(dataset, pool_size, kQuerySeed + 7);
@@ -295,45 +294,35 @@ int main(int argc, char** argv) {
   }
 
   TablePrinter caching("Result cache on 80/20 skew - NWC*, 4 threads",
-                       {"mode", "qps", "speedup", "hit rate", "memo hits"});
+                       {"mode", "qps", "speedup", "hit rate"});
   double uncached_qps = 0.0;
-  for (const int mode : {0, 1, 2}) {  // 0 uncached, 1 cached, 2 cached+batched
+  for (const bool cached : {false, true}) {
     ServiceConfig config;
     config.num_threads = 4;
     config.queue_capacity = 2 * skewed.size() + 1;
     config.default_options = NwcOptions::Star();
-    if (mode > 0) config.result_cache_bytes = 64u << 20;
+    if (cached) config.result_cache_bytes = 64u << 20;
     QueryService service(*session, config);
 
     Stopwatch wall;
-    if (mode == 2) {
-      std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(skewed);
-      for (auto& future : futures) {
-        CheckOk(future.get().status, "throughput_service skew query");
-      }
-    } else {
-      const std::vector<NwcResponse> responses = service.RunNwcBatch(skewed);
-      for (const NwcResponse& response : responses) {
-        CheckOk(response.status, "throughput_service skew query");
-      }
+    const std::vector<NwcResponse> responses = service.RunNwcBatch(skewed);
+    for (const NwcResponse& response : responses) {
+      CheckOk(response.status, "throughput_service skew query");
     }
     const double seconds = wall.ElapsedSeconds();
-    service.Shutdown();  // finalize per-group memo metrics before reading
 
     const MetricsSnapshot metrics = service.SnapshotMetrics();
     const double qps = seconds > 0.0 ? static_cast<double>(skewed.size()) / seconds : 0.0;
-    if (mode == 0) uncached_qps = qps;
+    if (!cached) uncached_qps = qps;
     const uint64_t probes = metrics.result_cache_hits + metrics.result_cache_misses;
     const double hit_rate =
         probes > 0 ? static_cast<double>(metrics.result_cache_hits) / probes : 0.0;
-    const char* label = mode == 0 ? "uncached" : mode == 1 ? "cached 64MB" : "cached+batched";
-    Progress("%s: %.1f q/s (%.2fx), hit rate %.0f%%, memo hits %llu", label, qps,
-             uncached_qps > 0.0 ? qps / uncached_qps : 0.0, hit_rate * 100.0,
-             static_cast<unsigned long long>(metrics.window_memo_hits));
+    const char* label = cached ? "cached 64MB" : "uncached";
+    Progress("%s: %.1f q/s (%.2fx), hit rate %.0f%%", label, qps,
+             uncached_qps > 0.0 ? qps / uncached_qps : 0.0, hit_rate * 100.0);
     caching.AddRow({label, StrFormat("%.1f", qps),
                     StrFormat("%.2fx", uncached_qps > 0.0 ? qps / uncached_qps : 0.0),
-                    StrFormat("%.0f%%", hit_rate * 100.0),
-                    StrFormat("%llu", static_cast<unsigned long long>(metrics.window_memo_hits))});
+                    StrFormat("%.0f%%", hit_rate * 100.0)});
   }
   caching.Print();
   return 0;

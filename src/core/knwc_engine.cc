@@ -126,8 +126,8 @@ class KGroupSink : public internal::GroupSink {
 }  // namespace
 
 Result<KnwcResult> KnwcEngine::Execute(const KnwcQuery& query, const NwcOptions& options,
-                                       IoCounter* io, QueryTrace* trace, QueryControl* control,
-                                       WindowQueryMemo* memo) const {
+                                       IoCounter* io, QueryTrace* trace,
+                                       QueryControl* control) const {
   const Status query_ok = query.Validate();
   if (!query_ok.ok()) return query_ok;
   if (options.use_iwp && iwp_ == nullptr) {
@@ -143,7 +143,7 @@ Result<KnwcResult> KnwcEngine::Execute(const KnwcQuery& query, const NwcOptions&
   KGroupSink sink(query.k, query.m, tr);
   {
     TraceSpanScope root_span(tr, SpanKind::kQuery, io);
-    internal::RunNwcSearch(tree_, iwp_, grid_, query.base, options, io, sink, tr, ctl, memo);
+    internal::RunNwcSearch(tree_, iwp_, grid_, query.base, options, io, sink, tr, ctl);
   }
   if (control != nullptr && control->stopped()) return control->status();
   return std::move(sink).TakeResult();

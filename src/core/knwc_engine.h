@@ -12,8 +12,6 @@
 
 namespace nwc {
 
-class WindowQueryMemo;
-
 /// Answers kNWC queries (paper Sec. 3.4): k object groups, each of n
 /// objects within an l x w window, pairwise sharing at most m objects,
 /// ordered by ascending distance to q.
@@ -39,12 +37,10 @@ class KnwcEngine {
 
   /// Runs one kNWC query; see NwcEngine::Execute for the error contract,
   /// the tracing semantics (`trace` additionally captures the Steps 2-5
-  /// overlap filtering as kOverlapFilter spans), the cooperative
-  /// deadline/cancel/fault contract of `control`, and the batch
-  /// window-query memo contract of `memo`.
+  /// overlap filtering as kOverlapFilter spans), and the cooperative
+  /// deadline/cancel/fault contract of `control`.
   Result<KnwcResult> Execute(const KnwcQuery& query, const NwcOptions& options, IoCounter* io,
-                             QueryTrace* trace = nullptr, QueryControl* control = nullptr,
-                             WindowQueryMemo* memo = nullptr) const;
+                             QueryTrace* trace = nullptr, QueryControl* control = nullptr) const;
 
  private:
   const RStarTree& tree_;

@@ -38,8 +38,8 @@ class BestGroupSink : public internal::GroupSink {
 }  // namespace
 
 Result<NwcResult> NwcEngine::Execute(const NwcQuery& query, const NwcOptions& options,
-                                     IoCounter* io, QueryTrace* trace, QueryControl* control,
-                                     WindowQueryMemo* memo) const {
+                                     IoCounter* io, QueryTrace* trace,
+                                     QueryControl* control) const {
   const Status query_ok = query.Validate();
   if (!query_ok.ok()) return query_ok;
   if (options.use_iwp && iwp_ == nullptr) {
@@ -55,7 +55,7 @@ Result<NwcResult> NwcEngine::Execute(const NwcQuery& query, const NwcOptions& op
   BestGroupSink sink;
   {
     TraceSpanScope root_span(tr, SpanKind::kQuery, io);
-    internal::RunNwcSearch(tree_, iwp_, grid_, query, options, io, sink, tr, ctl, memo);
+    internal::RunNwcSearch(tree_, iwp_, grid_, query, options, io, sink, tr, ctl);
   }
   // A stopped control means the search ended early: the sink's contents
   // are partial, so the stop status is the whole answer.

@@ -12,8 +12,6 @@
 
 namespace nwc {
 
-class WindowQueryMemo;
-
 /// Answers NWC queries over an R*-tree (paper Sec. 3, Algorithm 1).
 ///
 /// The engine incrementally discovers qualified windows nearest to q —
@@ -54,13 +52,8 @@ class NwcEngine {
   /// when the control stops mid-search, Execute discards any partial result
   /// and returns the control's status (DeadlineExceeded, Cancelled, or the
   /// reported IoError) — a stopped query never yields a truncated answer.
-  ///
-  /// `memo` (optional) reuses completed window-query walks across queries
-  /// of a batch (see rtree/queries.h); results stay bit-identical to an
-  /// unmemoized run. Not thread-safe — one memo per worker.
   Result<NwcResult> Execute(const NwcQuery& query, const NwcOptions& options, IoCounter* io,
-                            QueryTrace* trace = nullptr, QueryControl* control = nullptr,
-                            WindowQueryMemo* memo = nullptr) const;
+                            QueryTrace* trace = nullptr, QueryControl* control = nullptr) const;
 
  private:
   const RStarTree& tree_;

@@ -12,10 +12,6 @@
 #include "rtree/iwp_index.h"
 #include "rtree/rstar_tree.h"
 
-namespace nwc {
-class WindowQueryMemo;
-}
-
 namespace nwc::internal {
 
 /// Consumer of candidate groups produced by the search driver. NwcEngine
@@ -62,16 +58,9 @@ class GroupSink {
 /// control's status instead of the sink's result. Pass NullControl() to run
 /// unguarded (one branch per checkpoint, like NullTrace()).
 ///
-/// `memo` (optional) short-circuits window queries whose (scope, window)
-/// pair was already walked to completion earlier in the same batch: a memo
-/// hit reuses the recorded hit set with zero page reads and is counted as
-/// kWindowMemoHits. Only completed walks are memoized, so hits are
-/// bit-identical to re-running the query. The memo is not thread-safe —
-/// pass one per worker, or nullptr to disable.
 void RunNwcSearch(const RStarTree& tree, const IwpIndex* iwp, const DensityGrid* grid,
                   const NwcQuery& query, const NwcOptions& options, IoCounter* io,
-                  GroupSink& sink, QueryTrace& trace, QueryControl& control,
-                  WindowQueryMemo* memo = nullptr);
+                  GroupSink& sink, QueryTrace& trace, QueryControl& control);
 
 }  // namespace nwc::internal
 

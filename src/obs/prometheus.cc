@@ -86,8 +86,6 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot, const LatencyHisto
           snapshot.result_cache_misses);
   Counter(out, "nwc_result_cache_evictions_total",
           "Result-cache entries evicted under byte pressure.", snapshot.result_cache_evictions);
-  Counter(out, "nwc_window_memo_hits_total",
-          "Window queries answered from a batch's window-query memo.", snapshot.window_memo_hits);
   Gauge(out, "nwc_result_cache_entries", "Results currently held by the result cache.",
         static_cast<double>(snapshot.result_cache_entries));
   Gauge(out, "nwc_result_cache_bytes", "Approximate bytes held by the result cache.",

@@ -57,8 +57,6 @@ const char* TraceCounterName(TraceCounter counter) {
       return "faults_injected";
     case TraceCounter::kAborted:
       return "aborted";
-    case TraceCounter::kWindowMemoHits:
-      return "window_memo_hits";
     case TraceCounter::kResultCacheHits:
       return "result_cache_hits";
   }

@@ -51,10 +51,9 @@ enum class TraceCounter : uint8_t {
   kGroupsDroppedOverlap,  ///< kNWC groups rejected/evicted by the m-overlap rule
   kFaultsInjected,        ///< injected I/O faults observed by this query
   kAborted,               ///< 1 when the search stopped before completion
-  kWindowMemoHits,        ///< window queries answered from the batch memo
   kResultCacheHits,       ///< 1 when the whole query was a result-cache hit
 };
-inline constexpr size_t kTraceCounterCount = 14;
+inline constexpr size_t kTraceCounterCount = 13;
 
 /// Stable snake_case name ("objects_browsed", ...), used by exporters.
 const char* TraceCounterName(TraceCounter counter);

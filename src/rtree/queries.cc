@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/float_bits.h"
 #include "simd/kernels.h"
 
 namespace nwc {
@@ -64,41 +63,6 @@ void CollectLeafHits(const RTreeNode& leaf, const Rect& window, std::vector<Data
 }
 
 }  // namespace
-
-size_t WindowQueryMemo::KeyHash::operator()(const Key& key) const {
-  // FNV-1a over the scope id and the window's coordinate bit patterns.
-  // Coordinates are canonicalized (-0.0 folded onto +0.0) because
-  // Key::operator== compares the Rect numerically: +0.0 == -0.0 must imply
-  // equal hashes or the unordered_map's bucket invariant breaks.
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (byte * 8)) & 0xFFu;
-      hash *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<uint64_t>(key.scope));
-  mix(CanonicalDoubleBits(key.window.min_x));
-  mix(CanonicalDoubleBits(key.window.min_y));
-  mix(CanonicalDoubleBits(key.window.max_x));
-  mix(CanonicalDoubleBits(key.window.max_y));
-  return static_cast<size_t>(hash);
-}
-
-const std::vector<DataObject>* WindowQueryMemo::Find(NodeId scope, const Rect& window) {
-  auto it = entries_.find(Key{scope, window});
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return &it->second;
-}
-
-void WindowQueryMemo::Insert(NodeId scope, const Rect& window, std::vector<DataObject> hits) {
-  if (entries_.size() >= max_entries_) return;
-  entries_.emplace(Key{scope, window}, std::move(hits));
-}
 
 std::vector<DataObject> WindowQuery(const RStarTree& tree, const Rect& window, IoCounter* io,
                                     IoPhase phase, QueryControl* control) {

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
@@ -14,59 +13,6 @@
 #include "rtree/rstar_tree.h"
 
 namespace nwc {
-
-/// Memo of completed window-query verifications within one batch of NWC
-/// queries, keyed on (traversal scope, exact window rectangle). The scope
-/// is the subtree the walk started from — the tree root for a plain
-/// WindowQuery, the candidate's leaf for an IWP probe — so memoized hits
-/// are only reused for walks that would have visited the identical pages.
-///
-/// Hits are stored in the exact order the DFS emitted them, so a memo hit
-/// is bit-identical to re-running the walk (the NWC group evaluation sorts
-/// members itself, but kept order makes the equivalence unconditional). A
-/// memo hit charges no page reads: that is the point — consecutive batched
-/// queries with overlapping search regions re-verify the same windows.
-///
-/// Entries are only inserted for *completed* walks (callers must skip
-/// Insert when a QueryControl stopped the traversal; a truncated hit set
-/// memoized as complete would corrupt every later query in the batch).
-/// The memo is bounded: once `max_entries` windows are stored, further
-/// inserts are dropped (lookups still hit the existing entries).
-///
-/// NOT thread-safe; intended to live on one worker's stack for the
-/// duration of one batch group.
-class WindowQueryMemo {
- public:
-  explicit WindowQueryMemo(size_t max_entries = 4096) : max_entries_(max_entries) {}
-
-  /// Returns the memoized hits for (scope, window), or nullptr. The
-  /// pointer is invalidated by the next Insert.
-  const std::vector<DataObject>* Find(NodeId scope, const Rect& window);
-
-  /// Memoizes the hits of a completed walk. Drops the entry when full.
-  void Insert(NodeId scope, const Rect& window, std::vector<DataObject> hits);
-
-  uint64_t hits() const { return hits_; }      ///< Find calls that matched.
-  uint64_t misses() const { return misses_; }  ///< Find calls that did not.
-  size_t size() const { return entries_.size(); }
-
- private:
-  struct Key {
-    NodeId scope;
-    Rect window;
-    friend bool operator==(const Key& a, const Key& b) {
-      return a.scope == b.scope && a.window == b.window;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& key) const;
-  };
-
-  size_t max_entries_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  std::unordered_map<Key, std::vector<DataObject>, KeyHash> entries_;
-};
 
 /// Returns all objects whose position lies inside `window` (boundary
 /// inclusive), via depth-first traversal from the root. Every visited node

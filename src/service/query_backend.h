@@ -129,7 +129,8 @@ class QueryBackend {
   }
 
   /// Applies a mutation batch and publishes the next epoch (synchronous).
-  /// Static backends answer FailedPrecondition.
+  /// Every backend accepts updates; a NotFound status reports delete
+  /// misses (see UpdateResponse).
   virtual UpdateResponse ApplyUpdate(const MutationBatch& mutations) = 0;
 
   /// Aggregated service metrics (a sharded backend sums its shards).

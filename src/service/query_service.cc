@@ -13,7 +13,6 @@
 #include "common/string_util.h"
 #include "core/knwc_engine.h"
 #include "core/nwc_engine.h"
-#include "service/batch_planner.h"
 
 namespace nwc {
 
@@ -116,11 +115,11 @@ UpdateResponse QueryService::ApplyUpdate(const MutationBatch& mutations) {
   return response;
 }
 
-bool QueryService::AdmitJob(size_t request_count) {
+bool QueryService::AdmitJob() {
   size_t depth = admitted_depth_.load(std::memory_order_relaxed);
   while (true) {
     if (config_.shed_queue_depth > 0 && depth >= config_.shed_queue_depth) {
-      metrics_.RecordShed(request_count);
+      metrics_.RecordShed();
       return false;
     }
     // One CAS decides check AND increment: a racing submitter either sees
@@ -188,26 +187,19 @@ void CacheInsert(ResultCache& cache, const KnwcQuery& query, const NwcOptions& o
 
 template <typename Response, typename Query, typename Done>
 void QueryService::Execute(size_t worker_index, const Query& query, const NwcOptions& requested,
-                           const RequestTiming& timing, Done done, WindowQueryMemo* memo,
-                           const SnapshotStore::SnapshotRef* snapshot) {
+                           const RequestTiming& timing, Done done) {
   // Dequeue-time queue-depth observation: the submit-side sample alone
   // under-reports bursts, because submitters that would see the peak are
   // the ones blocked on the full queue.
   metrics_.RecordQueueDepth(pool_.QueueDepth());
 
   // Pin one epoch for the whole query (all retry attempts included):
-  // queries never observe a publish mid-flight. Batch groups pass their
-  // own snapshot so every member — and the shared window memo — sees one
-  // consistent epoch.
-  SnapshotStore::SnapshotRef own_snapshot;
-  if (snapshot == nullptr) {
-    own_snapshot = store_.Acquire();
-    snapshot = &own_snapshot;
-  }
-  const Session& session = *snapshot->session;
+  // queries never observe a publish mid-flight.
+  const SnapshotStore::SnapshotRef snapshot = store_.Acquire();
+  const Session& session = *snapshot.session;
   // The effective options also key the result cache, so a degraded
   // (IWP-less) answer can never be replayed to a fully-indexed epoch.
-  const NwcOptions options = EffectiveOptions(*snapshot, requested);
+  const NwcOptions options = EffectiveOptions(snapshot, requested);
 
   Response response;
   IoCounter total_io;  // merged across attempts for metrics/response
@@ -253,7 +245,7 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
     // first attempt keeps the cache's miss counter one-per-query.
     bool cache_hit = false;
     if (attempt == 0 && result_cache_ != nullptr && !control.ShouldStop() &&
-        CacheLookup(*result_cache_, query, options, &response.result, snapshot->epoch)) {
+        CacheLookup(*result_cache_, query, options, &response.result, snapshot.epoch)) {
       cache_hit = true;
       response.status = Status::Ok();
       response.result_cache_hit = true;
@@ -270,7 +262,7 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
     if (!cache_hit) {
       if constexpr (std::is_same_v<Response, NwcResponse>) {
         NwcEngine engine(session.tree(), session.iwp(), session.grid());
-        Result<NwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control, memo);
+        Result<NwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control);
         response.status = result.status();
         if (result.ok()) {
           found = result->found;
@@ -278,7 +270,7 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
         }
       } else {
         KnwcEngine engine(session.tree(), session.iwp(), session.grid());
-        Result<KnwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control, memo);
+        Result<KnwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control);
         response.status = result.status();
         if (result.ok()) {
           found = !result->groups.empty();
@@ -313,7 +305,7 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
     // faulted query would poison it with partial answers, and re-inserting
     // on a hit would churn the LRU for nothing.
     if (result_cache_ != nullptr && !cache_hit && response.status.ok()) {
-      CacheInsert(*result_cache_, query, options, response.result, snapshot->epoch);
+      CacheInsert(*result_cache_, query, options, response.result, snapshot.epoch);
     }
 
     response.latency_micros = timer.ElapsedMicros();
@@ -352,7 +344,7 @@ void QueryService::Submit(Request request, StampedDone<Response> done) {
   // Load shedding: past the watermark, failing fast beats blocking the
   // caller on a queue that is already drowning. AdmitJob decides and
   // reserves the slot in one atomic step.
-  if (status.ok() && !AdmitJob(1)) {
+  if (status.ok() && !AdmitJob()) {
     status = Status::Unavailable("request shed: queue past the shed watermark");
   }
   if (!status.ok()) {
@@ -411,121 +403,6 @@ std::vector<KnwcResponse> QueryService::RunKnwcBatch(const std::vector<KnwcReque
   responses.reserve(requests.size());
   for (auto& future : futures) responses.push_back(future.get());
   return responses;
-}
-
-namespace {
-
-// The point a request probes at — what batch planning sorts by.
-const Point& QueryPoint(const NwcQuery& query) { return query.q; }
-const Point& QueryPoint(const KnwcQuery& query) { return query.base.q; }
-
-}  // namespace
-
-template <typename Response, typename Request>
-std::vector<std::future<Response>> QueryService::SubmitBatchImpl(
-    const std::vector<Request>& requests) {
-  using Query = std::decay_t<decltype(std::declval<Request>().query)>;
-
-  // Everything a group job needs, owned jointly by the jobs of this batch.
-  // Slots of requests that failed CheckRequest keep a consumed promise and
-  // are simply never planned.
-  struct BatchState {
-    std::vector<Query> queries;
-    std::vector<NwcOptions> options;
-    std::vector<RequestTiming> timings;
-    std::vector<std::promise<Response>> promises;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->queries.reserve(requests.size());
-  state->options.resize(requests.size());
-  state->timings.resize(requests.size());
-  state->promises.resize(requests.size());
-
-  std::vector<std::future<Response>> futures;
-  futures.reserve(requests.size());
-  std::vector<BatchItem> plan_items;
-  plan_items.reserve(requests.size());
-  std::vector<size_t> plan_to_request;
-  plan_to_request.reserve(requests.size());
-
-  for (size_t i = 0; i < requests.size(); ++i) {
-    state->queries.push_back(requests[i].query);
-    futures.push_back(state->promises[i].get_future());
-    const Status status = CheckRequest(requests[i].options, &state->options[i]);
-    if (!status.ok()) {
-      state->promises[i].set_value(FailedResponse<Response>(status));
-      continue;
-    }
-    // Deadlines start now: queue wait and earlier group members count.
-    state->timings[i] = MakeTiming(requests[i].deadline_micros);
-    plan_items.push_back(BatchItem{QueryPoint(requests[i].query), state->options[i]});
-    plan_to_request.push_back(i);
-  }
-
-  // Planning only needs the data bounds for its Z-order normalization, so
-  // a momentary pin suffices here; each group job pins its own epoch.
-  const Rect plan_bounds = store_.Acquire().session->tree().bounds();
-  const std::vector<std::vector<size_t>> groups =
-      PlanBatchGroups(plan_items, plan_bounds, config_.batch_group_size);
-
-  for (const std::vector<size_t>& group : groups) {
-    std::vector<size_t> request_indices;
-    request_indices.reserve(group.size());
-    for (const size_t plan_index : group) {
-      request_indices.push_back(plan_to_request[plan_index]);
-    }
-    // Shed admission per group job, shed accounting per request: a group
-    // bounced by the watermark fails each member with a typed Unavailable
-    // and counts indices.size() sheds, so nwc_load_shed_total stays
-    // comparable between batched and per-query load.
-    if (!AdmitJob(request_indices.size())) {
-      for (const size_t i : request_indices) {
-        state->promises[i].set_value(FailedResponse<Response>(
-            Status::Unavailable("request shed: queue past the shed watermark")));
-      }
-      continue;
-    }
-    // Captured by copy: the rejection path below still needs the indices.
-    const bool accepted =
-        pool_.Submit([this, state, indices = request_indices](size_t worker) {
-          ReleaseJobSlot();
-          // One memo per group: repeated window walks within the group are
-          // answered from memory, and the Z-order visit order keeps the
-          // worker's buffer pool warm across consecutive queries. The
-          // group shares ONE snapshot — a publish landing mid-group must
-          // not let the memo mix window walks from two different epochs.
-          const SnapshotStore::SnapshotRef snapshot = store_.Acquire();
-          WindowQueryMemo memo(config_.window_memo_entries);
-          WindowQueryMemo* memo_ptr = config_.window_memo_entries > 0 ? &memo : nullptr;
-          for (const size_t i : indices) {
-            Execute<Response>(
-                worker, state->queries[i], state->options[i], state->timings[i],
-                [&state, i](Response response) {
-                  state->promises[i].set_value(std::move(response));
-                },
-                memo_ptr, &snapshot);
-          }
-          metrics_.RecordWindowMemoHits(memo.hits());
-        });
-    if (!accepted) {
-      ReleaseJobSlot();
-      for (const size_t i : request_indices) {
-        state->promises[i].set_value(
-            FailedResponse<Response>(Status::FailedPrecondition("query service is shut down")));
-      }
-    }
-  }
-  return futures;
-}
-
-std::vector<std::future<NwcResponse>> QueryService::SubmitNwcBatch(
-    const std::vector<NwcRequest>& requests) {
-  return SubmitBatchImpl<NwcResponse>(requests);
-}
-
-std::vector<std::future<KnwcResponse>> QueryService::SubmitKnwcBatch(
-    const std::vector<KnwcRequest>& requests) {
-  return SubmitBatchImpl<KnwcResponse>(requests);
 }
 
 MetricsSnapshot QueryService::SnapshotMetrics() const {

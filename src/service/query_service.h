@@ -18,7 +18,6 @@
 #include "obs/query_trace.h"
 #include "obs/trace_ring.h"
 #include "rtree/iwp_index.h"
-#include "rtree/queries.h"
 #include "rtree/rstar_tree.h"
 #include "service/query_backend.h"
 #include "service/result_cache.h"
@@ -94,13 +93,6 @@ struct ServiceConfig {
   /// Shard count of the result cache (>= 1); more shards cut lock
   /// contention between workers hitting the cache concurrently.
   size_t result_cache_shards = 8;
-  /// Largest number of requests a SubmitNwcBatch/SubmitKnwcBatch group
-  /// executes on one worker (0 = unbounded). Smaller groups spread a batch
-  /// across workers; larger groups share more window-query memo state.
-  size_t batch_group_size = 16;
-  /// Entry bound of the per-group window-query memo used by the batch
-  /// APIs; 0 disables memoization within batches.
-  size_t window_memo_entries = 4096;
 
   Status Validate() const;
 };
@@ -130,8 +122,8 @@ struct ServiceConfig {
 /// then the dequeue and finish stamps around Execute. The stamped
 /// Submit*AsyncTraced overrides forward to it; the future (SubmitNwc) and
 /// plain callback (SubmitNwcAsync) submits are QueryBackend adapters over
-/// those. Only the batch APIs plan their own pool jobs. Sheds and
-/// per-query latency/I/O are visible in SnapshotMetrics().
+/// those, and RunNwcBatch/RunKnwcBatch are loops over the futures. Sheds
+/// and per-query latency/I/O are visible in SnapshotMetrics().
 ///
 /// Snapshots published within the IWP staleness bound carry no IWP; the
 /// service silently degrades a use_iwp request to its SRR+DIP(+DEP)
@@ -141,9 +133,9 @@ struct ServiceConfig {
 /// Shutdown (or destruction) drains accepted requests before returning,
 /// so every accepted request's `done` runs (every future becomes ready).
 ///
-/// ThreadSafety: the submits, RunBatch, ApplyUpdate and the metrics
-/// accessors may be called from any thread. The Session / SnapshotStore
-/// must outlive the service.
+/// ThreadSafety: the submits, RunNwcBatch/RunKnwcBatch, ApplyUpdate and
+/// the metrics accessors may be called from any thread. The Session /
+/// SnapshotStore must outlive the service.
 class QueryService : public QueryBackend {
  public:
   /// Serves `session` (not owned, must outlive the service, never mutated)
@@ -181,25 +173,6 @@ class QueryService : public QueryBackend {
   /// waits for all responses, returned in request order.
   std::vector<NwcResponse> RunNwcBatch(const std::vector<NwcRequest>& requests);
   std::vector<KnwcResponse> RunKnwcBatch(const std::vector<KnwcRequest>& requests);
-
-  /// Batched submission: plans the requests into locality groups — equal
-  /// effective options together, sorted by Z-order of the query point,
-  /// chunked to config().batch_group_size — and runs each group as ONE
-  /// worker job sharing a window-query memo, so nearby queries reuse both
-  /// buffer-pool pages and completed window walks. Returns one future per
-  /// request, index-aligned with `requests`; every future is valid.
-  ///
-  /// Semantics match SubmitNwc per request: deadlines are measured from
-  /// this call (queue wait and any earlier group members count against
-  /// them), CancelAll reaches queued groups, and results are bit-identical
-  /// to individual submission. Groups are admitted against the same shed
-  /// watermark as the single-request submits: a group arriving past the
-  /// watermark fails its requests with typed Unavailable responses and
-  /// counts one shed PER REQUEST (not per job), so nwc_load_shed_total
-  /// means the same thing under batched and per-query load. Admitted
-  /// groups still block on queue backpressure.
-  std::vector<std::future<NwcResponse>> SubmitNwcBatch(const std::vector<NwcRequest>& requests);
-  std::vector<std::future<KnwcResponse>> SubmitKnwcBatch(const std::vector<KnwcRequest>& requests);
 
   /// Applies `mutations` to the backing SnapshotStore and publishes the
   /// next epoch (synchronously — callers wanting async apply wrap it in
@@ -285,17 +258,16 @@ class QueryService : public QueryBackend {
   /// default) and the current cancel epoch.
   RequestTiming MakeTiming(uint64_t request_deadline_micros) const;
 
-  /// Atomic shed admission for one pool job carrying `request_count`
-  /// requests. The admitted-job counter (jobs accepted but not yet picked
-  /// up by a worker) is compared against the shed watermark and
-  /// incremented in ONE compare-exchange, so concurrent submitters cannot
-  /// all pass a stale check and overshoot the watermark — the race the old
+  /// Atomic shed admission for one pool job (one request). The
+  /// admitted-job counter (jobs accepted but not yet picked up by a
+  /// worker) is compared against the shed watermark and incremented in
+  /// ONE compare-exchange, so concurrent submitters cannot all pass a
+  /// stale check and overshoot the watermark — the race the old
   /// copy-pasted `QueueDepth() >= shed_queue_depth` checks had. On
   /// admission the post-increment depth is recorded as the queue-depth
   /// sample (the old code re-read QueueDepth() and added 1, double-counting
-  /// racing submitters). On shed, records `request_count` sheds (per
-  /// request, not per job) and returns false.
-  bool AdmitJob(size_t request_count);
+  /// racing submitters). On shed, records the shed and returns false.
+  bool AdmitJob();
 
   /// Reverts AdmitJob's slot: called by the worker the moment it picks the
   /// job up, and by submit paths unwinding a job the pool refused. Every
@@ -314,18 +286,11 @@ class QueryService : public QueryBackend {
   /// retrying transient I/O faults per the config — and fills the response
   /// fields common to both query kinds. Only OK responses populate the
   /// cache. `done` receives the finished response exactly once (promise
-  /// fulfilment or the network layer's completion callback). `memo`
-  /// (batch path) shares window walks within a group, and `snapshot`
-  /// (batch path) is the group's pinned epoch; single requests pin their
-  /// own.
+  /// fulfilment or the network layer's completion callback). Every query
+  /// pins its own snapshot.
   template <typename Response, typename Query, typename Done>
   void Execute(size_t worker_index, const Query& query, const NwcOptions& options,
-               const RequestTiming& timing, Done done, WindowQueryMemo* memo = nullptr,
-               const SnapshotStore::SnapshotRef* snapshot = nullptr);
-
-  /// Shared implementation of SubmitNwcBatch/SubmitKnwcBatch.
-  template <typename Response, typename Request>
-  std::vector<std::future<Response>> SubmitBatchImpl(const std::vector<Request>& requests);
+               const RequestTiming& timing, Done done);
 
   // The store queries acquire epochs from, and its owner when the service
   // was built over a Session (declared first: it outlives every worker).

@@ -23,7 +23,7 @@ ResultCacheKey ResultCacheKey::ForNwc(const NwcQuery& query, const NwcOptions& o
   key.measure = static_cast<uint8_t>(options.measure);
   // Keys store the *canonical* bits (-0.0 folded onto +0.0), so both the
   // field-wise operator== and Hash() see one representation per numeric
-  // value — the same hash/equality contract WindowQueryMemo maintains.
+  // value: +0.0 and -0.0 are one key, as an unordered container requires.
   key.qx_bits = CanonicalDoubleBits(query.q.x);
   key.qy_bits = CanonicalDoubleBits(query.q.y);
   key.l_bits = CanonicalDoubleBits(query.length);

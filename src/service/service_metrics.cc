@@ -33,13 +33,12 @@ std::string MetricsSnapshot::ToString() const {
                    static_cast<unsigned long long>(cache_hits));
   out += StrFormat(
       "caching:    result cache %llu hits / %llu misses / %llu evictions "
-      "(%llu entries, %llu bytes), window memo %llu hits\n",
+      "(%llu entries, %llu bytes)\n",
       static_cast<unsigned long long>(result_cache_hits),
       static_cast<unsigned long long>(result_cache_misses),
       static_cast<unsigned long long>(result_cache_evictions),
       static_cast<unsigned long long>(result_cache_entries),
-      static_cast<unsigned long long>(result_cache_bytes),
-      static_cast<unsigned long long>(window_memo_hits));
+      static_cast<unsigned long long>(result_cache_bytes));
   return out;
 }
 
@@ -77,13 +76,12 @@ std::string MetricsSnapshot::ToJson() const {
       static_cast<unsigned long long>(cache_hits));
   out += StrFormat(
       "\"result_cache\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
-      "\"entries\":%llu,\"bytes\":%llu},\"window_memo_hits\":%llu}",
+      "\"entries\":%llu,\"bytes\":%llu}}",
       static_cast<unsigned long long>(result_cache_hits),
       static_cast<unsigned long long>(result_cache_misses),
       static_cast<unsigned long long>(result_cache_evictions),
       static_cast<unsigned long long>(result_cache_entries),
-      static_cast<unsigned long long>(result_cache_bytes),
-      static_cast<unsigned long long>(window_memo_hits));
+      static_cast<unsigned long long>(result_cache_bytes));
   return out;
 }
 
@@ -113,9 +111,9 @@ void ServiceMetrics::RecordQuery(uint64_t latency_micros, const IoCounter& io, S
   }
 }
 
-void ServiceMetrics::RecordShed(uint64_t count) {
+void ServiceMetrics::RecordShed() {
   std::lock_guard<std::mutex> lock(mu_);
-  shed_ += count;
+  ++shed_;
 }
 
 void ServiceMetrics::RecordRetry() {
@@ -131,11 +129,6 @@ void ServiceMetrics::RecordQueueDepth(size_t depth) {
 void ServiceMetrics::RecordSlowQuery() {
   std::lock_guard<std::mutex> lock(mu_);
   ++slow_queries_;
-}
-
-void ServiceMetrics::RecordWindowMemoHits(uint64_t hits) {
-  std::lock_guard<std::mutex> lock(mu_);
-  window_memo_hits_ += hits;
 }
 
 MetricsSnapshot ServiceMetrics::Snapshot() const {
@@ -162,7 +155,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snapshot.traversal_reads = io_.traversal_reads();
   snapshot.window_query_reads = io_.window_query_reads();
   snapshot.cache_hits = io_.cache_hits();
-  snapshot.window_memo_hits = window_memo_hits_;
   // result_cache_* stay zero here; QueryService::SnapshotMetrics overlays
   // them from the ResultCache (the cache is its own source of truth).
   return snapshot;
@@ -187,7 +179,6 @@ void ServiceMetrics::Reset() {
   shed_ = 0;
   retries_ = 0;
   max_queue_depth_ = 0;
-  window_memo_hits_ = 0;
   epoch_ = std::chrono::steady_clock::now();
 }
 

@@ -60,8 +60,6 @@ struct MetricsSnapshot {
   uint64_t result_cache_evictions = 0;
   uint64_t result_cache_entries = 0;
   uint64_t result_cache_bytes = 0;
-  /// Window queries answered from a batch's window-query memo.
-  uint64_t window_memo_hits = 0;
 
   uint64_t total_reads() const { return traversal_reads + window_query_reads; }
 
@@ -106,11 +104,8 @@ class ServiceMetrics {
   /// non-OK codes).
   void RecordQuery(uint64_t latency_micros, const IoCounter& io, StatusCode code, bool found);
 
-  /// Records `count` requests shed at submit time (queue past the
-  /// watermark). The count matters on the batch path, where one shed group
-  /// job carries many requests — shed accounting is per request, not per
-  /// job, so `nwc_load_shed_total` stays comparable across submit APIs.
-  void RecordShed(uint64_t count = 1);
+  /// Records one request shed at submit time (queue past the watermark).
+  void RecordShed();
 
   /// Records one transient-fault retry attempt.
   void RecordRetry();
@@ -123,9 +118,6 @@ class ServiceMetrics {
 
   /// Records one query retained by the slow-trace machinery.
   void RecordSlowQuery();
-
-  /// Adds window-query memo hits observed by one finished batch group.
-  void RecordWindowMemoHits(uint64_t hits);
 
   /// Consistent point-in-time copy of everything above.
   MetricsSnapshot Snapshot() const;
@@ -150,7 +142,6 @@ class ServiceMetrics {
   uint64_t shed_ = 0;
   uint64_t retries_ = 0;
   uint64_t max_queue_depth_ = 0;
-  uint64_t window_memo_hits_ = 0;
   std::chrono::steady_clock::time_point epoch_ = std::chrono::steady_clock::now();
 };
 

@@ -10,7 +10,6 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "geometry/morton.h"
-#include "service/batch_planner.h"
 
 namespace nwc {
 namespace {
@@ -20,6 +19,17 @@ namespace {
 // geometrically own an unbounded slab. Large but far from overflow when
 // inflated by window- or halo-sized amounts.
 constexpr double kUnboundedSide = 1e300;
+
+// Normalizes `value` within [lo, hi] onto the 16-bit grid, clamping
+// out-of-range and non-finite inputs.
+uint32_t GridCoord(double value, double lo, double hi) {
+  const double extent = hi - lo;
+  if (!(extent > 0.0)) return 0;  // degenerate or inverted axis
+  double t = (value - lo) / extent;
+  if (!(t > 0.0)) t = 0.0;  // also catches NaN
+  if (t > 1.0) t = 1.0;
+  return static_cast<uint32_t>(t * 65535.0);
+}
 
 // Data-space interval covered by grid cells [g_lo, g_hi) on one axis.
 // GridCoord maps v -> floor(clamp01((v - lo) / extent) * 65535), so cell g
@@ -125,6 +135,11 @@ Status ShardRouterConfig::Validate() const {
   status = session.Validate();
   if (!status.ok()) return status;
   return tree.Validate();
+}
+
+uint64_t ZOrderKey(const Point& q, const Rect& space) {
+  return MortonKey16(GridCoord(q.x, space.min_x, space.max_x),
+                     GridCoord(q.y, space.min_y, space.max_y));
 }
 
 std::vector<Rect> ZOrderRangeRegion(uint64_t key_lo, uint64_t key_hi, const Rect& space) {
@@ -650,7 +665,6 @@ MetricsSnapshot ShardRouter::SnapshotMetrics() const {
     total.result_cache_evictions += s.result_cache_evictions;
     total.result_cache_entries += s.result_cache_entries;
     total.result_cache_bytes += s.result_cache_bytes;
-    total.window_memo_hits += s.window_memo_hits;
     merged.Merge(shard.service->SnapshotLatencyHistogram());
   }
   total.latency_p50_us = merged.Quantile(0.50);

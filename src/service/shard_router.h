@@ -22,6 +22,14 @@
 
 namespace nwc {
 
+/// Z-order (Morton) key of `q` within `space`: each coordinate is
+/// normalized to a 16-bit integer grid over the space and the two are
+/// bit-interleaved (x in the even bits). Points outside `space` clamp to
+/// its boundary, NaN clamps to 0, and a degenerate (zero-extent) axis maps
+/// to 0. Spatially close points get close keys, which is what lets the
+/// router cut the key space into contiguous, spatially compact shards.
+uint64_t ZOrderKey(const Point& q, const Rect& space);
+
 /// End of the Z-order key space: ZOrderKey interleaves two 16-bit grid
 /// coordinates, so every key is < 2^32.
 inline constexpr uint64_t kZOrderKeyEnd = 1ull << 32;
@@ -111,8 +119,8 @@ std::vector<uint64_t> EqualCountKeyBoundaries(std::vector<uint64_t> keys, size_t
 /// network layer speaks.
 ///
 /// **Partitioning.** Object positions map to Morton keys over the global
-/// data space (the batch planner's ZOrderKey); the key space is split into
-/// num_shards contiguous ranges with equal object counts at build time.
+/// data space (ZOrderKey above); the key space is split into num_shards
+/// contiguous ranges with equal object counts at build time.
 /// Ownership is by key comparison — exact and stable under updates — while
 /// each range's *geometric region* (a conservative rect cover, fixed at
 /// build) drives routing bounds and replication.

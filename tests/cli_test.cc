@@ -284,5 +284,45 @@ TEST_F(CliPipelineTest, ErrorPaths) {
   EXPECT_NE(trailing.output.find("trailing"), std::string::npos) << trailing.output;
 }
 
+// Count flags are parsed, not cast: a negative or non-numeric value used
+// to wrap into a huge size_t (--threads=-1 threw std::length_error,
+// --queue=-1 made the queue unbounded) or read as 0 (--cache-mb=abc ran
+// uncached). Each must now exit 1 with a typed error before any backend
+// exists.
+CommandResult ServeBatchWith(const std::string& tree_path, const std::string& flag) {
+  const std::string queries_path = TempPath("cli_count_flag_queries.txt");
+  std::FILE* queries = std::fopen(queries_path.c_str(), "w");
+  EXPECT_NE(queries, nullptr);
+  if (queries == nullptr) return CommandResult{};
+  std::fprintf(queries, "nwc 5000 5000 300 300 4\n");
+  std::fclose(queries);
+  return RunTool("serve-batch --index=" + tree_path + " --queries=" + queries_path + " " + flag);
+}
+
+void ExpectFlagError(const CommandResult& result, const std::string& flag) {
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("error: InvalidArgument: " + flag), std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("serving"), std::string::npos) << result.output;
+}
+
+TEST_F(CliPipelineTest, ServeBatchRejectsNegativeThreadCount) {
+  ExpectFlagError(ServeBatchWith(*tree_path_, "--threads=-1"), "--threads");
+}
+
+TEST_F(CliPipelineTest, ServeBatchRejectsNegativeQueueCapacity) {
+  ExpectFlagError(ServeBatchWith(*tree_path_, "--queue=-1"), "--queue");
+}
+
+TEST_F(CliPipelineTest, ServeBatchRejectsNonNumericCacheSize) {
+  ExpectFlagError(ServeBatchWith(*tree_path_, "--cache-mb=abc"), "--cache-mb");
+}
+
+TEST_F(CliPipelineTest, ServeRejectsNegativeCountFlagBeforeListening) {
+  const CommandResult result = RunTool("serve --index=" + *tree_path_ + " --threads=-1");
+  ExpectFlagError(result, "--threads");
+  EXPECT_EQ(result.output.find("listening"), std::string::npos) << result.output;
+}
+
 }  // namespace
 }  // namespace nwc

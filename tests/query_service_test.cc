@@ -274,57 +274,6 @@ TEST(QueryServiceTest, ConcurrentSubmittersNeverAdmitPastTheShedWatermark) {
   EXPECT_LE(metrics.max_queue_depth, config.shed_queue_depth);
 }
 
-TEST(QueryServiceBatchTest, ShedBatchGroupCountsOneShedPerRequest) {
-  // A shed group job carries many requests; accounting is per request so
-  // the shed totals stay comparable between the batch and single-submit
-  // paths (one shed == one query that never ran, either way).
-  const Session session = OpenTestSession(500);
-  ServiceConfig config;
-  config.num_threads = 1;
-  config.queue_capacity = 8;
-  config.shed_queue_depth = 1;
-  config.batch_group_size = 0;  // identical requests collapse to one group
-  // The occupying query below holds the single worker for its whole
-  // (spiked) runtime, keeping the follow-up job queued past the batch
-  // submission.
-  config.fault_plan = FaultPlan::LatencySpike(1, 300);
-  QueryService service(session, config);
-
-  NwcRequest request;
-  request.query = NwcQuery{Point{5000, 5000}, 200, 200, 3};
-  request.options = NwcOptions::Plain();
-
-  // First submit occupies the worker; a second admitted submit then sits
-  // in the queue and pins the admitted depth at the watermark. Until the
-  // worker picks the first job up its slot is still held, so the second
-  // submit may shed a few times first — a shed future is resolved before
-  // SubmitNwc returns, which tells the two outcomes apart without
-  // blocking on the (spiked, hence long-running) occupying query.
-  std::future<NwcResponse> occupying = service.SubmitNwc(request);
-  std::future<NwcResponse> queued;
-  uint64_t presheds = 0;
-  while (true) {
-    queued = service.SubmitNwc(request);
-    if (queued.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      ASSERT_EQ(queued.get().status.code(), StatusCode::kUnavailable);
-      ++presheds;
-      continue;
-    }
-    break;
-  }
-
-  const std::vector<NwcRequest> batch(5, request);
-  std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(batch);
-  ASSERT_EQ(futures.size(), batch.size());
-  for (auto& future : futures) {
-    EXPECT_EQ(future.get().status.code(), StatusCode::kUnavailable);
-  }
-  EXPECT_EQ(service.SnapshotMetrics().shed, presheds + batch.size())
-      << "one shed group job of 5 requests must count 5 sheds";
-  EXPECT_TRUE(occupying.get().status.ok());
-  EXPECT_TRUE(queued.get().status.ok());
-}
-
 TEST(QueryServiceTest, RunBatchPreservesRequestOrder) {
   const Session session = OpenTestSession(1000);
   QueryService service(session, ServiceConfig{.num_threads = 4});
@@ -492,126 +441,16 @@ TEST(QueryServiceTest, MaxIntBackoffConfigFailsWithinTheDeadline) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1000);
 }
 
-TEST(QueryServiceBatchTest, SubmitBatchMatchesSequentialEnginesBitExact) {
-  const Session session = OpenTestSession();
-  ServiceConfig config;
-  config.num_threads = 4;
-  config.batch_group_size = 8;
-  QueryService service(session, config);
-
-  const std::vector<NwcRequest> nwc_requests = SeededNwcRequests(120);
-  const std::vector<KnwcRequest> knwc_requests = SeededKnwcRequests(60);
-
-  std::vector<std::future<NwcResponse>> nwc_futures = service.SubmitNwcBatch(nwc_requests);
-  std::vector<std::future<KnwcResponse>> knwc_futures = service.SubmitKnwcBatch(knwc_requests);
-  ASSERT_EQ(nwc_futures.size(), nwc_requests.size());
-  ASSERT_EQ(knwc_futures.size(), knwc_requests.size());
-
-  NwcEngine nwc_engine(session.tree(), session.iwp(), session.grid());
-  for (size_t i = 0; i < nwc_requests.size(); ++i) {
-    ASSERT_TRUE(nwc_futures[i].valid()) << "request " << i;
-    const NwcResponse response = nwc_futures[i].get();
-    const NwcOptions options = nwc_requests[i].options.value_or(config.default_options);
-    const Result<NwcResult> expected =
-        nwc_engine.Execute(nwc_requests[i].query, options, nullptr);
-    ASSERT_TRUE(expected.ok()) << "request " << i;
-    ASSERT_TRUE(response.status.ok()) << "request " << i << ": " << response.status;
-    ASSERT_EQ(response.result.found, expected->found) << "request " << i;
-    if (expected->found) {
-      EXPECT_EQ(response.result.distance, expected->distance) << "request " << i;
-      ExpectSameObjects(response.result.objects, expected->objects, i);
-    }
-  }
-
-  KnwcEngine knwc_engine(session.tree(), session.iwp(), session.grid());
-  for (size_t i = 0; i < knwc_requests.size(); ++i) {
-    ASSERT_TRUE(knwc_futures[i].valid()) << "request " << i;
-    const KnwcResponse response = knwc_futures[i].get();
-    const NwcOptions options = knwc_requests[i].options.value_or(config.default_options);
-    const Result<KnwcResult> expected =
-        knwc_engine.Execute(knwc_requests[i].query, options, nullptr);
-    ASSERT_TRUE(expected.ok()) << "request " << i;
-    ASSERT_TRUE(response.status.ok()) << "request " << i;
-    ASSERT_EQ(response.result.groups.size(), expected->groups.size()) << "request " << i;
-    for (size_t g = 0; g < expected->groups.size(); ++g) {
-      EXPECT_EQ(response.result.groups[g].distance, expected->groups[g].distance)
-          << "request " << i << " group " << g;
-      ExpectSameObjects(response.result.groups[g].objects, expected->groups[g].objects, i);
-    }
-  }
-
-  const MetricsSnapshot metrics = service.SnapshotMetrics();
-  EXPECT_EQ(metrics.queries, nwc_requests.size() + knwc_requests.size());
-  EXPECT_EQ(metrics.failures, 0u);
-}
-
-TEST(QueryServiceBatchTest, BatchGroupsShareTheWindowMemo) {
-  const Session session = OpenTestSession(2000);
-  ServiceConfig config;
-  config.num_threads = 2;
-  config.batch_group_size = 0;  // one group per preset: maximal sharing
-  QueryService service(session, config);
-
-  // The same query repeated re-runs identical window probes; within a
-  // group the memo must absorb the repeats.
-  std::vector<NwcRequest> requests;
-  for (size_t i = 0; i < 12; ++i) {
-    requests.push_back(NwcRequest{NwcQuery{Point{5000, 5000}, 300, 300, 4}, {}});
-  }
-  std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(requests);
-  for (auto& future : futures) {
-    ASSERT_TRUE(future.get().status.ok());
-  }
-  // The group's memo-hit total is recorded when the worker finishes the
-  // whole group, which can be momentarily after the last future resolves;
-  // drain the workers before reading the metric.
-  service.Shutdown();
-  EXPECT_GT(service.SnapshotMetrics().window_memo_hits, 0u)
-      << "identical queries in one group must reuse memoized window walks";
-}
-
-TEST(QueryServiceBatchTest, EmptyAndInvalidBatchRequestsResolveEveryFuture) {
-  const Session session = OpenTestSession(500);
-  QueryService service(session, ServiceConfig{.num_threads = 2});
-
-  EXPECT_TRUE(service.SubmitNwcBatch({}).empty());
-
-  std::vector<NwcRequest> requests;
-  requests.push_back(NwcRequest{NwcQuery{Point{5000, 5000}, 200, 200, 4}, {}});
-  requests.push_back(NwcRequest{});  // invalid: n == 0, zero window
-  requests.push_back(NwcRequest{NwcQuery{Point{4000, 4000}, 200, 200, 3}, {}});
-
-  std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(requests);
-  ASSERT_EQ(futures.size(), 3u);
-  EXPECT_TRUE(futures[0].get().status.ok());
-  EXPECT_EQ(futures[1].get().status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(futures[2].get().status.ok());
-}
-
-TEST(QueryServiceBatchTest, BatchAfterShutdownFailsEveryFutureGracefully) {
-  const Session session = OpenTestSession(500);
-  QueryService service(session, ServiceConfig{.num_threads = 2});
-  service.Shutdown();
-
-  std::vector<NwcRequest> requests(3, NwcRequest{NwcQuery{Point{5000, 5000}, 200, 200, 4}, {}});
-  std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(requests);
-  ASSERT_EQ(futures.size(), 3u);
-  for (auto& future : futures) {
-    EXPECT_EQ(future.get().status.code(), StatusCode::kFailedPrecondition);
-  }
-}
-
-TEST(QueryServiceBatchTest, ConcurrentBatchesWithCacheAndPoolsStayExact) {
-  // TSan-facing stress: several client threads push overlapping batches
-  // through a cached service with per-worker buffer pools — the shared
-  // result cache, the per-group memos, and the metrics all take
-  // concurrent traffic. Results are checked against a sequential engine.
+TEST(QueryServiceTest, ConcurrentClientsWithCacheAndPoolsStayExact) {
+  // TSan-facing stress: several client threads submit overlapping query
+  // streams through a cached service with per-worker buffer pools — the
+  // shared result cache, the pools and the metrics all take concurrent
+  // traffic. Results are checked against a sequential engine.
   const Session session = OpenTestSession(2000);
   ServiceConfig config;
   config.num_threads = 4;
   config.worker_pool_pages = 64;
   config.result_cache_bytes = 4 << 20;
-  config.batch_group_size = 8;
   QueryService service(session, config);
 
   const std::vector<NwcRequest> requests = SeededNwcRequests(48);
@@ -629,7 +468,9 @@ TEST(QueryServiceBatchTest, ConcurrentBatchesWithCacheAndPoolsStayExact) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
       for (int round = 0; round < 3; ++round) {
-        std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(requests);
+        std::vector<std::future<NwcResponse>> futures;
+        futures.reserve(requests.size());
+        for (const NwcRequest& request : requests) futures.push_back(service.SubmitNwc(request));
         for (size_t i = 0; i < futures.size(); ++i) {
           const NwcResponse response = futures[i].get();
           if (!response.status.ok() || response.result.found != (*expected[i]).found ||
@@ -642,12 +483,11 @@ TEST(QueryServiceBatchTest, ConcurrentBatchesWithCacheAndPoolsStayExact) {
     });
   }
   for (std::thread& client : clients) client.join();
-  service.Shutdown();  // drain group jobs so per-group metrics are final
 
   EXPECT_EQ(mismatches.load(), 0);
   const MetricsSnapshot metrics = service.SnapshotMetrics();
   EXPECT_EQ(metrics.queries, static_cast<uint64_t>(kClients) * 3 * requests.size());
-  EXPECT_GT(metrics.result_cache_hits, 0u) << "repeated batches must hit the shared cache";
+  EXPECT_GT(metrics.result_cache_hits, 0u) << "repeated queries must hit the shared cache";
 }
 
 bool SameNwcResult(const NwcResult& a, const NwcResult& b) {

@@ -189,31 +189,6 @@ TEST(WindowQueryFromTest, SubtreeQueryFindsSubtreeObjects) {
   EXPECT_EQ(total, objects.size());
 }
 
-// Regression: WindowQueryMemo hashed the window's raw double bits while its
-// key equality compared the Rect numerically, so a window stored with +0.0
-// coordinates and probed with -0.0 (numerically the same window) compared
-// equal but hashed into a different bucket — a hash/equality contract
-// violation (UB for unordered_map) that in practice surfaced as spurious
-// memo misses on axis-touching windows.
-TEST(WindowQueryMemoTest, SignedZeroWindowsShareOneEntry) {
-  WindowQueryMemo memo;
-  const Rect positive_zero{0.0, 0.0, 10.0, 10.0};
-  const Rect negative_zero{-0.0, -0.0, 10.0, 10.0};
-  ASSERT_TRUE(positive_zero == negative_zero);
-
-  memo.Insert(/*scope=*/0, positive_zero, {DataObject{7, Point{1, 1}}});
-  const std::vector<DataObject>* hit = memo.Find(/*scope=*/0, negative_zero);
-  ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->size(), 1u);
-  EXPECT_EQ((*hit)[0].id, 7u);
-  EXPECT_EQ(memo.hits(), 1u);
-
-  // And the reverse direction: stored with -0.0, probed with +0.0.
-  memo.Insert(/*scope=*/1, negative_zero, {});
-  EXPECT_NE(memo.Find(/*scope=*/1, positive_zero), nullptr);
-  EXPECT_EQ(memo.size(), 2u);
-}
-
 // Regression: WindowWalk recursed once per tree level, so a degenerate
 // chain of one-child internal nodes — legal topology, and reachable
 // through deserializing a corrupted or adversarial file — overflowed the

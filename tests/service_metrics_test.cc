@@ -50,7 +50,7 @@ TEST(ServiceMetricsTest, TracksQueueHighWaterMark) {
 TEST(ServiceMetricsTest, ResetZeroesEverything) {
   ServiceMetrics metrics;
   metrics.RecordQuery(123, CounterWith(4, 4), StatusCode::kOk, true);
-  metrics.RecordShed(2);
+  metrics.RecordShed();
   metrics.RecordQueueDepth(7);
   metrics.Reset();
 
@@ -160,28 +160,16 @@ TEST(ServiceMetricsTest, CachingSectionRendersInTextAndJson) {
   snapshot.result_cache_evictions = 2;
   snapshot.result_cache_entries = 7;
   snapshot.result_cache_bytes = 4096;
-  snapshot.window_memo_hits = 9;
 
   const std::string text = snapshot.ToString();
   EXPECT_NE(text.find("caching:"), std::string::npos) << text;
   EXPECT_NE(text.find("3 hits / 1 misses / 2 evictions"), std::string::npos) << text;
-  EXPECT_NE(text.find("window memo 9 hits"), std::string::npos) << text;
 
   const std::string json = snapshot.ToJson();
   EXPECT_NE(json.find("\"result_cache\":{\"hits\":3,\"misses\":1,\"evictions\":2,"
                       "\"entries\":7,\"bytes\":4096}"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"window_memo_hits\":9"), std::string::npos) << json;
-}
-
-TEST(ServiceMetricsTest, WindowMemoHitsRollUpAndReset) {
-  ServiceMetrics metrics;
-  metrics.RecordWindowMemoHits(4);
-  metrics.RecordWindowMemoHits(2);
-  EXPECT_EQ(metrics.Snapshot().window_memo_hits, 6u);
-  metrics.Reset();
-  EXPECT_EQ(metrics.Snapshot().window_memo_hits, 0u);
 }
 
 TEST(ServiceMetricsTest, LatencySnapshotMatchesAggregates) {

@@ -1,7 +1,7 @@
-// ShardRouter unit tests: the Z-order partition machinery (equal-count
-// boundaries, Morton range -> rect cover), ownership/halo routing of
-// points and mutations, the sharded-serving guard rails (window cap,
-// config validation), cancel semantics, update routing with authoritative
+// ShardRouter unit tests: the Z-order partition machinery (ZOrderKey,
+// equal-count boundaries, Morton range -> rect cover), ownership/halo
+// routing of points and mutations, the sharded-serving guard rails (window
+// cap, config validation), cancel semantics, update routing with authoritative
 // owner counts, the per-shard Prometheus series, and the parallel shard
 // build's byte-identity with a serial one.
 
@@ -13,6 +13,7 @@
 #include <fstream>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -24,7 +25,6 @@
 #include "common/rng.h"
 #include "datasets/generators.h"
 #include "rtree/serialize.h"
-#include "service/batch_planner.h"
 
 namespace nwc {
 
@@ -55,6 +55,55 @@ ShardRouterConfig FourShardConfig() {
   config.max_window_width = 400;
   config.service.num_threads = 2;
   return config;
+}
+
+Rect UnitSpace() { return Rect{0.0, 0.0, 1024.0, 1024.0}; }
+
+TEST(ZOrderKeyTest, OriginMapsToZeroAndFarCornerToMax) {
+  const Rect space = UnitSpace();
+  EXPECT_EQ(ZOrderKey(Point{0, 0}, space), 0u);
+  const uint64_t corner = ZOrderKey(Point{1024, 1024}, space);
+  // Both 16-bit grid coordinates saturate: every interleaved bit is set.
+  EXPECT_EQ(corner, (uint64_t{1} << 32) - 1);
+}
+
+TEST(ZOrderKeyTest, OutOfRangeAndNonFinitePointsClampInsteadOfWrapping) {
+  const Rect space = UnitSpace();
+  EXPECT_EQ(ZOrderKey(Point{-500, -500}, space), ZOrderKey(Point{0, 0}, space));
+  EXPECT_EQ(ZOrderKey(Point{9999, 9999}, space), ZOrderKey(Point{1024, 1024}, space));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(ZOrderKey(Point{nan, nan}, space), 0u);
+}
+
+TEST(ZOrderKeyTest, DegenerateSpaceMapsEverythingToZero) {
+  const Rect line = Rect{0.0, 5.0, 100.0, 5.0};  // zero-extent y axis
+  const uint64_t a = ZOrderKey(Point{10, 5}, line);
+  const uint64_t b = ZOrderKey(Point{90, 5}, line);
+  EXPECT_LT(a, b) << "the live axis still orders";
+  const Rect point_space = Rect{3.0, 3.0, 3.0, 3.0};
+  EXPECT_EQ(ZOrderKey(Point{3, 3}, point_space), 0u);
+}
+
+TEST(ZOrderKeyTest, MonotonicAlongTheDiagonal) {
+  // When both coordinates are nondecreasing the interleaved key is too —
+  // the property that makes a Z-order sort a locality sort.
+  const Rect space = UnitSpace();
+  uint64_t previous = 0;
+  for (int i = 0; i <= 1024; i += 32) {
+    const uint64_t key = ZOrderKey(Point{static_cast<double>(i), static_cast<double>(i)}, space);
+    EXPECT_GE(key, previous) << "diagonal step " << i;
+    previous = key;
+  }
+}
+
+TEST(ZOrderKeyTest, NearbyPointsShareHighBits) {
+  const Rect space = UnitSpace();
+  const uint64_t base = ZOrderKey(Point{100, 100}, space);
+  const uint64_t near = ZOrderKey(Point{101, 101}, space);
+  const uint64_t far = ZOrderKey(Point{900, 900}, space);
+  // A one-cell neighbour differs only in low bits; the opposite corner
+  // differs in the top bits.
+  EXPECT_LT(base ^ near, base ^ far);
 }
 
 TEST(EqualCountKeyBoundaries, SplitsCountsEvenlyAndBracketsTheKeySpace) {

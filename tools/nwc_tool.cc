@@ -21,7 +21,7 @@
 //            [--trace-dir=DIR] [--slow-us=N] [--trace-ring=32]
 //            [--deadline-us=N] [--inject-faults=SPEC] [--shed-watermark=N]
 //            [--retries=N] [--retry-backoff-us=100]
-//            [--cache-mb=N] [--batch] [--batch-group=16]
+//            [--cache-mb=N]
 //       Replay a query file through the concurrent QueryService across N
 //       worker threads and print a metrics report (throughput, latency
 //       quantiles, merged per-phase I/O). The query file holds one query
@@ -40,13 +40,11 @@
 //       fault_injector.h); --shed-watermark sheds blocking submits past
 //       that queue depth; --retries / --retry-backoff-us retry transient
 //       I/O faults with exponential backoff.
-//       Caching & batching: --cache-mb gives the service a sharded result
-//       cache of that many MiB (repeat queries answer from it with zero
-//       tree reads; the metrics report shows hits/misses/evictions);
-//       --batch submits the whole file through SubmitNwcBatch /
-//       SubmitKnwcBatch, which groups compatible queries by Z-order
-//       locality (at most --batch-group per group) so each worker reuses
-//       memoized window walks. Results are bit-identical either way.
+//       Caching: --cache-mb gives the service a sharded result cache of
+//       that many MiB (repeat queries answer from it with zero tree
+//       reads; the metrics report shows hits/misses/evictions). Count
+//       flags (--threads, --queue, --cache-mb, ...) must be non-negative
+//       integers; anything else exits 1 before a backend is built.
 //       Every backend serves from an MVCC SnapshotStore (its writer copy
 //       is built on the first update, so an unmutated run pays nothing
 //       for it). Dynamic data: --mutations=F.txt replays a mutation file
@@ -56,16 +54,14 @@
 //       (default: spread evenly).
 //       --iwp-staleness=N lets published snapshots omit the IWP for up
 //       to N mutations since its last build (queries degrade to
-//       SRR+DIP+DEP for those epochs). Incompatible with --batch (the
-//       batch planner snapshots the whole file up front).
+//       SRR+DIP+DEP for those epochs).
 //       Sharded serving: --shards=N splits the tree into N Z-order range
 //       shards behind a ShardRouter (one store + service per shard).
 //       Requires --shard-max-l/--shard-max-w (upper bounds on any query's
 //       window dims; larger queries are rejected). --shard-halo=F scales
 //       the halo replication band, --shard-partial=<fail|degrade> picks
 //       the partial-failure policy, and --fault-shard=S scopes
-//       --inject-faults to one shard. Incompatible with --batch (the
-//       planned batch APIs are single-tree).
+//       --inject-faults to one shard.
 //   serve    --index=F.nwctree [--host=127.0.0.1] [--port=0]
 //            [--threads=4] [--queue=256] [--scheme=...] [--measure=...]
 //            [--no-iwp] [--no-grid] [--max-frame-bytes=1048576]
@@ -112,6 +108,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -120,6 +117,7 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -127,6 +125,7 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "core/knwc_engine.h"
 #include "core/nwc_engine.h"
 #include "datasets/dataset.h"
@@ -182,6 +181,42 @@ class Args {
 
  private:
   std::map<std::string, std::string> values_;
+};
+
+/// Reads count flags (threads, queue slots, microseconds, MiB, shards):
+/// an absent flag gives its fallback; a negative, non-numeric or
+/// above-`max` value reads as the fallback and records InvalidArgument in
+/// status() (the first one wins), so it can never wrap into a huge size_t.
+/// Config builders read all their counts, then check status() once.
+class CountFlags {
+ public:
+  explicit CountFlags(const Args& args) : args_(args) {}
+
+  size_t Get(const std::string& key, size_t fallback,
+             size_t max = std::numeric_limits<size_t>::max()) {
+    if (!args_.Has(key)) return fallback;
+    const std::string text = args_.Get(key);
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    // strtoull skips whitespace and negates a leading '-', so insist on a
+    // leading digit and nothing after the number.
+    if (text.empty() || text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE ||
+        value > max) {
+      if (status_.ok()) {
+        status_ = Status::InvalidArgument(StrFormat(
+            "--%s must be an integer in [0, %zu], got '%s'", key.c_str(), max, text.c_str()));
+      }
+      return fallback;
+    }
+    return static_cast<size_t>(value);
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  const Args& args_;
+  Status status_;
 };
 
 int Fail(const std::string& message) {
@@ -467,27 +502,29 @@ class DrainWatcher {
 
 /// ServiceConfig flags shared by `serve-batch` and `serve`.
 Result<ServiceConfig> ServiceConfigFromArgs(const Args& args, const NwcOptions& options) {
+  CountFlags counts(args);
   ServiceConfig service_config;
-  service_config.num_threads = static_cast<size_t>(args.GetLong("threads", 4));
-  service_config.queue_capacity = static_cast<size_t>(args.GetLong("queue", 256));
+  service_config.num_threads = counts.Get("threads", 4);
+  service_config.queue_capacity = counts.Get("queue", 256);
   service_config.default_options = options;
-  service_config.worker_pool_pages = static_cast<size_t>(args.GetLong("pool-pages", 0));
+  service_config.worker_pool_pages = counts.Get("pool-pages", 0);
   // Asking for a trace directory or a slow threshold implies tracing.
   service_config.trace_slow_queries = args.Has("trace-dir") || args.Has("slow-us");
-  service_config.slow_trace_us = static_cast<uint64_t>(args.GetLong("slow-us", 0));
-  service_config.trace_ring_capacity = static_cast<size_t>(args.GetLong("trace-ring", 32));
-  service_config.default_deadline_micros = static_cast<uint64_t>(args.GetLong("deadline-us", 0));
-  service_config.shed_queue_depth = static_cast<size_t>(args.GetLong("shed-watermark", 0));
-  service_config.max_retries = static_cast<int>(args.GetLong("retries", 0));
-  service_config.retry_backoff_micros =
-      static_cast<uint64_t>(args.GetLong("retry-backoff-us", 100));
+  service_config.slow_trace_us = counts.Get("slow-us", 0);
+  service_config.trace_ring_capacity = counts.Get("trace-ring", 32);
+  service_config.default_deadline_micros = counts.Get("deadline-us", 0);
+  service_config.shed_queue_depth = counts.Get("shed-watermark", 0);
+  service_config.max_retries =
+      static_cast<int>(counts.Get("retries", 0, std::numeric_limits<int>::max()));
+  service_config.retry_backoff_micros = counts.Get("retry-backoff-us", 100);
+  service_config.result_cache_bytes =
+      counts.Get("cache-mb", 0, std::numeric_limits<size_t>::max() >> 20) << 20;
+  if (!counts.status().ok()) return counts.status();
   if (args.Has("inject-faults")) {
     Result<FaultPlan> plan = ParseFaultPlan(args.Get("inject-faults"));
     if (!plan.ok()) return plan.status();
     service_config.fault_plan = *plan;
   }
-  service_config.result_cache_bytes = static_cast<size_t>(args.GetLong("cache-mb", 0)) << 20;
-  service_config.batch_group_size = static_cast<size_t>(args.GetLong("batch-group", 16));
   const Status valid = service_config.Validate();
   if (!valid.ok()) return valid;
   return service_config;
@@ -502,8 +539,9 @@ Result<ServiceConfig> ServiceConfigFromArgs(const Args& args, const NwcOptions& 
 Result<ShardRouterConfig> ShardConfigFromArgs(const Args& args,
                                               const ServiceConfig& service_config,
                                               const SessionConfig& session_config) {
+  CountFlags counts(args);
   ShardRouterConfig config;
-  config.num_shards = static_cast<size_t>(args.GetLong("shards", 1));
+  config.num_shards = counts.Get("shards", 1);
   config.max_window_length = args.GetDouble("shard-max-l", 0.0);
   config.max_window_width = args.GetDouble("shard-max-w", 0.0);
   config.halo_factor = args.GetDouble("shard-halo", 3.0);
@@ -517,17 +555,16 @@ Result<ShardRouterConfig> ShardConfigFromArgs(const Args& args,
   }
   config.service = service_config;
   config.session = session_config;
-  config.iwp_staleness_limit = static_cast<size_t>(args.GetLong("iwp-staleness", 0));
+  config.iwp_staleness_limit = counts.Get("iwp-staleness", 0);
   config.fault_plan = service_config.fault_plan;
   config.fault_shard = static_cast<int>(args.GetLong("fault-shard", -1));
   // Router dispatch parallelism defaults to the per-shard worker count:
   // NWC routing holds a router thread across its (mostly sequential)
   // shard visits, so fewer router threads than workers would idle the
   // shard services.
-  config.router_threads = static_cast<size_t>(
-      args.GetLong("router-threads", static_cast<long>(service_config.num_threads)));
-  config.router_queue_capacity = static_cast<size_t>(
-      args.GetLong("router-queue", static_cast<long>(service_config.queue_capacity)));
+  config.router_threads = counts.Get("router-threads", service_config.num_threads);
+  config.router_queue_capacity = counts.Get("router-queue", service_config.queue_capacity);
+  if (!counts.status().ok()) return counts.status();
   const Status valid = config.Validate();
   if (!valid.ok()) return valid;
   return config;
@@ -556,8 +593,12 @@ struct Backend {
 
 Result<Backend> OpenBackend(const Args& args, RStarTree tree, const SessionConfig& session_config,
                             const ServiceConfig& service_config) {
+  CountFlags counts(args);
+  const size_t num_shards = counts.Get("shards", 1);
+  const size_t iwp_staleness = counts.Get("iwp-staleness", 0);
+  if (!counts.status().ok()) return counts.status();
   Backend backend;
-  if (args.GetLong("shards", 1) > 1) {
+  if (num_shards > 1) {
     const Result<ShardRouterConfig> shard_config =
         ShardConfigFromArgs(args, service_config, session_config);
     if (!shard_config.ok()) return shard_config.status();
@@ -569,7 +610,7 @@ Result<Backend> OpenBackend(const Args& args, RStarTree tree, const SessionConfi
   }
   SnapshotStore::Config store_config;
   store_config.session = session_config;
-  store_config.iwp_staleness_limit = static_cast<size_t>(args.GetLong("iwp-staleness", 0));
+  store_config.iwp_staleness_limit = iwp_staleness;
   Result<std::unique_ptr<SnapshotStore>> store = SnapshotStore::Open(std::move(tree), store_config);
   if (!store.ok()) return store.status();
   backend.store = std::move(*store);
@@ -595,20 +636,13 @@ int CmdServeBatch(const Args& args) {
   session_config.build_grid = options->use_dep;
   session_config.grid_cell_size = args.GetDouble("grid-cell", 25.0);
 
-  const size_t num_shards = static_cast<size_t>(args.GetLong("shards", 1));
-  if (num_shards > 1 && args.Has("batch")) {
-    return Fail("--shards cannot be combined with --batch (the planned batch APIs are "
-                "single-tree)");
-  }
-
   // Mutation batches publish new epochs between query submissions.
+  CountFlags counts(args);
+  const size_t mutate_every_flag = counts.Get("mutate-every", 1);
+  if (!counts.status().ok()) return Fail(counts.status().ToString());
   const std::string mutations_path = args.Get("mutations");
   std::vector<MutationBatch> mutation_batches;
   if (!mutations_path.empty()) {
-    if (args.Has("batch")) {
-      return Fail("--mutations cannot be combined with --batch (the batch planner "
-                  "snapshots the whole file up front)");
-    }
     Result<std::vector<MutationBatch>> batches = LoadMutationFile(mutations_path);
     if (!batches.ok()) return Fail(batches.status().ToString());
     mutation_batches = std::move(*batches);
@@ -640,66 +674,48 @@ int CmdServeBatch(const Args& args) {
   }
 
   // Submit everything in file order (blocking submit = natural
-  // backpressure), then harvest the futures in the same order. With
-  // --batch the two query kinds go through the planned batch APIs
-  // instead; either way futures come back in per-kind submission order,
-  // so the harvest loop below is shared.
+  // backpressure), then harvest the futures in the same order. Mutation
+  // batches publish after every `mutate_every` submitted queries — by
+  // default spaced so the stream outlives the batches.
   std::vector<std::future<NwcResponse>> nwc_futures;
   std::vector<std::future<KnwcResponse>> knwc_futures;
   UpdateResponse last_update;
   Stopwatch wall;
-  if (args.Has("batch")) {
-    std::vector<NwcRequest> nwc_requests;
-    std::vector<KnwcRequest> knwc_requests;
-    for (const WorkloadEntry& entry : *entries) {
-      if (entry.is_knwc) {
-        knwc_requests.push_back(KnwcRequest{entry.knwc, {}});
-      } else {
-        nwc_requests.push_back(NwcRequest{entry.nwc, {}});
-      }
-    }
-    nwc_futures = served.service->SubmitNwcBatch(nwc_requests);
-    knwc_futures = served.service->SubmitKnwcBatch(knwc_requests);
-  } else {
-    // Mutation batches publish after every `mutate_every` submitted
-    // queries — by default spaced so the stream outlives the batches.
-    const size_t mutate_every =
-        mutation_batches.empty()
-            ? 0
-            : std::max<size_t>(
-                  1, args.Has("mutate-every")
-                         ? static_cast<size_t>(args.GetLong("mutate-every", 1))
-                         : entries->size() / (mutation_batches.size() + 1));
-    size_t next_batch = 0;
-    size_t since_mutation = 0;
-    for (const WorkloadEntry& entry : *entries) {
-      if (mutate_every != 0 && since_mutation >= mutate_every &&
-          next_batch < mutation_batches.size()) {
-        // NotFound (delete misses) is tolerated: a replay against a
-        // different seed tree may legitimately miss.
-        const UpdateResponse update = backend.ApplyUpdate(mutation_batches[next_batch++]);
-        if (!update.status.ok() && update.status.code() != StatusCode::kNotFound) {
-          return Fail(update.status.ToString());
-        }
-        last_update = update;
-        since_mutation = 0;
-      }
-      if (entry.is_knwc) {
-        knwc_futures.push_back(backend.SubmitKnwc(KnwcRequest{entry.knwc, {}}));
-      } else {
-        nwc_futures.push_back(backend.SubmitNwc(NwcRequest{entry.nwc, {}}));
-      }
-      ++since_mutation;
-    }
-    // Leftover batches (short query file): apply them so the replay is
-    // complete even if nothing queries the final epochs.
-    while (next_batch < mutation_batches.size()) {
+  const size_t mutate_every =
+      mutation_batches.empty()
+          ? 0
+          : std::max<size_t>(1, args.Has("mutate-every")
+                                    ? mutate_every_flag
+                                    : entries->size() / (mutation_batches.size() + 1));
+  size_t next_batch = 0;
+  size_t since_mutation = 0;
+  for (const WorkloadEntry& entry : *entries) {
+    if (mutate_every != 0 && since_mutation >= mutate_every &&
+        next_batch < mutation_batches.size()) {
+      // NotFound (delete misses) is tolerated: a replay against a
+      // different seed tree may legitimately miss.
       const UpdateResponse update = backend.ApplyUpdate(mutation_batches[next_batch++]);
       if (!update.status.ok() && update.status.code() != StatusCode::kNotFound) {
         return Fail(update.status.ToString());
       }
       last_update = update;
+      since_mutation = 0;
     }
+    if (entry.is_knwc) {
+      knwc_futures.push_back(backend.SubmitKnwc(KnwcRequest{entry.knwc, {}}));
+    } else {
+      nwc_futures.push_back(backend.SubmitNwc(NwcRequest{entry.nwc, {}}));
+    }
+    ++since_mutation;
+  }
+  // Leftover batches (short query file): apply them so the replay is
+  // complete even if nothing queries the final epochs.
+  while (next_batch < mutation_batches.size()) {
+    const UpdateResponse update = backend.ApplyUpdate(mutation_batches[next_batch++]);
+    if (!update.status.ok() && update.status.code() != StatusCode::kNotFound) {
+      return Fail(update.status.ToString());
+    }
+    last_update = update;
   }
 
   const bool print_each = args.Has("print");
