@@ -19,16 +19,14 @@ enum class IoPhase {
   kTraversal = 0,
   /// Node visited while answering a window (range) query.
   kWindowQuery = 1,
-  /// Node visited by maintenance operations (insert/delete/build).
-  kMaintenance = 2,
 };
 
 /// Accumulates simulated I/O cost. One R*-tree node access == one page read,
 /// matching the paper's "number of R*-tree nodes visited" metric (Sec. 5).
 /// The counter deliberately has no notion of a buffer pool: the paper counts
 /// every visit, including re-visits by successive window queries. (The
-/// optional LRU BufferPool in storage/ is an ablation extension layered on
-/// top, not part of the reproduction metric.)
+/// LRU BufferPool in storage/ is an offline ablation model: it replays a
+/// recorded trace(), it never sits in front of this counter.)
 ///
 /// ThreadSafety: NOT thread-safe. The service layer gives every in-flight
 /// query its own IoCounter and merges them with Add() under the metrics
@@ -37,48 +35,22 @@ class IoCounter {
  public:
   IoCounter() = default;
 
-  /// Records one node access in the given phase. `page` is the accessed
-  /// page/node id; it is stored only when tracing is enabled. When a
-  /// cache probe is installed and reports a hit, the access is counted as
-  /// a buffered hit instead of a read (extension beyond the paper's
-  /// bufferless metric; see SetCacheProbe).
+  /// Records one node access in the given phase as one read. `page` is
+  /// the accessed page/node id; it is stored only when tracing is enabled.
   void OnNodeAccess(IoPhase phase, uint32_t page = kUnknownPage) {
-    if (cache_probe_ && page != kUnknownPage && cache_probe_(page)) {
-      ++cache_hits_;
-      if (trace_enabled_) trace_.push_back(page);
-      return;
-    }
-    switch (phase) {
-      case IoPhase::kTraversal:
-        ++traversal_reads_;
-        break;
-      case IoPhase::kWindowQuery:
-        ++window_query_reads_;
-        break;
-      case IoPhase::kMaintenance:
-        ++maintenance_reads_;
-        break;
+    if (phase == IoPhase::kTraversal) {
+      ++traversal_reads_;
+    } else {
+      ++window_query_reads_;
     }
     if (trace_enabled_) trace_.push_back(page);
     if (read_probe_) read_probe_(page);
   }
 
-  /// Installs a cache probe, typically `BufferPool::Access` bound to a
-  /// pool: it is called with each accessed page id and returns true when
-  /// the page was already buffered (the access then counts as a
-  /// `cache_hits()` rather than a read). The paper's metric corresponds
-  /// to no probe installed — every visit is a read.
-  void SetCacheProbe(std::function<bool(uint32_t)> probe) { cache_probe_ = std::move(probe); }
-
-  /// Accesses absorbed by the cache probe.
-  uint64_t cache_hits() const { return cache_hits_; }
-
-  /// Installs a read probe invoked with the page id of every access that
-  /// was actually counted as a read (cache-probe hits never reach it —
-  /// a buffered page costs no disk access, so it cannot fail). This is the
-  /// fault-injection seam: the query service binds a FaultInjector here and
-  /// routes injected failures into the query's QueryControl, where the
-  /// search loops observe them as a typed IoError (see storage/
+  /// Installs a read probe invoked with the page id of every access. This
+  /// is the fault-injection seam: the query service binds a FaultInjector
+  /// here and routes injected failures into the query's QueryControl,
+  /// where the search loops observe them as a typed IoError (see storage/
   /// fault_injector.h and common/cancel.h).
   void SetReadProbe(std::function<void(uint32_t)> probe) { read_probe_ = std::move(probe); }
 
@@ -93,44 +65,34 @@ class IoCounter {
   /// before the accesses).
   const std::vector<uint32_t>& trace() const { return trace_; }
 
-  /// Total node accesses across all phases.
-  uint64_t total() const { return traversal_reads_ + window_query_reads_ + maintenance_reads_; }
-  /// Node accesses attributed to query processing only (the paper's metric).
+  /// Node accesses across both phases (the paper's metric).
   uint64_t query_total() const { return traversal_reads_ + window_query_reads_; }
   uint64_t traversal_reads() const { return traversal_reads_; }
   uint64_t window_query_reads() const { return window_query_reads_; }
-  uint64_t maintenance_reads() const { return maintenance_reads_; }
 
   /// Merges another counter's accumulated counts into this one (phase
-  /// reads and cache hits add; the trace and cache probe are unaffected —
-  /// access order across counters is meaningless). This is how the query
-  /// service and the benchmark drivers roll per-query counters up into an
-  /// aggregate without losing the per-phase breakdown.
+  /// reads add; the trace and read probe are unaffected — access order
+  /// across counters is meaningless). This is how the query service and
+  /// the benchmark drivers roll per-query counters up into an aggregate
+  /// without losing the per-phase breakdown.
   void Add(const IoCounter& other) {
     traversal_reads_ += other.traversal_reads_;
     window_query_reads_ += other.window_query_reads_;
-    maintenance_reads_ += other.maintenance_reads_;
-    cache_hits_ += other.cache_hits_;
   }
 
-  /// Resets all counters and any recorded trace (tracing and the cache
+  /// Resets all counters and any recorded trace (tracing and the read
   /// probe stay installed).
   void Reset() {
     traversal_reads_ = 0;
     window_query_reads_ = 0;
-    maintenance_reads_ = 0;
-    cache_hits_ = 0;
     trace_.clear();
   }
 
  private:
   uint64_t traversal_reads_ = 0;
   uint64_t window_query_reads_ = 0;
-  uint64_t maintenance_reads_ = 0;
-  uint64_t cache_hits_ = 0;
   bool trace_enabled_ = false;
   std::vector<uint32_t> trace_;
-  std::function<bool(uint32_t)> cache_probe_;
   std::function<void(uint32_t)> read_probe_;
 };
 

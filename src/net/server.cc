@@ -185,19 +185,6 @@ class NetServer::Impl {
     if (loop_.joinable()) loop_.join();
   }
 
-  Stats GetStats() const {
-    const NetMetricsSnapshot snapshot = metrics_.Snapshot();
-    Stats stats;
-    stats.connections_accepted = snapshot.connections_accepted;
-    stats.connections_closed = snapshot.connections_closed;
-    stats.frames_received = snapshot.frames_received;
-    stats.responses_sent = snapshot.frames_sent;
-    stats.protocol_errors = snapshot.protocol_errors_total();
-    stats.backpressure_pauses = snapshot.backpressure_pauses;
-    stats.http_requests = snapshot.http_requests;
-    return stats;
-  }
-
   NetMetricsSnapshot SnapshotNetMetrics() const { return metrics_.Snapshot(); }
 
  private:
@@ -851,7 +838,6 @@ uint16_t NetServer::port() const { return impl_->port(); }
 void NetServer::RequestDrain() { impl_->RequestDrain(); }
 void NetServer::Wait() { impl_->Wait(); }
 bool NetServer::draining() const { return impl_->draining(); }
-NetServer::Stats NetServer::GetStats() const { return impl_->GetStats(); }
 NetMetricsSnapshot NetServer::SnapshotNetMetrics() const { return impl_->SnapshotNetMetrics(); }
 
 }  // namespace nwc

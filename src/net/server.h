@@ -74,22 +74,10 @@ struct NetServerConfig {
 /// Requests half-received when drain starts are dropped with the
 /// connection.
 ///
-/// ThreadSafety: Start/Wait/RequestDrain/GetStats may be called from any
-/// thread. The backend must outlive the server.
+/// ThreadSafety: Start/Wait/RequestDrain/SnapshotNetMetrics may be called
+/// from any thread. The backend must outlive the server.
 class NetServer {
  public:
-  /// Event-loop counters (all monotonic except none — gauges live in the
-  /// service metrics). Cheap to snapshot; written only by the loop.
-  struct Stats {
-    uint64_t connections_accepted = 0;
-    uint64_t connections_closed = 0;
-    uint64_t frames_received = 0;
-    uint64_t responses_sent = 0;
-    uint64_t protocol_errors = 0;
-    uint64_t backpressure_pauses = 0;
-    uint64_t http_requests = 0;
-  };
-
   /// Binds, listens, and starts the event loop. On success the returned
   /// server is already accepting; port() is the bound port (useful with
   /// port 0).
@@ -113,10 +101,8 @@ class NetServer {
   void Wait();
 
   bool draining() const;
-  Stats GetStats() const;
 
-  /// The full serving-layer counter set (GetStats is a compact legacy
-  /// view of the same numbers).
+  /// The serving-layer counters (written only by the event loop).
   NetMetricsSnapshot SnapshotNetMetrics() const;
 
  private:

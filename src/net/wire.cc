@@ -238,7 +238,6 @@ void PutResponseCommon(std::string* out, const Response& response) {
   PutU64(out, response.latency_micros);
   PutU64(out, response.traversal_reads);
   PutU64(out, response.window_query_reads);
-  PutU64(out, response.cache_hits);
   PutU8(out, (response.result_cache_hit ? kResponseFlagCacheHit : 0) |
                  (response.degraded ? kResponseFlagDegraded : 0));
 }
@@ -248,8 +247,7 @@ bool ReadResponseCommon(ByteReader* reader, Response* out, Status* error) {
   if (!ReadStatus(reader, &out->status, error)) return false;
   uint8_t flags;
   if (!reader->ReadU64(&out->latency_micros) || !reader->ReadU64(&out->traversal_reads) ||
-      !reader->ReadU64(&out->window_query_reads) || !reader->ReadU64(&out->cache_hits) ||
-      !reader->ReadU8(&flags)) {
+      !reader->ReadU64(&out->window_query_reads) || !reader->ReadU8(&flags)) {
     *error = Truncated("response");
     return false;
   }

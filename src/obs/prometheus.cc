@@ -78,8 +78,6 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot, const LatencyHisto
   out += StrFormat("nwc_node_reads_total{phase=\"%s\"} %llu\n",
                    PromEscapeLabelValue("window_query").c_str(),
                    static_cast<unsigned long long>(snapshot.window_query_reads));
-  Counter(out, "nwc_cache_hits_total", "Node accesses absorbed by per-worker buffer pools.",
-          snapshot.cache_hits);
   Counter(out, "nwc_result_cache_hits_total", "Queries answered from the result cache.",
           snapshot.result_cache_hits);
   Counter(out, "nwc_result_cache_misses_total", "Result-cache probes that missed.",

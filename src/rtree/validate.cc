@@ -17,17 +17,25 @@ struct WalkState {
   size_t nodes = 0;
 };
 
-// SoA leaf invariants: the x/y/id arrays must agree in length (a desync is
-// silent until a kernel reads past the short array), and a Z-order packing
-// claim must be true — the entries sorted by (Morton key within the leaf's
-// own bounds, id), exactly the order the bulk loader produced.
-Status CheckLeafStorage(const RTreeNode& n) {
+// The x/y/id arrays of a leaf must agree in length: a desync is silent
+// until a reader (a kernel, or ComputeMbr) runs past the short array.
+Status CheckLeafArrays(const RTreeNode& n) {
   const LeafObjects& objects = n.objects;
   if (objects.xs_size() != objects.ids_size() || objects.ys_size() != objects.ids_size()) {
     return Status::Internal(StrFormat("leaf node %u SoA arrays desynced: xs=%zu ys=%zu ids=%zu",
                                       n.id, objects.xs_size(), objects.ys_size(),
                                       objects.ids_size()));
   }
+  return Status::Ok();
+}
+
+// SoA leaf invariants: the arrays agree (CheckLeafArrays), and a Z-order
+// packing claim must be true — the entries sorted by (Morton key within
+// the leaf's own bounds, id), exactly the order the bulk loader produced.
+Status CheckLeafStorage(const RTreeNode& n) {
+  const Status arrays = CheckLeafArrays(n);
+  if (!arrays.ok()) return arrays;
+  const LeafObjects& objects = n.objects;
   if (!objects.zorder_packed() || objects.size() < 2) return Status::Ok();
   Rect bounds = Rect::Empty();
   for (size_t i = 0; i < objects.size(); ++i) bounds.Expand(objects.position(i));
@@ -93,7 +101,13 @@ Status WalkSubtree(const RStarTree& tree, NodeId id, NodeId expected_parent, int
     if (!tree.IsLive(entry.child)) {
       return Status::Internal(StrFormat("node %u references dead child %u", id, entry.child));
     }
-    const Rect actual = tree.node(entry.child).ComputeMbr();
+    const RTreeNode& child = tree.node(entry.child);
+    // ComputeMbr reads a leaf's arrays, so they must agree first.
+    if (child.is_leaf()) {
+      const Status arrays = CheckLeafArrays(child);
+      if (!arrays.ok()) return arrays;
+    }
+    const Rect actual = child.ComputeMbr();
     if (actual != entry.mbr) {
       return Status::Internal(
           StrFormat("node %u stores a stale MBR for child %u", id, entry.child));

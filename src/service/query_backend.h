@@ -42,7 +42,6 @@ struct QueryResponse {
   uint64_t latency_micros = 0;
   uint64_t traversal_reads = 0;
   uint64_t window_query_reads = 0;
-  uint64_t cache_hits = 0;
   /// True when the response was served from the result cache (all read
   /// counters are then 0 — a hit performs no tree I/O).
   bool result_cache_hit = false;

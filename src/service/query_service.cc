@@ -26,9 +26,6 @@ Status ServiceConfig::Validate() const {
     return Status::InvalidArgument("shed_queue_depth cannot exceed queue_capacity");
   }
   if (max_retries < 0) return Status::InvalidArgument("max_retries must be >= 0");
-  if (result_cache_bytes > 0 && result_cache_shards == 0) {
-    return Status::InvalidArgument("result_cache_shards must be >= 1 when the cache is enabled");
-  }
   const Status plan_ok = fault_plan.Validate();
   if (!plan_ok.ok()) return plan_ok;
   return Status::Ok();
@@ -57,15 +54,9 @@ QueryService::QueryService(std::unique_ptr<SnapshotStore> owned_store,
 QueryService::QueryService(SnapshotStore& store, const ServiceConfig& config)
     : store_(store),
       config_(config),
-      worker_pools_(config.num_threads == 0 ? 1 : config.num_threads),
       pool_(config.num_threads, config.queue_capacity) {
-  if (config_.worker_pool_pages > 0) {
-    for (auto& pool : worker_pools_) {
-      pool = std::make_unique<BufferPool>(config_.worker_pool_pages);
-    }
-  }
   if (config_.fault_plan.enabled()) {
-    worker_injectors_.resize(worker_pools_.size());
+    worker_injectors_.resize(pool_.num_threads());
     for (size_t i = 0; i < worker_injectors_.size(); ++i) {
       FaultPlan plan = config_.fault_plan;
       plan.seed += i;  // decorrelate Bernoulli streams across workers
@@ -76,8 +67,7 @@ QueryService::QueryService(SnapshotStore& store, const ServiceConfig& config)
     slow_traces_ = std::make_unique<TraceRing>(config_.trace_ring_capacity);
   }
   if (config_.result_cache_bytes > 0) {
-    result_cache_ =
-        std::make_unique<ResultCache>(config_.result_cache_bytes, config_.result_cache_shards);
+    result_cache_ = std::make_unique<ResultCache>(config_.result_cache_bytes);
   }
 }
 
@@ -203,7 +193,6 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
 
   Response response;
   IoCounter total_io;  // merged across attempts for metrics/response
-  BufferPool* worker_pool = worker_pools_[worker_index].get();
   FaultInjector* injector =
       worker_injectors_.empty() ? nullptr : worker_injectors_[worker_index].get();
 
@@ -217,9 +206,6 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
     // attempt. The absolute deadline and cancel epoch from submit time
     // carry across attempts — retries never extend the budget.
     IoCounter io;
-    if (worker_pool != nullptr) {
-      io.SetCacheProbe([worker_pool](uint32_t page) { return worker_pool->Access(page); });
-    }
     const bool tracing = slow_traces_ != nullptr;
     QueryTrace trace = tracing ? QueryTrace::Enabled() : QueryTrace();
     QueryTrace* trace_ptr = tracing ? &trace : nullptr;
@@ -311,7 +297,6 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
     response.latency_micros = timer.ElapsedMicros();
     response.traversal_reads = total_io.traversal_reads();
     response.window_query_reads = total_io.window_query_reads();
-    response.cache_hits = total_io.cache_hits();
 
     metrics_.RecordQuery(response.latency_micros, total_io, response.status.code(), found);
     if (slow_traces_ != nullptr && response.latency_micros >= config_.slow_trace_us) {

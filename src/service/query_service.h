@@ -25,7 +25,6 @@
 #include "service/session.h"
 #include "service/snapshot.h"
 #include "service/thread_pool.h"
-#include "storage/buffer_pool.h"
 #include "storage/fault_injector.h"
 
 namespace nwc {
@@ -49,11 +48,6 @@ struct ServiceConfig {
   size_t queue_capacity = 256; ///< bounded job queue (backpressure point)
   /// Options applied when a request carries no override.
   NwcOptions default_options = NwcOptions::Star();
-  /// Pages per *per-worker* LRU buffer pool; 0 disables pooling and
-  /// reproduces the paper's bufferless metric. Pools are strictly
-  /// per-worker — BufferPool's LRU state must never be shared across
-  /// threads (see storage/buffer_pool.h).
-  size_t worker_pool_pages = 0;
 
   /// Master switch for per-query tracing. When true, every worker records
   /// its query into a QueryTrace (per-query recorder, never shared), and
@@ -90,9 +84,6 @@ struct ServiceConfig {
   /// Byte budget of the sharded result cache serving exact repeat queries;
   /// 0 (the default) runs uncached. Only OK responses are ever inserted.
   size_t result_cache_bytes = 0;
-  /// Shard count of the result cache (>= 1); more shards cut lock
-  /// contention between workers hitting the cache concurrently.
-  size_t result_cache_shards = 8;
 
   Status Validate() const;
 };
@@ -114,8 +105,8 @@ struct ServiceConfig {
 ///
 /// The service owns a fixed ThreadPool; each worker runs queries against
 /// the shared read-only index stack with strictly per-query mutable state
-/// (IoCounter, engine locals) plus an optional per-worker BufferPool, so
-/// execution is concurrency-correct by construction.
+/// (IoCounter, engine locals), so execution is concurrency-correct by
+/// construction.
 ///
 /// Every single request takes one path, Submit<Response>: CheckRequest,
 /// shed admission, deadline capture, the enqueue stamp, the pool hand-off,
@@ -279,10 +270,10 @@ class QueryService : public QueryBackend {
   template <typename Response, typename Request>
   void Submit(Request request, StampedDone<Response> done);
 
-  /// Runs one query on a worker: binds the per-worker pool and fault
-  /// injector (if any) to a fresh IoCounter, arms a QueryControl from
-  /// `timing`, probes the result cache (deadline/cancel checked first, so
-  /// an expired request is never served from cache), executes on a miss —
+  /// Runs one query on a worker: binds the per-worker fault injector (if
+  /// any) to a fresh IoCounter, arms a QueryControl from `timing`, probes
+  /// the result cache (deadline/cancel checked first, so an expired
+  /// request is never served from cache), executes on a miss —
   /// retrying transient I/O faults per the config — and fills the response
   /// fields common to both query kinds. Only OK responses populate the
   /// cache. `done` receives the finished response exactly once (promise
@@ -298,11 +289,9 @@ class QueryService : public QueryBackend {
   SnapshotStore& store_;
   ServiceConfig config_;
   ServiceMetrics metrics_;
-  // One pool per worker, indexed by the worker id ThreadPool hands to each
-  // job; never shared across threads (empty when worker_pool_pages == 0).
-  std::vector<std::unique_ptr<BufferPool>> worker_pools_;
-  // One fault injector per worker (empty when fault_plan is kNone);
-  // per-worker for the same reason as the buffer pools.
+  // One fault injector per worker (empty when fault_plan is kNone),
+  // indexed by the worker id ThreadPool hands to each job: an injector's
+  // schedule state is never shared across threads.
   std::vector<std::unique_ptr<FaultInjector>> worker_injectors_;
   // Slow-query traces (null when tracing is off).
   std::unique_ptr<TraceRing> slow_traces_;

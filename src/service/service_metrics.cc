@@ -26,11 +26,10 @@ std::string MetricsSnapshot::ToString() const {
                    static_cast<unsigned long long>(latency_p99_us),
                    static_cast<unsigned long long>(latency_min_us), latency_mean_us,
                    static_cast<unsigned long long>(latency_max_us));
-  out += StrFormat("node reads: %llu (traversal %llu, window %llu), cache hits %llu\n",
+  out += StrFormat("node reads: %llu (traversal %llu, window %llu)\n",
                    static_cast<unsigned long long>(total_reads()),
                    static_cast<unsigned long long>(traversal_reads),
-                   static_cast<unsigned long long>(window_query_reads),
-                   static_cast<unsigned long long>(cache_hits));
+                   static_cast<unsigned long long>(window_query_reads));
   out += StrFormat(
       "caching:    result cache %llu hits / %llu misses / %llu evictions "
       "(%llu entries, %llu bytes)\n",
@@ -67,13 +66,10 @@ std::string MetricsSnapshot::ToJson() const {
       static_cast<unsigned long long>(latency_p99_us),
       static_cast<unsigned long long>(latency_min_us), latency_mean_us,
       static_cast<unsigned long long>(latency_max_us));
-  out += StrFormat(
-      "\"node_reads\":{\"total\":%llu,\"traversal\":%llu,\"window\":%llu,"
-      "\"cache_hits\":%llu},",
-      static_cast<unsigned long long>(total_reads()),
-      static_cast<unsigned long long>(traversal_reads),
-      static_cast<unsigned long long>(window_query_reads),
-      static_cast<unsigned long long>(cache_hits));
+  out += StrFormat("\"node_reads\":{\"total\":%llu,\"traversal\":%llu,\"window\":%llu},",
+                   static_cast<unsigned long long>(total_reads()),
+                   static_cast<unsigned long long>(traversal_reads),
+                   static_cast<unsigned long long>(window_query_reads));
   out += StrFormat(
       "\"result_cache\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
       "\"entries\":%llu,\"bytes\":%llu}}",
@@ -154,7 +150,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snapshot.latency_mean_us = latency_.Mean();
   snapshot.traversal_reads = io_.traversal_reads();
   snapshot.window_query_reads = io_.window_query_reads();
-  snapshot.cache_hits = io_.cache_hits();
   // result_cache_* stay zero here; QueryService::SnapshotMetrics overlays
   // them from the ResultCache (the cache is its own source of truth).
   return snapshot;

@@ -50,7 +50,6 @@ struct MetricsSnapshot {
   /// Per-phase I/O totals merged from every completed query's IoCounter.
   uint64_t traversal_reads = 0;
   uint64_t window_query_reads = 0;
-  uint64_t cache_hits = 0;
 
   /// Result-cache roll-up (all zero when the service runs uncached).
   /// hits/misses/evictions are monotonic counters; entries/bytes are

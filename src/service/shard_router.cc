@@ -375,7 +375,7 @@ NwcResponse ShardRouter::RouteInternal(const NwcRequest& request, uint64_t cance
   Status last_failure;
   std::vector<ObjectId> best_ids;
   size_t queried = 0;
-  size_t cache_hits = 0;
+  size_t result_cache_hits = 0;
 
   for (const auto& [lb, s] : order) {
     if (have_answer && best.result.found && lb > best.result.distance) break;
@@ -411,8 +411,7 @@ NwcResponse ShardRouter::RouteInternal(const NwcRequest& request, uint64_t cance
 
     best.traversal_reads += response.traversal_reads;
     best.window_query_reads += response.window_query_reads;
-    best.cache_hits += response.cache_hits;
-    if (response.result_cache_hit) ++cache_hits;
+    if (response.result_cache_hit) ++result_cache_hits;
 
     if (response.result.found) {
       std::vector<ObjectId> ids = SortedIds(response.result.objects);
@@ -437,7 +436,7 @@ NwcResponse ShardRouter::RouteInternal(const NwcRequest& request, uint64_t cance
   } else if (any_failure) {
     best.degraded = true;
   }
-  best.result_cache_hit = queried > 0 && cache_hits == queried;
+  best.result_cache_hit = queried > 0 && result_cache_hits == queried;
   best.latency_micros = timer.ElapsedMicros();
   return best;
 }
@@ -486,7 +485,7 @@ KnwcResponse ShardRouter::RouteInternal(const KnwcRequest& request, uint64_t can
   bool any_failure = false;
   bool any_ok = false;
   Status last_failure;
-  size_t cache_hits = 0;
+  size_t result_cache_hits = 0;
   size_t queried = 0;
   Status fail_fast;  // first failure under the kFail policy
 
@@ -504,8 +503,7 @@ KnwcResponse ShardRouter::RouteInternal(const KnwcRequest& request, uint64_t can
     any_ok = true;
     merged.traversal_reads += response.traversal_reads;
     merged.window_query_reads += response.window_query_reads;
-    merged.cache_hits += response.cache_hits;
-    if (response.result_cache_hit) ++cache_hits;
+    if (response.result_cache_hit) ++result_cache_hits;
     for (NwcGroup& group : response.result.groups) {
       Candidate candidate;
       candidate.ids = SortedIds(group.objects);
@@ -552,7 +550,7 @@ KnwcResponse ShardRouter::RouteInternal(const KnwcRequest& request, uint64_t can
   for (const Candidate* chosen : selected) merged.result.groups.push_back(chosen->group);
 
   merged.degraded = any_failure;
-  merged.result_cache_hit = queried > 0 && cache_hits == queried;
+  merged.result_cache_hit = queried > 0 && result_cache_hits == queried;
   merged.latency_micros = timer.ElapsedMicros();
   return merged;
 }
@@ -659,7 +657,6 @@ MetricsSnapshot ShardRouter::SnapshotMetrics() const {
     total.wall_seconds = std::max(total.wall_seconds, s.wall_seconds);
     total.traversal_reads += s.traversal_reads;
     total.window_query_reads += s.window_query_reads;
-    total.cache_hits += s.cache_hits;
     total.result_cache_hits += s.result_cache_hits;
     total.result_cache_misses += s.result_cache_misses;
     total.result_cache_evictions += s.result_cache_evictions;

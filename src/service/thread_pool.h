@@ -18,8 +18,8 @@ namespace nwc {
 ///
 /// Jobs receive the index of the worker running them (0 .. num_threads-1),
 /// which lets callers maintain per-worker state — the query service uses it
-/// to give each worker its own BufferPool, since the pool's LRU state must
-/// never be shared across threads (see storage/buffer_pool.h).
+/// to give each worker its own FaultInjector, since an injector's schedule
+/// state must never be shared across threads (see storage/fault_injector.h).
 ///
 /// Backpressure: Submit() blocks while the queue is full; callers that
 /// want to shed load do their own admission before submitting.

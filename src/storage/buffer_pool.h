@@ -16,19 +16,14 @@ namespace nwc {
 /// LRU page-buffer simulation.
 ///
 /// The paper's I/O metric counts every node visit (no caching). This class
-/// is an *ablation extension*: bench/micro_rtree uses it to show how much of
-/// the raw node-visit cost a small LRU buffer would absorb for each scheme,
-/// which contextualizes the paper's "I/O cost dominates" claim on modern
-/// stacks. It is not consulted by the reproduction benchmarks.
+/// is an *offline ablation model*: bench/micro_rtree replays a query's
+/// recorded IoCounter::trace() through it to show how much of the raw
+/// node-visit cost a small LRU buffer would absorb for each scheme, which
+/// contextualizes the paper's "I/O cost dominates" claim on modern stacks.
+/// The serving stack never consults it.
 ///
 /// ThreadSafety: NOT thread-safe — Access() mutates the LRU list on every
-/// call (even hits). A pool must never be shared across query-service
-/// workers; QueryService enforces this by giving each worker its own pool
-/// (or none), indexed by the worker id (see src/service/query_service.h):
-/// ThreadPool binds each worker index to exactly one thread for the pool's
-/// lifetime, so worker_pools_[worker_index] is only ever touched by that
-/// thread — on the single-submit path and on the batch path alike (a batch
-/// group job runs entirely on the worker that dequeued it).
+/// call (even hits), so a pool belongs to one thread at a time.
 ///
 /// Debug builds enforce the invariant directly: the first Access() binds
 /// the pool to the calling thread and every later Access() asserts the

@@ -74,8 +74,8 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec);
 /// read index (plus the plan seed for kBernoulli), so any observed failure
 /// replays from the logged plan spec and read count.
 ///
-/// ThreadSafety: NOT thread-safe — one injector per worker/query stream,
-/// like BufferPool. QueryService gives each worker its own injector.
+/// ThreadSafety: NOT thread-safe — one injector per worker/query stream.
+/// QueryService gives each worker its own injector.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan), rng_(plan.seed) {}

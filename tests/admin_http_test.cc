@@ -246,7 +246,7 @@ TEST_F(AdminHttpTest, ReadyzFlips503TheInstantDrainBegins) {
     ASSERT_TRUE(binary->SendNwc(i, request).ok());
   }
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server_->GetStats().frames_received < kInFlight) {
+  while (server_->SnapshotNetMetrics().frames_received < kInFlight) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "pipeline never arrived";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

@@ -324,5 +324,26 @@ TEST_F(CliPipelineTest, ServeRejectsNegativeCountFlagBeforeListening) {
   EXPECT_EQ(result.output.find("listening"), std::string::npos) << result.output;
 }
 
+// The one-shot subcommands read their counts the same way: --count=-1
+// used to die on an uncaught std::length_error, and --n=-1 searched for
+// 2^64-1 objects and exited 0.
+TEST_F(CliPipelineTest, GenerateRejectsNegativeCount) {
+  const std::string out = TempPath("cli_negative_count.csv");
+  const CommandResult result = RunTool("generate --kind=ca --count=-1 --out=" + out);
+  ExpectFlagError(result, "--count");
+  EXPECT_FALSE(std::ifstream(out).good()) << "nothing may be written";
+}
+
+TEST_F(CliPipelineTest, QueryRejectsNegativeN) {
+  ExpectFlagError(
+      RunTool("query --index=" + *tree_path_ + " --q=5000,5000 --l=400 --w=400 --n=-1"), "--n");
+}
+
+TEST_F(CliPipelineTest, ServeRejectsOutOfRangePortBeforeListening) {
+  const CommandResult result = RunTool("serve --index=" + *tree_path_ + " --port=70000");
+  ExpectFlagError(result, "--port");
+  EXPECT_EQ(result.output.find("listening"), std::string::npos) << result.output;
+}
+
 }  // namespace
 }  // namespace nwc

@@ -10,7 +10,6 @@ namespace {
 
 TEST(IoCounterTest, StartsAtZero) {
   const IoCounter io;
-  EXPECT_EQ(io.total(), 0u);
   EXPECT_EQ(io.query_total(), 0u);
   EXPECT_TRUE(io.trace().empty());
 }
@@ -20,12 +19,8 @@ TEST(IoCounterTest, PhasesAccumulateSeparately) {
   io.OnNodeAccess(IoPhase::kTraversal);
   io.OnNodeAccess(IoPhase::kTraversal);
   io.OnNodeAccess(IoPhase::kWindowQuery);
-  io.OnNodeAccess(IoPhase::kMaintenance);
   EXPECT_EQ(io.traversal_reads(), 2u);
   EXPECT_EQ(io.window_query_reads(), 1u);
-  EXPECT_EQ(io.maintenance_reads(), 1u);
-  EXPECT_EQ(io.total(), 4u);
-  // The paper's metric excludes maintenance.
   EXPECT_EQ(io.query_total(), 3u);
 }
 
@@ -34,7 +29,7 @@ TEST(IoCounterTest, ResetClearsEverything) {
   io.EnableTrace();
   io.OnNodeAccess(IoPhase::kTraversal, 7);
   io.Reset();
-  EXPECT_EQ(io.total(), 0u);
+  EXPECT_EQ(io.query_total(), 0u);
   EXPECT_TRUE(io.trace().empty());
   // Tracing stays enabled across Reset.
   io.OnNodeAccess(IoPhase::kWindowQuery, 9);
@@ -47,7 +42,7 @@ TEST(IoCounterTest, TraceDisabledByDefault) {
   io.OnNodeAccess(IoPhase::kTraversal, 1);
   io.OnNodeAccess(IoPhase::kWindowQuery, 2);
   EXPECT_TRUE(io.trace().empty());
-  EXPECT_EQ(io.total(), 2u);
+  EXPECT_EQ(io.query_total(), 2u);
 }
 
 TEST(IoCounterTest, TraceRecordsAccessOrder) {
@@ -70,35 +65,29 @@ TEST(IoCounterTest, UnknownPagePlaceholder) {
   EXPECT_EQ(io.trace()[0], IoCounter::kUnknownPage);
 }
 
-
 TEST(IoCounterTest, AddMergesPhaseCountsAndCacheHits) {
   IoCounter a;
   a.OnNodeAccess(IoPhase::kTraversal);
   a.OnNodeAccess(IoPhase::kWindowQuery);
 
   IoCounter b;
-  b.SetCacheProbe([](uint32_t) { return true; });
-  b.OnNodeAccess(IoPhase::kTraversal, 1);   // absorbed as a cache hit
-  b.SetCacheProbe(nullptr);
+  b.OnNodeAccess(IoPhase::kTraversal, 1);
   b.OnNodeAccess(IoPhase::kWindowQuery);
   b.OnNodeAccess(IoPhase::kWindowQuery);
-  b.OnNodeAccess(IoPhase::kMaintenance);
 
   a.Add(b);
-  EXPECT_EQ(a.traversal_reads(), 1u);
+  EXPECT_EQ(a.traversal_reads(), 2u);
   EXPECT_EQ(a.window_query_reads(), 3u);
-  EXPECT_EQ(a.maintenance_reads(), 1u);
-  EXPECT_EQ(a.cache_hits(), 1u);
-  EXPECT_EQ(a.total(), 5u);
+  EXPECT_EQ(a.query_total(), 5u);
   // The source counter is unchanged.
-  EXPECT_EQ(b.query_total(), 2u);
+  EXPECT_EQ(b.query_total(), 3u);
 }
 
 TEST(IoCounterTest, AddOfEmptyCounterIsANoOp) {
   IoCounter a;
   a.OnNodeAccess(IoPhase::kTraversal);
   a.Add(IoCounter());
-  EXPECT_EQ(a.total(), 1u);
+  EXPECT_EQ(a.query_total(), 1u);
   EXPECT_EQ(a.traversal_reads(), 1u);
 }
 
@@ -117,69 +106,27 @@ TEST(IoCounterTest, AddDoesNotTouchTraceOrProbe) {
   EXPECT_EQ(a.window_query_reads(), 1u);
 }
 
-TEST(IoCounterTest, CacheProbeAbsorbsHits) {
-  IoCounter io;
-  bool cached = false;
-  io.SetCacheProbe([&cached](uint32_t) { return cached; });
-  io.OnNodeAccess(IoPhase::kTraversal, 1);  // miss
-  cached = true;
-  io.OnNodeAccess(IoPhase::kTraversal, 1);  // hit
-  io.OnNodeAccess(IoPhase::kWindowQuery, 2);  // hit
-  EXPECT_EQ(io.traversal_reads(), 1u);
-  EXPECT_EQ(io.window_query_reads(), 0u);
-  EXPECT_EQ(io.cache_hits(), 2u);
-  EXPECT_EQ(io.query_total(), 1u);
-}
-
-TEST(IoCounterTest, CacheProbeSkipsUnknownPages) {
-  IoCounter io;
-  io.SetCacheProbe([](uint32_t) { return true; });
-  io.OnNodeAccess(IoPhase::kTraversal);  // unknown page: always a read
-  EXPECT_EQ(io.traversal_reads(), 1u);
-  EXPECT_EQ(io.cache_hits(), 0u);
-}
-
 TEST(IoCounterTest, ReadProbeSeesEveryCountedRead) {
-  // The fault-injection hook: the probe fires once per *counted* read, in
-  // order, with the page id the read touched.
+  // The fault-injection hook: the probe fires once per read, in order,
+  // with the page id the read touched, and every access is a read.
   IoCounter io;
   std::vector<uint32_t> probed;
   io.SetReadProbe([&probed](uint32_t page) { probed.push_back(page); });
   io.OnNodeAccess(IoPhase::kTraversal, 3);
   io.OnNodeAccess(IoPhase::kWindowQuery, 9);
-  io.OnNodeAccess(IoPhase::kMaintenance);  // unknown page still probes
-  ASSERT_EQ(probed.size(), 3u);
+  io.OnNodeAccess(IoPhase::kWindowQuery, 9);  // a re-visit is a read too
+  io.OnNodeAccess(IoPhase::kTraversal);       // unknown page still probes
+  ASSERT_EQ(probed.size(), 4u);
   EXPECT_EQ(probed[0], 3u);
   EXPECT_EQ(probed[1], 9u);
-  EXPECT_EQ(probed[2], IoCounter::kUnknownPage);
-}
-
-TEST(IoCounterTest, ReadProbeSkipsCacheHits) {
-  // Buffer-pool hits are not reads under the paper's metric, so they must
-  // be invisible to fault injection: a cached page can never fault.
-  IoCounter io;
-  size_t probes = 0;
-  io.SetCacheProbe([](uint32_t page) { return page == 7; });
-  io.SetReadProbe([&probes](uint32_t) { ++probes; });
-  io.OnNodeAccess(IoPhase::kTraversal, 7);  // hit: no probe
-  io.OnNodeAccess(IoPhase::kTraversal, 8);  // miss: probe
-  EXPECT_EQ(probes, 1u);
-  EXPECT_EQ(io.cache_hits(), 1u);
-  EXPECT_EQ(io.traversal_reads(), 1u);
+  EXPECT_EQ(probed[2], 9u);
+  EXPECT_EQ(probed[3], IoCounter::kUnknownPage);
+  EXPECT_EQ(io.query_total(), 4u);
 
   io.SetReadProbe(nullptr);  // detachable
-  io.OnNodeAccess(IoPhase::kTraversal, 9);
-  EXPECT_EQ(probes, 1u);
-}
-
-TEST(IoCounterTest, TraceRecordsHitsToo) {
-  IoCounter io;
-  io.EnableTrace();
-  io.SetCacheProbe([](uint32_t page) { return page == 7; });
-  io.OnNodeAccess(IoPhase::kTraversal, 7);
-  io.OnNodeAccess(IoPhase::kTraversal, 8);
-  ASSERT_EQ(io.trace().size(), 2u);
-  EXPECT_EQ(io.cache_hits(), 1u);
+  io.OnNodeAccess(IoPhase::kTraversal, 5);
+  EXPECT_EQ(probed.size(), 4u);
+  EXPECT_EQ(io.query_total(), 5u);
 }
 
 }  // namespace

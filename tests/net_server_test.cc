@@ -328,7 +328,7 @@ TEST(NetServer, DrainFlushesEveryOutstandingResponse) {
   // Wait until the event loop has decoded the full pipeline, so the drain
   // below provably starts with 32 requests in flight server-side.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server->GetStats().frames_received < kInFlight) {
+  while (server->SnapshotNetMetrics().frames_received < kInFlight) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "server never saw the pipeline";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -408,7 +408,7 @@ TEST(NetServer, BackpressuredPeerDoesNotStallOthers) {
     ASSERT_TRUE(healthy.Receive(&reply).ok());
     ASSERT_EQ(reply.type, MsgType::kNwcResponse);
     EXPECT_EQ(reply.nwc.status.code(), StatusCode::kOk);
-    pauses = server->GetStats().backpressure_pauses;
+    pauses = server->SnapshotNetMetrics().backpressure_pauses;
   }
 
   // Once the stalled peer drains, every pipelined response arrives.
@@ -477,7 +477,7 @@ TEST(NetServer, AcceptStormWithAbortingPeersKeepsTheListenerAlive) {
   ASSERT_TRUE(fresh.Receive(&reply).ok());
   ASSERT_EQ(reply.type, MsgType::kNwcResponse);
   EXPECT_TRUE(reply.nwc.status.ok()) << reply.nwc.status;
-  EXPECT_GE(server->GetStats().connections_accepted,
+  EXPECT_GE(server->SnapshotNetMetrics().connections_accepted,
             static_cast<uint64_t>(kWaves * kClientsPerWave / 2));
 }
 

@@ -145,33 +145,6 @@ TEST(QueryServiceDifferentialTest, FourWorkerBatchMatchesSequentialEngines) {
   EXPECT_LE(metrics.latency_p99_us, metrics.latency_max_us);
 }
 
-TEST(QueryServiceTest, PerWorkerBufferPoolsKeepResultsIdentical) {
-  const Session session = OpenTestSession(2000);
-  ServiceConfig pooled;
-  pooled.num_threads = 4;
-  pooled.worker_pool_pages = 64;  // per-worker LRU pools (never shared)
-  QueryService service(session, pooled);
-
-  const std::vector<NwcRequest> requests = SeededNwcRequests(40);
-  const std::vector<NwcResponse> responses = service.RunNwcBatch(requests);
-
-  NwcEngine engine(session.tree(), session.iwp(), session.grid());
-  uint64_t cache_hits = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const NwcOptions options = requests[i].options.value_or(pooled.default_options);
-    const Result<NwcResult> expected = engine.Execute(requests[i].query, options, nullptr);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(responses[i].status.ok());
-    ASSERT_EQ(responses[i].result.found, expected->found) << "request " << i;
-    if (expected->found) {
-      EXPECT_EQ(responses[i].result.distance, expected->distance) << "request " << i;
-    }
-    cache_hits += responses[i].cache_hits;
-  }
-  EXPECT_GT(cache_hits, 0u) << "warm per-worker pools should absorb some accesses";
-  EXPECT_EQ(service.SnapshotMetrics().cache_hits, cache_hits);
-}
-
 TEST(QueryServiceTest, UnsupportedSchemeFailsFastWithoutIndexStructures) {
   Dataset dataset = MakeCaLike(kSeed, 500);
   SessionConfig bare;
@@ -441,15 +414,14 @@ TEST(QueryServiceTest, MaxIntBackoffConfigFailsWithinTheDeadline) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1000);
 }
 
-TEST(QueryServiceTest, ConcurrentClientsWithCacheAndPoolsStayExact) {
+TEST(QueryServiceTest, ConcurrentClientsWithCacheStayExact) {
   // TSan-facing stress: several client threads submit overlapping query
-  // streams through a cached service with per-worker buffer pools — the
-  // shared result cache, the pools and the metrics all take concurrent
-  // traffic. Results are checked against a sequential engine.
+  // streams through a cached service — the shared result cache and the
+  // metrics both take concurrent traffic. Results are checked against a
+  // sequential engine.
   const Session session = OpenTestSession(2000);
   ServiceConfig config;
   config.num_threads = 4;
-  config.worker_pool_pages = 64;
   config.result_cache_bytes = 4 << 20;
   QueryService service(session, config);
 

@@ -359,7 +359,6 @@ TEST(ResultCacheDifferentialTest, CachedServiceStaysExactUnderEvictionPressure) 
   // must not change, only the hit rate.
   ServiceConfig tiny_config = uncached_config;
   tiny_config.result_cache_bytes = 4096;
-  tiny_config.result_cache_shards = 1;
   QueryService tiny(session, tiny_config);
   const std::vector<NwcResponse> replay = tiny.RunNwcBatch(requests);
 

@@ -1,6 +1,7 @@
 #include "rtree/rstar_tree.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -170,7 +171,6 @@ TEST(RStarTreeTest, AccessNodeCountsIo) {
   tree.AccessNode(tree.root(), &io, IoPhase::kWindowQuery);
   EXPECT_EQ(io.traversal_reads(), 1u);
   EXPECT_EQ(io.window_query_reads(), 1u);
-  EXPECT_EQ(io.total(), 2u);
   EXPECT_EQ(io.query_total(), 2u);
 }
 
@@ -227,7 +227,9 @@ TEST(ValidateTreeTest, CatchesDesyncedLeafArrays) {
   auto& leaf = const_cast<RTreeNode&>(tree.node(AnyLeaf(tree)));
   ASSERT_GE(leaf.objects.size(), 1u);
   LeafObjectsTestAccess::Ys(leaf.objects).pop_back();
-  EXPECT_FALSE(ValidateTree(tree).ok());
+  const Status status = ValidateTree(tree);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("SoA arrays desynced"), std::string::npos) << status.ToString();
 }
 
 TEST(ValidateTreeTest, CatchesFalseZOrderPackingClaim) {

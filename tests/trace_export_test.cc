@@ -105,7 +105,6 @@ TEST(TraceExportTest, PrometheusTextMatchesGolden) {
   snapshot.wall_seconds = 2.0;
   snapshot.traversal_reads = 17;
   snapshot.window_query_reads = 136;
-  snapshot.cache_hits = 5;
 
   LatencyHistogram latency;
   latency.Record(10);

@@ -41,7 +41,6 @@ NwcResponse MakeNwcResponse() {
   response.latency_micros = 987;
   response.traversal_reads = 12;
   response.window_query_reads = 34;
-  response.cache_hits = 5;
   response.result_cache_hit = true;
   return response;
 }
@@ -69,7 +68,6 @@ void ExpectSameNwcResponse(const NwcResponse& a, const NwcResponse& b) {
   EXPECT_EQ(a.latency_micros, b.latency_micros);
   EXPECT_EQ(a.traversal_reads, b.traversal_reads);
   EXPECT_EQ(a.window_query_reads, b.window_query_reads);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.result_cache_hit, b.result_cache_hit);
   EXPECT_EQ(a.degraded, b.degraded);
 }
@@ -158,7 +156,7 @@ TEST(WireFormat, ResponseFlagsRoundtripDegradedAndRejectUnknownBits) {
   }
 
   // The flags byte follows the status (code u8 + u32 length + message)
-  // and four u64 counters; the encoding's size is unchanged by the flags.
+  // and three u64 counters; the encoding's size is unchanged by the flags.
   NwcResponse response = MakeNwcResponse();
   std::string body;
   EncodeNwcResponse(response, &body);
@@ -166,7 +164,7 @@ TEST(WireFormat, ResponseFlagsRoundtripDegradedAndRejectUnknownBits) {
   std::string degraded_body;
   EncodeNwcResponse(response, &degraded_body);
   EXPECT_EQ(body.size(), degraded_body.size());
-  const size_t flags_at = 1 + 4 + response.status.message().size() + 4 * 8;
+  const size_t flags_at = 1 + 4 + response.status.message().size() + 3 * 8;
   EXPECT_EQ(static_cast<uint8_t>(degraded_body[flags_at]), 0x03);
   NwcResponse decoded;
   for (const uint8_t bad : {0x04, 0x80, 0xFF}) {

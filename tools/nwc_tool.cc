@@ -16,7 +16,7 @@
 //   stats    --index=F.nwctree
 //       Print index statistics.
 //   serve-batch --index=F.nwctree --queries=F.txt [--threads=4] [--queue=256]
-//            [--scheme=...] [--measure=...] [--pool-pages=0] [--print]
+//            [--scheme=...] [--measure=...] [--print]
 //            [--metrics-json=F.json] [--prom=F.prom]
 //            [--trace-dir=DIR] [--slow-us=N] [--trace-ring=32]
 //            [--deadline-us=N] [--inject-faults=SPEC] [--shed-watermark=N]
@@ -183,10 +183,11 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
-/// Reads count flags (threads, queue slots, microseconds, MiB, shards):
-/// an absent flag gives its fallback; a negative, non-numeric or
-/// above-`max` value reads as the fallback and records InvalidArgument in
-/// status() (the first one wins), so it can never wrap into a huge size_t.
+/// Reads count flags (object counts, threads, queue slots, microseconds,
+/// MiB, shards, ports): an absent flag gives its fallback; a negative,
+/// non-numeric or above-`max` value reads as the fallback and records
+/// InvalidArgument in status() (the first one wins), so it can never wrap
+/// into a huge size_t.
 /// Config builders read all their counts, then check status() once.
 class CountFlags {
  public:
@@ -269,22 +270,31 @@ Result<Point> ParsePoint(const std::string& text) {
 }
 
 int CmdGenerate(const Args& args) {
+  struct Generator {
+    const char* kind;
+    size_t default_count;
+    Dataset (*make)(size_t count, uint64_t seed);
+  };
+  static constexpr Generator kGenerators[] = {
+      {"uniform", 100000, [](size_t n, uint64_t seed) { return MakeUniform(n, seed); }},
+      {"gaussian", 250000, [](size_t n, uint64_t seed) { return MakeGaussian(n, seed); }},
+      {"ca", 62556, [](size_t n, uint64_t seed) { return MakeCaLike(seed, n); }},
+      {"ny", 255259, [](size_t n, uint64_t seed) { return MakeNyLike(seed, n); }},
+  };
   const std::string kind = args.Get("kind", "uniform");
-  const uint64_t seed = static_cast<uint64_t>(args.GetLong("seed", 1));
-  Dataset dataset;
-  if (kind == "uniform") {
-    dataset = MakeUniform(static_cast<size_t>(args.GetLong("count", 100000)), seed);
-  } else if (kind == "gaussian") {
-    dataset = MakeGaussian(static_cast<size_t>(args.GetLong("count", 250000)), seed);
-  } else if (kind == "ca") {
-    dataset = MakeCaLike(seed, static_cast<size_t>(args.GetLong("count", 62556)));
-  } else if (kind == "ny") {
-    dataset = MakeNyLike(seed, static_cast<size_t>(args.GetLong("count", 255259)));
-  } else {
-    return Fail("unknown --kind " + kind);
+  const Generator* generator = nullptr;
+  for (const Generator& g : kGenerators) {
+    if (kind == g.kind) generator = &g;
   }
+  if (generator == nullptr) return Fail("unknown --kind " + kind);
+  CountFlags counts(args);
+  const size_t count = counts.Get("count", generator->default_count);
+  if (!counts.status().ok()) return Fail(counts.status().ToString());
   const std::string out = args.Get("out");
   if (out.empty()) return Fail("--out is required");
+
+  const uint64_t seed = static_cast<uint64_t>(args.GetLong("seed", 1));
+  const Dataset dataset = generator->make(count, seed);
   const Status saved = SaveDatasetCsv(dataset, out);
   if (!saved.ok()) return Fail(saved.ToString());
   std::printf("wrote %zu objects (%s) to %s\n", dataset.size(), dataset.name.c_str(),
@@ -296,14 +306,17 @@ int CmdBuild(const Args& args) {
   const std::string data = args.Get("data");
   const std::string out = args.Get("out");
   if (data.empty() || out.empty()) return Fail("--data and --out are required");
-  Result<Dataset> dataset = LoadDatasetCsv(data, "cli");
-  if (!dataset.ok()) return Fail(dataset.status().ToString());
-
+  CountFlags counts(args);
   RTreeOptions options;
-  options.max_entries = static_cast<int>(args.GetLong("max-entries", kMaxEntriesDefault));
-  options.min_entries = options.max_entries * 2 / 5;
+  options.max_entries = static_cast<int>(
+      counts.Get("max-entries", kMaxEntriesDefault, std::numeric_limits<int>::max()));
+  if (!counts.status().ok()) return Fail(counts.status().ToString());
+  // 64-bit product: max_entries may be as large as INT_MAX.
+  options.min_entries = static_cast<int>(int64_t{options.max_entries} * 2 / 5);
   const Status valid = options.Validate();
   if (!valid.ok()) return Fail(valid.ToString());
+  Result<Dataset> dataset = LoadDatasetCsv(data, "cli");
+  if (!dataset.ok()) return Fail(dataset.status().ToString());
 
   RStarTree tree(options);
   if (args.Has("str")) {
@@ -352,11 +365,13 @@ int CmdQuery(const Args& args) {
   if (!options.ok()) return Fail(options.status().ToString());
   const Result<Point> q = ParsePoint(args.Get("q", ""));
   if (!q.ok()) return Fail(q.status().ToString());
+  CountFlags counts(args);
+  const NwcQuery query{*q, args.GetDouble("l", 8.0), args.GetDouble("w", 8.0),
+                       counts.Get("n", 8)};
+  if (!counts.status().ok()) return Fail(counts.status().ToString());
   Result<LoadedIndex> index = LoadIndexFor(args, *options);
   if (!index.ok()) return Fail(index.status().ToString());
 
-  const NwcQuery query{*q, args.GetDouble("l", 8.0), args.GetDouble("w", 8.0),
-                       static_cast<size_t>(args.GetLong("n", 8))};
   NwcEngine engine(index->tree, index->iwp.get(), index->grid.get());
   IoCounter io;
   const Result<NwcResult> result = engine.Execute(query, *options, &io);
@@ -380,13 +395,14 @@ int CmdKnwc(const Args& args) {
   if (!options.ok()) return Fail(options.status().ToString());
   const Result<Point> q = ParsePoint(args.Get("q", ""));
   if (!q.ok()) return Fail(q.status().ToString());
+  CountFlags counts(args);
+  const KnwcQuery query{NwcQuery{*q, args.GetDouble("l", 8.0), args.GetDouble("w", 8.0),
+                                 counts.Get("n", 8)},
+                        counts.Get("k", 4), counts.Get("m", 2)};
+  if (!counts.status().ok()) return Fail(counts.status().ToString());
   Result<LoadedIndex> index = LoadIndexFor(args, *options);
   if (!index.ok()) return Fail(index.status().ToString());
 
-  const KnwcQuery query{NwcQuery{*q, args.GetDouble("l", 8.0), args.GetDouble("w", 8.0),
-                                 static_cast<size_t>(args.GetLong("n", 8))},
-                        static_cast<size_t>(args.GetLong("k", 4)),
-                        static_cast<size_t>(args.GetLong("m", 2))};
   KnwcEngine engine(index->tree, index->iwp.get(), index->grid.get());
   IoCounter io;
   const Result<KnwcResult> result = engine.Execute(query, *options, &io);
@@ -451,18 +467,18 @@ int CmdTrace(const Args& args) {
   if (!options.ok()) return Fail(options.status().ToString());
   const Result<Point> q = ParsePoint(args.Get("q", ""));
   if (!q.ok()) return Fail(q.status().ToString());
+  CountFlags counts(args);
+  const NwcQuery base{*q, args.GetDouble("l", 8.0), args.GetDouble("w", 8.0), counts.Get("n", 8)};
+  const KnwcQuery knwc_query{base, counts.Get("k", 4), counts.Get("m", 2)};
+  if (!counts.status().ok()) return Fail(counts.status().ToString());
   Result<LoadedIndex> index = LoadIndexFor(args, *options);
   if (!index.ok()) return Fail(index.status().ToString());
 
-  const NwcQuery base{*q, args.GetDouble("l", 8.0), args.GetDouble("w", 8.0),
-                      static_cast<size_t>(args.GetLong("n", 8))};
   IoCounter io;
   QueryTrace trace = QueryTrace::Enabled();
   if (args.Has("k")) {
-    const KnwcQuery query{base, static_cast<size_t>(args.GetLong("k", 4)),
-                          static_cast<size_t>(args.GetLong("m", 2))};
     KnwcEngine engine(index->tree, index->iwp.get(), index->grid.get());
-    const Result<KnwcResult> result = engine.Execute(query, *options, &io, &trace);
+    const Result<KnwcResult> result = engine.Execute(knwc_query, *options, &io, &trace);
     if (!result.ok()) return Fail(result.status().ToString());
     trace.set_label("knwc q=(" + args.Get("q") + ") scheme=" + args.Get("scheme", "star"));
   } else {
@@ -507,7 +523,6 @@ Result<ServiceConfig> ServiceConfigFromArgs(const Args& args, const NwcOptions& 
   service_config.num_threads = counts.Get("threads", 4);
   service_config.queue_capacity = counts.Get("queue", 256);
   service_config.default_options = options;
-  service_config.worker_pool_pages = counts.Get("pool-pages", 0);
   // Asking for a trace directory or a slow threshold implies tracing.
   service_config.trace_slow_queries = args.Has("trace-dir") || args.Has("slow-us");
   service_config.slow_trace_us = counts.Get("slow-us", 0);
@@ -833,6 +848,12 @@ int CmdServe(const Args& args) {
   if (!options.ok()) return Fail(options.status().ToString());
   const std::string index_path = args.Get("index");
   if (index_path.empty()) return Fail("--index is required");
+  CountFlags counts(args);
+  NetServerConfig net_config;
+  net_config.host = args.Get("host", "127.0.0.1");
+  net_config.port = static_cast<uint16_t>(counts.Get("port", 0, 65535));
+  net_config.max_frame_bytes = counts.Get("max-frame-bytes", 1 << 20);
+  if (!counts.status().ok()) return Fail(counts.status().ToString());
   Result<RStarTree> tree = LoadTree(index_path);
   if (!tree.ok()) return Fail(tree.status().ToString());
 
@@ -845,11 +866,6 @@ int CmdServe(const Args& args) {
 
   Result<ServiceConfig> service_config = ServiceConfigFromArgs(args, *options);
   if (!service_config.ok()) return Fail(service_config.status().ToString());
-
-  NetServerConfig net_config;
-  net_config.host = args.Get("host", "127.0.0.1");
-  net_config.port = static_cast<uint16_t>(args.GetLong("port", 0));
-  net_config.max_frame_bytes = static_cast<size_t>(args.GetLong("max-frame-bytes", 1 << 20));
 
   const Status installed = ShutdownSignal::Instance().Install();
   if (!installed.ok()) return Fail(installed.ToString());
@@ -880,13 +896,13 @@ int CmdServe(const Args& args) {
   (*server)->RequestDrain();
   (*server)->Wait();
 
-  const NetServer::Stats stats = (*server)->GetStats();
+  const NetMetricsSnapshot net = (*server)->SnapshotNetMetrics();
   std::printf("drained: %llu frame(s) in, %llu response(s) out, %llu protocol error(s), "
               "%llu connection(s)\n",
-              static_cast<unsigned long long>(stats.frames_received),
-              static_cast<unsigned long long>(stats.responses_sent),
-              static_cast<unsigned long long>(stats.protocol_errors),
-              static_cast<unsigned long long>(stats.connections_accepted));
+              static_cast<unsigned long long>(net.frames_received),
+              static_cast<unsigned long long>(net.frames_sent),
+              static_cast<unsigned long long>(net.protocol_errors_total()),
+              static_cast<unsigned long long>(net.connections_accepted));
   const MetricsSnapshot snapshot = backend.SnapshotMetrics();
   std::printf("%s", snapshot.ToString().c_str());
 
