@@ -1,5 +1,7 @@
 #include "core/nwc_types.h"
 
+#include <cmath>
+
 #include "common/string_util.h"
 
 namespace nwc {
@@ -19,9 +21,11 @@ const char* DistanceMeasureName(DistanceMeasure measure) {
 }
 
 Status NwcQuery::Validate() const {
-  if (length <= 0.0 || width <= 0.0) {
+  if (!std::isfinite(q.x) || !std::isfinite(q.y) || !(std::isfinite(length) && length > 0.0) ||
+      !(std::isfinite(width) && width > 0.0)) {
     return Status::InvalidArgument(
-        StrFormat("window extents must be positive, got l=%f w=%f", length, width));
+        StrFormat("query needs a finite point and positive finite window extents, got "
+                  "q=(%f, %f) l=%f w=%f", q.x, q.y, length, width));
   }
   if (n == 0) {
     return Status::InvalidArgument("n must be at least 1");

@@ -30,7 +30,8 @@ struct NwcQuery {
   double width = 0.0;   ///< window y-extent (paper's w)
   size_t n = 0;         ///< number of objects to retrieve
 
-  /// Rejects non-positive window extents and n == 0.
+  /// Rejects a non-finite q, window extents that are not positive and
+  /// finite, and n == 0.
   Status Validate() const;
 };
 

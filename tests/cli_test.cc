@@ -1,6 +1,7 @@
 // End-to-end test of the nwc_tool CLI binary: generate -> build -> stats
-// -> query -> knwc -> trace -> serve-batch exports, plus the error paths.
-// The binary path is injected by CMake as NWC_TOOL_PATH.
+// -> query -> knwc -> trace -> serve-batch exports, plus the error paths of
+// it and of nwc_load. The binary paths are injected by CMake as
+// NWC_TOOL_PATH and NWC_LOAD_PATH.
 
 #include <unistd.h>
 
@@ -12,8 +13,8 @@
 
 #include <gtest/gtest.h>
 
-#ifndef NWC_TOOL_PATH
-#error "NWC_TOOL_PATH must be defined by the build"
+#if !defined(NWC_TOOL_PATH) || !defined(NWC_LOAD_PATH)
+#error "NWC_TOOL_PATH and NWC_LOAD_PATH must be defined by the build"
 #endif
 
 namespace nwc {
@@ -24,8 +25,8 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult RunTool(const std::string& args) {
-  const std::string command = std::string(NWC_TOOL_PATH) + " " + args + " 2>&1";
+CommandResult RunBinary(const char* binary, const std::string& args) {
+  const std::string command = std::string(binary) + " " + args + " 2>&1";
   std::FILE* pipe = ::popen(command.c_str(), "r");
   CommandResult result;
   if (pipe == nullptr) return result;
@@ -37,6 +38,8 @@ CommandResult RunTool(const std::string& args) {
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
 }
+
+CommandResult RunTool(const std::string& args) { return RunBinary(NWC_TOOL_PATH, args); }
 
 std::string TempPath(const char* name) {
   // Pid-qualified: gtest_discover_tests runs every test in its own
@@ -86,16 +89,16 @@ TEST_F(CliPipelineTest, StatsReportsValidTree) {
 
 TEST_F(CliPipelineTest, QueryFindsGroup) {
   const CommandResult result =
-      RunTool("query --index=" + *tree_path_ + " --data=" + *csv_path_ +
-          " --q=5000,5000 --l=400 --w=400 --n=5 --scheme=star");
+      RunTool("query --index=" + *tree_path_ + " --q=5000,5000 --l=400 --w=400 --n=5 "
+          "--scheme=star");
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("distance"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("node reads"), std::string::npos) << result.output;
 }
 
 TEST_F(CliPipelineTest, SchemesAgreeOnDistance) {
-  const std::string base = " --index=" + *tree_path_ + " --data=" + *csv_path_ +
-                           " --q=3000,7000 --l=300 --w=300 --n=4 --scheme=";
+  const std::string base =
+      " --index=" + *tree_path_ + " --q=3000,7000 --l=300 --w=300 --n=4 --scheme=";
   const CommandResult plain = RunTool("query" + base + "plain");
   const CommandResult star = RunTool("query" + base + "star");
   ASSERT_EQ(plain.exit_code, 0) << plain.output;
@@ -144,8 +147,8 @@ TEST_F(CliPipelineTest, ServeBatchMatchesSingleQueryDistance) {
   std::fclose(file);
 
   const CommandResult single =
-      RunTool("query --index=" + *tree_path_ + " --data=" + *csv_path_ +
-          " --q=5000,5000 --l=400 --w=400 --n=5 --scheme=plus");
+      RunTool("query --index=" + *tree_path_ + " --q=5000,5000 --l=400 --w=400 --n=5 "
+          "--scheme=plus");
   ASSERT_EQ(single.exit_code, 0) << single.output;
   const CommandResult served =
       RunTool("serve-batch --index=" + *tree_path_ + " --queries=" + queries_path +
@@ -174,7 +177,7 @@ TEST_F(CliPipelineTest, TraceEmitsChromeJsonToStdout) {
 TEST_F(CliPipelineTest, TraceWritesFileAndPrintsSummary) {
   const std::string out_path = TempPath("cli_trace.json");
   const CommandResult result =
-      RunTool("trace --index=" + *tree_path_ + " --data=" + *csv_path_ +
+      RunTool("trace --index=" + *tree_path_ +
           " --q=5000,5000 --l=400 --w=400 --n=5 --scheme=star --out=" + out_path);
   EXPECT_EQ(result.exit_code, 0) << result.output;
   // File gets the JSON; stdout gets the human summary.
@@ -245,11 +248,15 @@ TEST_F(CliPipelineTest, ErrorPaths) {
   EXPECT_NE(RunTool("build --data=/does/not/exist.csv --out=/tmp/x.nwctree").exit_code, 0);
   EXPECT_NE(RunTool("stats --index=/does/not/exist.nwctree").exit_code, 0);
   EXPECT_NE(RunTool("query --index=" + *tree_path_ + " --q=bad --l=4 --w=4 --n=2").exit_code, 0);
-  // DEP scheme without --data must fail with a clear message.
-  const CommandResult dep =
-      RunTool("query --index=" + *tree_path_ + " --q=1,1 --l=4 --w=4 --n=2 --scheme=dep");
-  EXPECT_NE(dep.exit_code, 0);
-  EXPECT_NE(dep.output.find("--data"), std::string::npos) << dep.output;
+  // DEP builds its density grid from the tree itself, so it needs no
+  // dataset file and answers with the unpruned scheme's distance.
+  const std::string dep_query = "query --index=" + *tree_path_ + " --q=1,1 --l=4 --w=4 --n=2";
+  const CommandResult dep = RunTool(dep_query + " --scheme=dep");
+  const CommandResult plain = RunTool(dep_query + " --scheme=plain");
+  ASSERT_EQ(dep.exit_code, 0) << dep.output;
+  ASSERT_EQ(plain.exit_code, 0) << plain.output;
+  EXPECT_EQ(dep.output.substr(0, dep.output.find(',')),
+            plain.output.substr(0, plain.output.find(',')));
   // trace: same input validation as query, plus the format switch.
   EXPECT_NE(RunTool("trace --q=1,1 --l=4 --w=4 --n=2").exit_code, 0);
   const CommandResult bad_format =
@@ -337,6 +344,62 @@ TEST_F(CliPipelineTest, GenerateRejectsNegativeCount) {
 TEST_F(CliPipelineTest, QueryRejectsNegativeN) {
   ExpectFlagError(
       RunTool("query --index=" + *tree_path_ + " --q=5000,5000 --l=400 --w=400 --n=-1"), "--n");
+}
+
+// Every flag is checked against its subcommand's table before any work.
+// A malformed coordinate or length used to read as 0, --l=nan ran, and a
+// misspelled flag or a value on a switch was ignored.
+TEST_F(CliPipelineTest, QueryRejectsMalformedPoint) {
+  ExpectFlagError(
+      RunTool("query --index=" + *tree_path_ + " --q=abc,5000 --l=400 --w=400 --n=3"), "--q");
+}
+
+TEST_F(CliPipelineTest, QueryRejectsMalformedLength) {
+  ExpectFlagError(
+      RunTool("query --index=" + *tree_path_ + " --q=5000,5000 --l=abc --w=400 --n=3"), "--l");
+}
+
+TEST_F(CliPipelineTest, QueryRejectsNonFiniteLength) {
+  ExpectFlagError(
+      RunTool("query --index=" + *tree_path_ + " --q=5000,5000 --l=nan --w=400 --n=3"), "--l");
+}
+
+TEST_F(CliPipelineTest, GenerateRejectsMisspelledFlag) {
+  const std::string out = TempPath("cli_misspelled_flag.csv");
+  const CommandResult result =
+      RunTool("generate --kind=uniform --count=2000 --cuont=5 --out=" + out);
+  ExpectFlagError(result, "--cuont");
+  EXPECT_FALSE(std::ifstream(out).good()) << "nothing may be written";
+}
+
+TEST_F(CliPipelineTest, BuildRejectsValueOnSwitch) {
+  const std::string out = TempPath("cli_switch_value.nwctree");
+  ExpectFlagError(RunTool("build --data=" + *csv_path_ + " --out=" + out + " --str=yes"), "--str");
+  EXPECT_FALSE(std::ifstream(out).good()) << "nothing may be written";
+}
+
+// nwc_load checks its flags the same way, before it prints its banner or
+// opens a connection (--port=70000 used to connect to port 4464).
+void ExpectLoadFlagError(const std::string& args, const std::string& flag) {
+  const CommandResult result = RunBinary(NWC_LOAD_PATH, args);
+  ExpectFlagError(result, flag);
+  EXPECT_EQ(result.output.find("nwc_load:"), std::string::npos) << result.output;
+}
+
+TEST_F(CliPipelineTest, LoadRejectsOutOfRangePort) {
+  ExpectLoadFlagError("--port=70000", "--port");
+}
+
+TEST_F(CliPipelineTest, LoadRejectsNegativeConnections) {
+  ExpectLoadFlagError("--port=1 --connections=-1", "--connections");
+}
+
+TEST_F(CliPipelineTest, LoadRejectsMalformedQps) {
+  ExpectLoadFlagError("--port=1 --qps=abc", "--qps");
+}
+
+TEST_F(CliPipelineTest, LoadRejectsMisspelledFlag) {
+  ExpectLoadFlagError("--port=1 --conections=1", "--conections");
 }
 
 TEST_F(CliPipelineTest, ServeRejectsOutOfRangePortBeforeListening) {

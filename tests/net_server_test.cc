@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -288,22 +289,30 @@ TEST(NetServer, InvalidQueryKeepsTheConnectionOpen) {
   const auto server = StartServer(service);
   NetClient client = ConnectTo(*server);
 
-  NwcRequest bad;
-  bad.query = NwcQuery{Point{0, 0}, 100, 100, 0};  // n == 0 is invalid
-  ASSERT_TRUE(client.SendNwc(5, bad).ok());
+  // n == 0, a NaN window length and an infinite q.x are all invalid.
+  uint64_t id = 5;
   NetReply reply;
-  ASSERT_TRUE(client.Receive(&reply).ok());
-  ASSERT_EQ(reply.type, MsgType::kNwcResponse);
-  EXPECT_EQ(reply.request_id, 5u);
-  EXPECT_EQ(reply.nwc.status.code(), StatusCode::kInvalidArgument);
+  for (const NwcQuery& query :
+       {NwcQuery{Point{0, 0}, 100, 100, 0},
+        NwcQuery{Point{0, 0}, std::numeric_limits<double>::quiet_NaN(), 100, 4},
+        NwcQuery{Point{std::numeric_limits<double>::infinity(), 0}, 100, 100, 4}}) {
+    NwcRequest bad;
+    bad.query = query;
+    ASSERT_TRUE(client.SendNwc(id, bad).ok());
+    ASSERT_TRUE(client.Receive(&reply).ok());
+    ASSERT_EQ(reply.type, MsgType::kNwcResponse);
+    EXPECT_EQ(reply.request_id, id);
+    EXPECT_EQ(reply.nwc.status.code(), StatusCode::kInvalidArgument) << reply.nwc.status;
+    ++id;
+  }
 
   // Wire-valid input never costs the connection: the next request works.
   NwcRequest good;
   good.query = NwcQuery{Point{5000, 5000}, 300, 300, 4};
-  ASSERT_TRUE(client.SendNwc(6, good).ok());
+  ASSERT_TRUE(client.SendNwc(id, good).ok());
   ASSERT_TRUE(client.Receive(&reply).ok());
   ASSERT_EQ(reply.type, MsgType::kNwcResponse);
-  EXPECT_EQ(reply.request_id, 6u);
+  EXPECT_EQ(reply.request_id, id);
   EXPECT_EQ(reply.nwc.status.code(), StatusCode::kOk);
 }
 

@@ -275,22 +275,29 @@ TEST(ShardRouter, InvalidQueryFailsBeforeAnyShardUnderBothPolicies) {
     ShardRouterConfig config = FourShardConfig();
     config.partial_failure = policy;
     const auto router = OpenRouter(config, 1000);
-    NwcRequest nwc;
-    nwc.query = NwcQuery{Point{5000, 5000}, 300, 300, 0};  // n == 0
-    KnwcRequest knwc;
-    knwc.query = KnwcQuery{NwcQuery{Point{5000, 5000}, 0, 300, 4}, 2, 1};  // l <= 0
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const NwcQuery& bad : {NwcQuery{Point{5000, 5000}, 300, 300, 0},   // n == 0
+                                NwcQuery{Point{5000, 5000}, 0, 300, 4},     // l <= 0
+                                NwcQuery{Point{5000, 5000}, nan, 300, 4},   // NaN l
+                                NwcQuery{Point{inf, 5000}, 300, 300, 4}}) {  // infinite q.x
+      NwcRequest nwc;
+      nwc.query = bad;
+      KnwcRequest knwc;
+      knwc.query = KnwcQuery{bad, 2, 1};
 
-    const NwcResponse routed_nwc = router->RouteNwc(nwc);
-    const KnwcResponse routed_knwc = router->RouteKnwc(knwc);
-    const NwcResponse async_nwc = router->SubmitNwc(nwc).get();
-    const KnwcResponse async_knwc = router->SubmitKnwc(knwc).get();
-    for (const auto& [status, degraded] :
-         {std::pair{routed_nwc.status, routed_nwc.degraded},
-          std::pair{routed_knwc.status, routed_knwc.degraded},
-          std::pair{async_nwc.status, async_nwc.degraded},
-          std::pair{async_knwc.status, async_knwc.degraded}}) {
-      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
-      EXPECT_FALSE(degraded);
+      const NwcResponse routed_nwc = router->RouteNwc(nwc);
+      const KnwcResponse routed_knwc = router->RouteKnwc(knwc);
+      const NwcResponse async_nwc = router->SubmitNwc(nwc).get();
+      const KnwcResponse async_knwc = router->SubmitKnwc(knwc).get();
+      for (const auto& [status, degraded] :
+           {std::pair{routed_nwc.status, routed_nwc.degraded},
+            std::pair{routed_knwc.status, routed_knwc.degraded},
+            std::pair{async_nwc.status, async_nwc.degraded},
+            std::pair{async_knwc.status, async_knwc.degraded}}) {
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+        EXPECT_FALSE(degraded);
+      }
     }
     for (size_t s = 0; s < router->num_shards(); ++s) {
       EXPECT_EQ(router->ShardMetrics(s).queries, 0u) << "shard " << s;

@@ -1,10 +1,9 @@
 // nwc_load — open-loop load generator for `nwc_tool serve`.
 //
-//   nwc_load --port=PORT [--host=127.0.0.1] [--qps=1000] [--connections=4]
-//            [--pipeline=32] [--duration=2] [--deadline-us=0]
-//            [--queries=F.txt | --synthetic=N] [--seed=1]
-//            [--scheme=<plain|srr|dip|dep|iwp|plus|star>]
-//            [--measure=<min|max|avg|nearest>] [--trace]
+// Flags are declared once in kLoadFlags below, whose help lines are the
+// per-flag reference and the usage text; an unknown flag, a malformed or
+// out-of-range value, or a missing --port exits 1 before any connection
+// is attempted.
 //
 // Holds the target arrival rate regardless of server speed (open loop):
 // request i is due at start + i/qps and its latency is measured from that
@@ -34,131 +33,58 @@
 // server-path benchmark recipe built on this tool.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "datasets/dataset.h"
+#include "flags.h"
 #include "net/load_gen.h"
 #include "service/workload.h"
 
 namespace nwc {
 namespace {
 
-// --key=value argument bag (same convention as nwc_tool).
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--", 2) != 0) continue;
-      const char* eq = std::strchr(arg, '=');
-      if (eq == nullptr) {
-        values_[std::string(arg + 2)] = "true";
-      } else {
-        values_[std::string(arg + 2, eq)] = std::string(eq + 1);
-      }
-    }
-  }
+using enum FlagType;
 
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-  }
-  long GetLong(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
+constexpr Flag kLoadFlags[] = {
+    {.name = "port", .type = kCount, .help = "server port", .required = true, .max = 65535},
+    {"host", kText, "127.0.0.1", "server address"},
+    {"qps", kDouble, "1000", "target arrival rate, requests per second"},
+    {"connections", kCount, "4", "pipelined connections"},
+    {"pipeline", kCount, "32", "requests in flight per connection"},
+    {"duration", kDouble, "2", "seconds of sending"},
+    {"deadline-us", kCount, "0", "per-request deadline sent to the server; 0 = none"},
+    {"queries", kText, nullptr, "query file in the serve-batch format (default: --synthetic)"},
+    {"synthetic", kCount, "256", "size of the synthetic skewed workload"},
+    {"seed", kCount, "1", "synthetic workload seed"},
+    {"trace", kBool, nullptr, "ask for server-side timing on every request"},
 };
 
-int Fail(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
-  return 1;
-}
-
-Result<std::optional<NwcOptions>> ParseOptionOverride(const Args& args) {
-  if (!args.Has("scheme") && !args.Has("measure")) return std::optional<NwcOptions>{};
-  NwcOptions options = NwcOptions::Star();
-  const std::string scheme = args.Get("scheme", "star");
-  if (scheme == "plain") {
-    options = NwcOptions::Plain();
-  } else if (scheme == "srr") {
-    options = NwcOptions::Srr();
-  } else if (scheme == "dip") {
-    options = NwcOptions::Dip();
-  } else if (scheme == "dep") {
-    options = NwcOptions::Dep();
-  } else if (scheme == "iwp") {
-    options = NwcOptions::Iwp();
-  } else if (scheme == "plus") {
-    options = NwcOptions::Plus();
-  } else if (scheme == "star") {
-    options = NwcOptions::Star();
-  } else {
-    return Status::InvalidArgument("unknown --scheme " + scheme);
-  }
-  const std::string measure = args.Get("measure", "nearest");
-  if (measure == "min") {
-    options.measure = DistanceMeasure::kMin;
-  } else if (measure == "max") {
-    options.measure = DistanceMeasure::kMax;
-  } else if (measure == "avg") {
-    options.measure = DistanceMeasure::kAvg;
-  } else if (measure == "nearest") {
-    options.measure = DistanceMeasure::kNearestWindow;
-  } else {
-    return Status::InvalidArgument("unknown --measure " + measure);
-  }
-  return std::optional<NwcOptions>{options};
-}
-
 int Run(int argc, char** argv) {
-  const Args args(argc, argv, 1);
-  if (!args.Has("port")) {
-    std::fprintf(stderr,
-                 "usage: nwc_load --port=PORT [--host=H] [--qps=N] [--connections=N]\n"
-                 "                [--pipeline=N] [--duration=SECONDS] [--deadline-us=N]\n"
-                 "                [--queries=F.txt | --synthetic=N] [--seed=S]\n"
-                 "                [--scheme=...] [--measure=...] [--trace]\n"
-                 "see the header of tools/nwc_load.cc for the full reference\n");
-    return 2;
-  }
+  const std::optional<Flags> flags =
+      Flags::Parse("nwc_load", JoinFlags({kLoadFlags, kOptionFlags}), argc, argv, 1);
+  if (!flags) return 1;
 
   LoadGenConfig config;
-  config.host = args.Get("host", "127.0.0.1");
-  config.port = static_cast<uint16_t>(args.GetLong("port", 0));
-  config.target_qps = args.GetDouble("qps", 1000.0);
-  config.connections = static_cast<size_t>(args.GetLong("connections", 4));
-  config.pipeline_depth = static_cast<size_t>(args.GetLong("pipeline", 32));
-  config.duration_seconds = args.GetDouble("duration", 2.0);
-  config.deadline_micros = static_cast<uint64_t>(args.GetLong("deadline-us", 0));
-  config.trace = args.Has("trace");
-  Result<std::optional<NwcOptions>> options = ParseOptionOverride(args);
-  if (!options.ok()) return Fail(options.status().ToString());
-  config.options = *options;
+  config.host = flags->text("host");
+  config.port = static_cast<uint16_t>(flags->count("port"));
+  config.target_qps = flags->number("qps");
+  config.connections = flags->count("connections");
+  config.pipeline_depth = flags->count("pipeline");
+  config.duration_seconds = flags->number("duration");
+  config.deadline_micros = flags->count("deadline-us");
+  config.trace = flags->has("trace");
+  if (flags->has("scheme") || flags->has("measure")) config.options = OptionsFromFlags(*flags);
 
   std::vector<WorkloadEntry> workload;
-  if (args.Has("queries")) {
-    Result<std::vector<WorkloadEntry>> loaded = LoadWorkloadFile(args.Get("queries"));
+  if (flags->has("queries")) {
+    Result<std::vector<WorkloadEntry>> loaded = LoadWorkloadFile(flags->text("queries"));
     if (!loaded.ok()) return Fail(loaded.status().ToString());
     workload = std::move(loaded).value();
   } else {
-    workload = MakeSkewedWorkload(static_cast<size_t>(args.GetLong("synthetic", 256)),
-                                  static_cast<uint64_t>(args.GetLong("seed", 1)),
+    workload = MakeSkewedWorkload(flags->count("synthetic"), flags->count("seed"),
                                   NormalizedSpace());
   }
-
   std::printf("nwc_load: %s:%u, %.0f q/s target, %zu connection(s) x depth %zu, %.1f s, "
               "%zu-query workload%s\n",
               config.host.c_str(), static_cast<unsigned>(config.port), config.target_qps,

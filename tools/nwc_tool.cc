@@ -1,124 +1,59 @@
 // nwc_tool — command-line front end for the library.
 //
-// Subcommands:
-//   generate --kind=<uniform|gaussian|ca|ny> --count=N --seed=S --out=F.csv
-//       Write a synthetic dataset as CSV.
-//   build    --data=F.csv --out=F.nwctree [--max-entries=50] [--str]
-//       Build an R*-tree over a CSV dataset and save it.
-//   query    --index=F.nwctree --q=X,Y --l=L --w=W --n=N
-//            [--scheme=<plain|srr|dip|dep|iwp|plus|star>]
-//            [--measure=<min|max|avg|nearest>] [--data=F.csv]
-//       Run one NWC query and print the group plus the I/O cost.
-//       (--data is required for schemes using DEP, to build the grid.)
-//   knwc     --index=F.nwctree --q=X,Y --l=L --w=W --n=N --k=K --m=M
-//            [--scheme=...] [--data=F.csv]
-//       Run one kNWC query.
-//   stats    --index=F.nwctree
-//       Print index statistics.
-//   serve-batch --index=F.nwctree --queries=F.txt [--threads=4] [--queue=256]
-//            [--scheme=...] [--measure=...] [--print]
-//            [--metrics-json=F.json] [--prom=F.prom]
-//            [--trace-dir=DIR] [--slow-us=N] [--trace-ring=32]
-//            [--deadline-us=N] [--inject-faults=SPEC] [--shed-watermark=N]
-//            [--retries=N] [--retry-backoff-us=100]
-//            [--cache-mb=N]
-//       Replay a query file through the concurrent QueryService across N
-//       worker threads and print a metrics report (throughput, latency
-//       quantiles, merged per-phase I/O). The query file holds one query
-//       per line — "nwc X Y L W N" or "knwc X Y L W N K M" — with '#'
-//       comments; the density grid / IWP index needed by the scheme are
-//       built from the loaded tree itself, so no --data file is needed.
-//       --metrics-json / --prom dump the final MetricsSnapshot as JSON /
-//       Prometheus text. --trace-dir (or --slow-us) turns on per-query
-//       tracing: queries at or over --slow-us microseconds (0 = all) are
-//       retained in a --trace-ring-capacity ring and written to DIR as
-//       Chrome trace-event JSON, one file per query.
-//       Robustness knobs: --deadline-us bounds each query from submit
-//       (DeadlineExceeded past it); --inject-faults runs a deterministic
-//       fault schedule against the page reads ("every:N", "once:K",
-//       "bernoulli:P[:SEED]", "spike:N:MICROS" — see storage/
-//       fault_injector.h); --shed-watermark sheds blocking submits past
-//       that queue depth; --retries / --retry-backoff-us retry transient
-//       I/O faults with exponential backoff.
-//       Caching: --cache-mb gives the service a sharded result cache of
-//       that many MiB (repeat queries answer from it with zero tree
-//       reads; the metrics report shows hits/misses/evictions). Count
-//       flags (--threads, --queue, --cache-mb, ...) must be non-negative
-//       integers; anything else exits 1 before a backend is built.
-//       Every backend serves from an MVCC SnapshotStore (its writer copy
-//       is built on the first update, so an unmutated run pays nothing
-//       for it). Dynamic data: --mutations=F.txt replays a mutation file
-//       (one "insert ID X Y" / "delete ID X Y" per line, "---" closing a
-//       batch) interleaved with the query stream — each batch applies
-//       and publishes a new epoch after every --mutate-every queries
-//       (default: spread evenly).
-//       --iwp-staleness=N lets published snapshots omit the IWP for up
-//       to N mutations since its last build (queries degrade to
-//       SRR+DIP+DEP for those epochs).
-//       Sharded serving: --shards=N splits the tree into N Z-order range
-//       shards behind a ShardRouter (one store + service per shard).
-//       Requires --shard-max-l/--shard-max-w (upper bounds on any query's
-//       window dims; larger queries are rejected). --shard-halo=F scales
-//       the halo replication band, --shard-partial=<fail|degrade> picks
-//       the partial-failure policy, and --fault-shard=S scopes
-//       --inject-faults to one shard.
-//   serve    --index=F.nwctree [--host=127.0.0.1] [--port=0]
-//            [--threads=4] [--queue=256] [--scheme=...] [--measure=...]
-//            [--no-iwp] [--no-grid] [--max-frame-bytes=1048576]
-//            [--deadline-us=N] [--shed-watermark=N] [--cache-mb=N]
-//            [--iwp-staleness=N]
-//            [--metrics-json=F.json] [--prom=F.prom]
-//       Serve NWC/kNWC queries over TCP (the binary frame protocol of
-//       src/net/wire.h) until SIGINT/SIGTERM, then drain gracefully:
-//       stop accepting, finish in-flight queries (deadlines still
-//       apply), flush every response, print the final metrics report,
-//       exit 0. --port=0 picks an ephemeral port (printed on startup as
-//       "listening on HOST:PORT"). GET /metrics on the same port
-//       answers with the Prometheus exposition. Unlike serve-batch the
-//       session builds the IWP index and density grid by default so
-//       clients may override the scheme per request; --no-iwp /
-//       --no-grid trade that flexibility for startup time and memory.
-//       Drive it with nwc_load (open-loop QPS, pipelined connections).
-//       Clients may send kUpdateRequest frames (insert/delete batches):
-//       the index is served from an MVCC SnapshotStore, and each batch
-//       publishes a new epoch that later queries observe while in-flight
-//       ones keep their snapshot. The server has no access control: any
-//       client that can connect can mutate the data. --iwp-staleness as
-//       in serve-batch.
-//       --shards=N (with --shard-max-l/--shard-max-w and the other
-//       --shard-* knobs, as in serve-batch) serves from a ShardRouter
-//       over N Z-order range shards; /metrics then includes per-shard
-//       nwc_shard_* series alongside the aggregated families.
-//   trace    --index=F.nwctree --q=X,Y --l=L --w=W --n=N [--k=K --m=M]
-//            [--scheme=...] [--measure=...] [--data=F.csv]
-//            [--format=<chrome|jsonl>] [--out=F.json]
-//       Run one NWC (or, with --k, kNWC) query with tracing enabled and
-//       emit the trace: Chrome trace-event JSON (open in Perfetto /
-//       chrome://tracing) or JSONL for scripts. Without --out the trace
-//       goes to stdout; with --out a human summary (spans, pruning
-//       counters, per-phase reads) is printed instead.
+// Every subcommand takes --key=value flags (bare --key for switches),
+// declared once in its flag table below; the table's help lines are the
+// per-flag reference, printed as the usage text. An unknown flag, a
+// malformed or out-of-range value, or a missing required flag exits 1
+// before any file is read or written.
+//
+//   generate     Write a synthetic dataset (uniform, gaussian, or the CA /
+//                NY look-alikes of the paper's real datasets) as CSV.
+//   build        Build an R*-tree (or an STR bulk-loaded one) over a CSV
+//                dataset and save it.
+//   query        Run one NWC query against a saved tree and print the
+//                group plus its node reads.
+//   knwc         Run one kNWC query and print the k groups.
+//   trace        Run one NWC (or, with --k, kNWC) query with tracing on and
+//                emit the trace as Chrome trace-event JSON (Perfetto,
+//                chrome://tracing) or JSONL; with --out, print a summary of
+//                spans, pruning counters and per-phase reads instead.
+//   stats        Print index statistics and the tree's validation status.
+//   serve-batch  Replay a query file ("nwc X Y L W N" / "knwc X Y L W N K M"
+//                lines, '#' comments) through the concurrent QueryService —
+//                or, with --shards > 1, a ShardRouter over Z-order range
+//                shards — and print a metrics report. A mutation file
+//                ("insert ID X Y" / "delete ID X Y", "---" closing a batch)
+//                publishes a new MVCC epoch between query submissions.
+//                SIGINT/SIGTERM cancels in-flight work and still writes
+//                every requested output.
+//   serve        Serve NWC/kNWC queries and update batches over TCP (the
+//                frame protocol of src/net/wire.h, plus GET /metrics and
+//                the admin endpoints on the same port) until SIGINT/SIGTERM,
+//                then drain: stop accepting, finish in-flight queries,
+//                flush every response, print the final metrics, exit 0.
+//                The server has no access control: any client that can
+//                connect can mutate the data. Drive it with nwc_load.
+//
+// query, knwc and trace open the tree like the servers do: the IWP index
+// and the density grid their scheme needs are built from the tree itself.
 //
 // Example session:
 //   nwc_tool generate --kind=ca --out=/tmp/ca.csv
 //   nwc_tool build --data=/tmp/ca.csv --out=/tmp/ca.nwctree --str
-//   nwc_tool query --index=/tmp/ca.nwctree --data=/tmp/ca.csv
-//       --q=5000,5000 --l=64 --w=64 --n=8 --scheme=star
-//   nwc_tool trace --index=/tmp/ca.nwctree --data=/tmp/ca.csv
-//       --q=5000,5000 --l=64 --w=64 --n=8 --scheme=star --out=/tmp/q.json
+//   nwc_tool query --index=/tmp/ca.nwctree --q=5000,5000 --l=64 --w=64 --n=8
+//   nwc_tool trace --index=/tmp/ca.nwctree --q=5000,5000 --l=64 --w=64 --n=8
+//       --out=/tmp/q.json
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
-#include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -130,14 +65,13 @@
 #include "core/nwc_engine.h"
 #include "datasets/dataset.h"
 #include "datasets/generators.h"
-#include "grid/density_grid.h"
+#include "flags.h"
 #include "net/server.h"
 #include "net/shutdown_signal.h"
 #include "obs/prometheus.h"
 #include "obs/query_trace.h"
 #include "obs/trace_export.h"
 #include "rtree/bulk_load.h"
-#include "rtree/iwp_index.h"
 #include "rtree/serialize.h"
 #include "rtree/tree_stats.h"
 #include "rtree/validate.h"
@@ -149,152 +83,145 @@
 namespace nwc {
 namespace {
 
-// --key=value argument bag.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--", 2) != 0) continue;
-      const char* eq = std::strchr(arg, '=');
-      if (eq == nullptr) {
-        values_[std::string(arg + 2)] = "true";
-      } else {
-        values_[std::string(arg + 2, eq)] = std::string(eq + 1);
-      }
-    }
-  }
+using enum FlagType;
 
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-  }
-  long GetLong(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+static_assert(kMaxEntriesDefault == 50, "--max-entries' default below spells it out");
 
- private:
-  std::map<std::string, std::string> values_;
+constexpr Flag kGenerateFlags[] = {
+    {.name = "kind", .type = kEnum, .fallback = "uniform",
+     .help = "distribution (ca / ny mimic the paper's real datasets)",
+     .choices = "uniform|gaussian|ca|ny"},
+    {"count", kCount, nullptr, "objects to write (default: the kind's size in the paper)"},
+    {"seed", kCount, "1", "generator seed"},
+    {.name = "out", .type = kText, .help = "CSV file to write", .required = true},
 };
 
-/// Reads count flags (object counts, threads, queue slots, microseconds,
-/// MiB, shards, ports): an absent flag gives its fallback; a negative,
-/// non-numeric or above-`max` value reads as the fallback and records
-/// InvalidArgument in status() (the first one wins), so it can never wrap
-/// into a huge size_t.
-/// Config builders read all their counts, then check status() once.
-class CountFlags {
- public:
-  explicit CountFlags(const Args& args) : args_(args) {}
-
-  size_t Get(const std::string& key, size_t fallback,
-             size_t max = std::numeric_limits<size_t>::max()) {
-    if (!args_.Has(key)) return fallback;
-    const std::string text = args_.Get(key);
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    // strtoull skips whitespace and negates a leading '-', so insist on a
-    // leading digit and nothing after the number.
-    if (text.empty() || text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE ||
-        value > max) {
-      if (status_.ok()) {
-        status_ = Status::InvalidArgument(StrFormat(
-            "--%s must be an integer in [0, %zu], got '%s'", key.c_str(), max, text.c_str()));
-      }
-      return fallback;
-    }
-    return static_cast<size_t>(value);
-  }
-
-  const Status& status() const { return status_; }
-
- private:
-  const Args& args_;
-  Status status_;
+constexpr Flag kBuildFlags[] = {
+    {.name = "data", .type = kText, .help = "CSV dataset to index", .required = true},
+    {.name = "out", .type = kText, .help = "tree file to write", .required = true},
+    {.name = "max-entries", .type = kCount, .fallback = "50",
+     .help = "node fanout M (the minimum fanout is 40% of it)", .max = INT_MAX},
+    {"str", kBool, nullptr, "bulk-load with STR instead of R* inserts"},
 };
 
-int Fail(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
-  return 1;
+constexpr Flag kIndexFlags[] = {
+    {.name = "index", .type = kText, .help = "tree file written by build", .required = true},
+};
+
+constexpr Flag kGridFlags[] = {
+    {"grid-cell", kDouble, "25", "density-grid cell side (schemes using DEP)"},
+};
+
+constexpr Flag kQueryFlags[] = {
+    {.name = "q", .type = kPoint, .help = "query point", .required = true},
+    {"l", kDouble, "8", "window length (x extent)"},
+    {"w", kDouble, "8", "window width (y extent)"},
+    {"n", kCount, "8", "objects per group"},
+};
+
+constexpr Flag kKnwcFlags[] = {
+    {"k", kCount, "4", "groups to return"},
+    {"m", kCount, "2", "objects two groups may share"},
+};
+
+constexpr Flag kTraceFlags[] = {
+    {"k", kCount, nullptr, "trace a kNWC query for K groups (default: trace NWC)"},
+    {"m", kCount, "2", "objects two kNWC groups may share"},
+    {.name = "format", .type = kEnum, .fallback = "chrome", .help = "trace rendering",
+     .choices = "chrome|jsonl"},
+    {"out", kText, nullptr, "write the trace here and print a summary (default: stdout)"},
+};
+
+// ServiceConfig, metrics outputs and the sessions' auxiliary structures,
+// shared by serve-batch and serve.
+constexpr Flag kServiceFlags[] = {
+    {"threads", kCount, "4", "worker threads (per shard)"},
+    {"queue", kCount, "256", "job queue slots (per shard)"},
+    {"deadline-us", kCount, "0", "per-query deadline from submit; 0 = none"},
+    {"shed-watermark", kCount, "0", "shed blocking submits past this queue depth; 0 = never"},
+    {.name = "retries", .type = kCount, .fallback = "0", .help = "retries of a transient I/O fault",
+     .max = INT_MAX},
+    {"retry-backoff-us", kCount, "100", "first retry backoff, doubled per attempt"},
+    {.name = "cache-mb", .type = kCount, .fallback = "0",
+     .help = "result cache size in MiB; 0 = no cache", .max = SIZE_MAX >> 20},
+    {"inject-faults", kText, nullptr,
+     "page-read fault plan: every:N, once:K, bernoulli:P[:SEED] or spike:N:MICROS"},
+    {"slow-us", kCount, "0", "trace queries at or over this latency (0 = all)"},
+    {"trace-ring", kCount, "32", "slow-query traces retained"},
+    {"trace-dir", kText, nullptr,
+     "trace slow queries; serve-batch writes each retained trace here as Chrome JSON"},
+    {"iwp-staleness", kCount, "0", "mutations a published epoch may serve without the IWP"},
+    {"metrics-json", kText, nullptr, "write the final metrics as JSON"},
+    {"prom", kText, nullptr, "write the final metrics as Prometheus text"},
+    {"shards", kCount, "1", "Z-order range shards behind a ShardRouter (1 = no router)"},
+    {"shard-max-l", kDouble, "0", "largest routed window length (needed with --shards > 1)"},
+    {"shard-max-w", kDouble, "0", "largest routed window width (needed with --shards > 1)"},
+    {"shard-halo", kDouble, "3", "halo replication band, in maximum window extents"},
+    {.name = "shard-partial", .type = kEnum, .fallback = "fail",
+     .help = "answer when a shard fails: fail the query or degrade", .choices = "fail|degrade"},
+    {.name = "fault-shard", .type = kCount,
+     .help = "scope --inject-faults to this shard (default: every shard)", .max = INT_MAX},
+    {"router-threads", kCount, nullptr, "router dispatch threads (default: --threads)"},
+    {"router-queue", kCount, nullptr, "router queue slots (default: --queue)"},
+};
+
+constexpr Flag kServeBatchFlags[] = {
+    {.name = "queries", .type = kText, .help = "query file to replay", .required = true},
+    {"mutations", kText, nullptr, "mutation file replayed between the queries"},
+    {"mutate-every", kCount, nullptr,
+     "queries between mutation batches (default: spread the batches evenly)"},
+    {"print", kBool, nullptr, "print every answer"},
+};
+
+constexpr Flag kServeFlags[] = {
+    {"host", kText, "127.0.0.1", "address to listen on"},
+    {.name = "port", .type = kCount, .fallback = "0", .help = "TCP port; 0 picks one and prints it",
+     .max = 65535},
+    {"max-frame-bytes", kCount, "1048576", "largest accepted request frame"},
+    {"no-iwp", kBool, nullptr, "skip the IWP index (requests needing it fail)"},
+    {"no-grid", kBool, nullptr, "skip the density grid (requests needing it fail)"},
+};
+
+/// Opens the tree under --index with the IWP index and density grid that
+/// `options` needs, built from the tree itself. The grid covers the
+/// normalized space so queries outside the data bounds stay sound.
+Result<Session> OpenSession(const Flags& flags, const NwcOptions& options) {
+  Result<RStarTree> tree = LoadTree(flags.text("index"));
+  if (!tree.ok()) return tree.status();
+  return Session::Open(std::move(tree).value(), {.build_iwp = options.use_iwp,
+                                                  .build_grid = options.use_dep,
+                                                  .grid_cell_size = flags.number("grid-cell"),
+                                                  .grid_space = NormalizedSpace()});
 }
 
-Result<NwcOptions> ParseOptions(const Args& args) {
-  NwcOptions options;
-  const std::string scheme = args.Get("scheme", "star");
-  if (scheme == "plain") {
-    options = NwcOptions::Plain();
-  } else if (scheme == "srr") {
-    options = NwcOptions::Srr();
-  } else if (scheme == "dip") {
-    options = NwcOptions::Dip();
-  } else if (scheme == "dep") {
-    options = NwcOptions::Dep();
-  } else if (scheme == "iwp") {
-    options = NwcOptions::Iwp();
-  } else if (scheme == "plus") {
-    options = NwcOptions::Plus();
-  } else if (scheme == "star") {
-    options = NwcOptions::Star();
-  } else {
-    return Status::InvalidArgument("unknown --scheme " + scheme);
-  }
-  const std::string measure = args.Get("measure", "nearest");
-  if (measure == "min") {
-    options.measure = DistanceMeasure::kMin;
-  } else if (measure == "max") {
-    options.measure = DistanceMeasure::kMax;
-  } else if (measure == "avg") {
-    options.measure = DistanceMeasure::kAvg;
-  } else if (measure == "nearest") {
-    options.measure = DistanceMeasure::kNearestWindow;
-  } else {
-    return Status::InvalidArgument("unknown --measure " + measure);
-  }
-  return options;
+NwcQuery QueryFromFlags(const Flags& flags) {
+  return NwcQuery{flags.point("q"), flags.number("l"), flags.number("w"), flags.count("n")};
 }
 
-Result<Point> ParsePoint(const std::string& text) {
-  const size_t comma = text.find(',');
-  if (comma == std::string::npos) {
-    return Status::InvalidArgument("--q must be X,Y");
-  }
-  return Point{std::strtod(text.substr(0, comma).c_str(), nullptr),
-               std::strtod(text.substr(comma + 1).c_str(), nullptr)};
+Status WriteTextFile(const std::string& path, const std::string& text) {
+  std::ofstream file(path, std::ios::trunc);
+  if (!file) return Status::IoError("cannot open " + path + " for writing");
+  file << text;
+  if (!file.good()) return Status::IoError("failed writing " + path);
+  return Status::Ok();
 }
 
-int CmdGenerate(const Args& args) {
+int CmdGenerate(const Flags& flags) {
   struct Generator {
-    const char* kind;
     size_t default_count;
     Dataset (*make)(size_t count, uint64_t seed);
   };
+  // In --kind's choice order.
   static constexpr Generator kGenerators[] = {
-      {"uniform", 100000, [](size_t n, uint64_t seed) { return MakeUniform(n, seed); }},
-      {"gaussian", 250000, [](size_t n, uint64_t seed) { return MakeGaussian(n, seed); }},
-      {"ca", 62556, [](size_t n, uint64_t seed) { return MakeCaLike(seed, n); }},
-      {"ny", 255259, [](size_t n, uint64_t seed) { return MakeNyLike(seed, n); }},
+      {100000, [](size_t n, uint64_t seed) { return MakeUniform(n, seed); }},
+      {250000, [](size_t n, uint64_t seed) { return MakeGaussian(n, seed); }},
+      {62556, [](size_t n, uint64_t seed) { return MakeCaLike(seed, n); }},
+      {255259, [](size_t n, uint64_t seed) { return MakeNyLike(seed, n); }},
   };
-  const std::string kind = args.Get("kind", "uniform");
-  const Generator* generator = nullptr;
-  for (const Generator& g : kGenerators) {
-    if (kind == g.kind) generator = &g;
-  }
-  if (generator == nullptr) return Fail("unknown --kind " + kind);
-  CountFlags counts(args);
-  const size_t count = counts.Get("count", generator->default_count);
-  if (!counts.status().ok()) return Fail(counts.status().ToString());
-  const std::string out = args.Get("out");
-  if (out.empty()) return Fail("--out is required");
-
-  const uint64_t seed = static_cast<uint64_t>(args.GetLong("seed", 1));
-  const Dataset dataset = generator->make(count, seed);
+  const Generator& generator = kGenerators[flags.choice("kind")];
+  const size_t count = flags.has("count") ? flags.count("count") : generator.default_count;
+  const std::string& out = flags.text("out");
+  const Dataset dataset = generator.make(count, flags.count("seed"));
   const Status saved = SaveDatasetCsv(dataset, out);
   if (!saved.ok()) return Fail(saved.ToString());
   std::printf("wrote %zu objects (%s) to %s\n", dataset.size(), dataset.name.c_str(),
@@ -302,79 +229,40 @@ int CmdGenerate(const Args& args) {
   return 0;
 }
 
-int CmdBuild(const Args& args) {
-  const std::string data = args.Get("data");
-  const std::string out = args.Get("out");
-  if (data.empty() || out.empty()) return Fail("--data and --out are required");
-  CountFlags counts(args);
+int CmdBuild(const Flags& flags) {
   RTreeOptions options;
-  options.max_entries = static_cast<int>(
-      counts.Get("max-entries", kMaxEntriesDefault, std::numeric_limits<int>::max()));
-  if (!counts.status().ok()) return Fail(counts.status().ToString());
+  options.max_entries = static_cast<int>(flags.count("max-entries"));
   // 64-bit product: max_entries may be as large as INT_MAX.
   options.min_entries = static_cast<int>(int64_t{options.max_entries} * 2 / 5);
   const Status valid = options.Validate();
   if (!valid.ok()) return Fail(valid.ToString());
-  Result<Dataset> dataset = LoadDatasetCsv(data, "cli");
+  Result<Dataset> dataset = LoadDatasetCsv(flags.text("data"), "cli");
   if (!dataset.ok()) return Fail(dataset.status().ToString());
 
+  const bool str = flags.has("str");
   RStarTree tree(options);
-  if (args.Has("str")) {
+  if (str) {
     tree = BulkLoadStr(dataset->objects, options);
   } else {
     for (const DataObject& obj : dataset->objects) tree.Insert(obj);
   }
+  const std::string& out = flags.text("out");
   const Status saved = SaveTree(tree, out);
   if (!saved.ok()) return Fail(saved.ToString());
-  std::printf("built %s tree: %zu objects, %zu nodes, height %d -> %s\n",
-              args.Has("str") ? "STR" : "R*", tree.size(), tree.node_count(), tree.height(),
-              out.c_str());
+  std::printf("built %s tree: %zu objects, %zu nodes, height %d -> %s\n", str ? "STR" : "R*",
+              tree.size(), tree.node_count(), tree.height(), out.c_str());
   return 0;
 }
 
-struct LoadedIndex {
-  RStarTree tree;
-  std::unique_ptr<IwpIndex> iwp;
-  std::unique_ptr<DensityGrid> grid;
-};
+int CmdQuery(const Flags& flags) {
+  const NwcOptions options = OptionsFromFlags(flags);
+  const NwcQuery query = QueryFromFlags(flags);
+  const Result<Session> session = OpenSession(flags, options);
+  if (!session.ok()) return Fail(session.status().ToString());
 
-Result<LoadedIndex> LoadIndexFor(const Args& args, const NwcOptions& options) {
-  const std::string index_path = args.Get("index");
-  if (index_path.empty()) return Status::InvalidArgument("--index is required");
-  Result<RStarTree> tree = LoadTree(index_path);
-  if (!tree.ok()) return tree.status();
-  LoadedIndex loaded{std::move(tree).value(), nullptr, nullptr};
-  if (options.use_iwp) {
-    loaded.iwp = std::make_unique<IwpIndex>(IwpIndex::Build(loaded.tree));
-  }
-  if (options.use_dep) {
-    const std::string data = args.Get("data");
-    if (data.empty()) {
-      return Status::InvalidArgument("--data is required for DEP schemes (density grid)");
-    }
-    Result<Dataset> dataset = LoadDatasetCsv(data, "cli");
-    if (!dataset.ok()) return dataset.status();
-    loaded.grid = std::make_unique<DensityGrid>(
-        NormalizedSpace(), args.GetDouble("grid-cell", 25.0), dataset->objects);
-  }
-  return loaded;
-}
-
-int CmdQuery(const Args& args) {
-  const Result<NwcOptions> options = ParseOptions(args);
-  if (!options.ok()) return Fail(options.status().ToString());
-  const Result<Point> q = ParsePoint(args.Get("q", ""));
-  if (!q.ok()) return Fail(q.status().ToString());
-  CountFlags counts(args);
-  const NwcQuery query{*q, args.GetDouble("l", 8.0), args.GetDouble("w", 8.0),
-                       counts.Get("n", 8)};
-  if (!counts.status().ok()) return Fail(counts.status().ToString());
-  Result<LoadedIndex> index = LoadIndexFor(args, *options);
-  if (!index.ok()) return Fail(index.status().ToString());
-
-  NwcEngine engine(index->tree, index->iwp.get(), index->grid.get());
+  NwcEngine engine(session->tree(), session->iwp(), session->grid());
   IoCounter io;
-  const Result<NwcResult> result = engine.Execute(query, *options, &io);
+  const Result<NwcResult> result = engine.Execute(query, options, &io);
   if (!result.ok()) return Fail(result.status().ToString());
   if (!result->found) {
     std::printf("no qualified window (no %g x %g window holds %zu objects)\n", query.length,
@@ -382,7 +270,7 @@ int CmdQuery(const Args& args) {
     return 0;
   }
   std::printf("distance %.3f (%s measure), %llu node reads\n", result->distance,
-              DistanceMeasureName(options->measure),
+              DistanceMeasureName(options.measure),
               static_cast<unsigned long long>(io.query_total()));
   for (const DataObject& obj : result->objects) {
     std::printf("  %u (%.3f, %.3f)\n", obj.id, obj.pos.x, obj.pos.y);
@@ -390,22 +278,15 @@ int CmdQuery(const Args& args) {
   return 0;
 }
 
-int CmdKnwc(const Args& args) {
-  const Result<NwcOptions> options = ParseOptions(args);
-  if (!options.ok()) return Fail(options.status().ToString());
-  const Result<Point> q = ParsePoint(args.Get("q", ""));
-  if (!q.ok()) return Fail(q.status().ToString());
-  CountFlags counts(args);
-  const KnwcQuery query{NwcQuery{*q, args.GetDouble("l", 8.0), args.GetDouble("w", 8.0),
-                                 counts.Get("n", 8)},
-                        counts.Get("k", 4), counts.Get("m", 2)};
-  if (!counts.status().ok()) return Fail(counts.status().ToString());
-  Result<LoadedIndex> index = LoadIndexFor(args, *options);
-  if (!index.ok()) return Fail(index.status().ToString());
+int CmdKnwc(const Flags& flags) {
+  const NwcOptions options = OptionsFromFlags(flags);
+  const KnwcQuery query{QueryFromFlags(flags), flags.count("k"), flags.count("m")};
+  const Result<Session> session = OpenSession(flags, options);
+  if (!session.ok()) return Fail(session.status().ToString());
 
-  KnwcEngine engine(index->tree, index->iwp.get(), index->grid.get());
+  KnwcEngine engine(session->tree(), session->iwp(), session->grid());
   IoCounter io;
-  const Result<KnwcResult> result = engine.Execute(query, *options, &io);
+  const Result<KnwcResult> result = engine.Execute(query, options, &io);
   if (!result.ok()) return Fail(result.status().ToString());
   std::printf("%zu group(s), %llu node reads\n", result->groups.size(),
               static_cast<unsigned long long>(io.query_total()));
@@ -436,58 +317,39 @@ void PrintTraceSummary(const QueryTrace& trace, const IoCounter& io) {
   }
 }
 
-int EmitTrace(const Args& args, const QueryTrace& trace, const IoCounter& io) {
-  const std::string format = args.Get("format", "chrome");
-  std::string rendered;
-  if (format == "chrome") {
-    rendered = ToChromeTraceJson(trace);
-  } else if (format == "jsonl") {
-    rendered = ToJsonl(trace);
-  } else {
-    return Fail("unknown --format " + format + " (expected chrome or jsonl)");
-  }
-  const std::string out = args.Get("out");
-  if (out.empty()) {
+int CmdTrace(const Flags& flags) {
+  const NwcOptions options = OptionsFromFlags(flags);
+  const NwcQuery query = QueryFromFlags(flags);
+  const Result<Session> session = OpenSession(flags, options);
+  if (!session.ok()) return Fail(session.status().ToString());
+
+  IoCounter io;
+  QueryTrace trace = QueryTrace::Enabled();
+  const bool knwc = flags.has("k");
+  const Status ran = knwc ? KnwcEngine(session->tree(), session->iwp(), session->grid())
+                                .Execute({query, flags.count("k"), flags.count("m")}, options,
+                                         &io, &trace)
+                                .status()
+                          : NwcEngine(session->tree(), session->iwp(), session->grid())
+                                .Execute(query, options, &io, &trace)
+                                .status();
+  if (!ran.ok()) return Fail(ran.ToString());
+  trace.set_label(std::string(knwc ? "knwc" : "nwc") + " q=(" + flags.text("q") +
+                  ") scheme=" + flags.text("scheme"));
+
+  const std::string& format = flags.text("format");
+  const std::string rendered = format == "chrome" ? ToChromeTraceJson(trace) : ToJsonl(trace);
+  if (!flags.has("out")) {
     std::printf("%s", rendered.c_str());
     return 0;
   }
-  std::ofstream file(out, std::ios::trunc);
-  if (!file) return Fail("cannot open " + out + " for writing");
-  file << rendered;
-  if (!file.good()) return Fail("failed writing trace to " + out);
-  file.close();
+  const std::string& out = flags.text("out");
+  const Status written = WriteTextFile(out, rendered);
+  if (!written.ok()) return Fail(written.ToString());
   std::printf("wrote %s trace (%zu bytes) to %s\n", format.c_str(), rendered.size(),
               out.c_str());
   PrintTraceSummary(trace, io);
   return 0;
-}
-
-int CmdTrace(const Args& args) {
-  const Result<NwcOptions> options = ParseOptions(args);
-  if (!options.ok()) return Fail(options.status().ToString());
-  const Result<Point> q = ParsePoint(args.Get("q", ""));
-  if (!q.ok()) return Fail(q.status().ToString());
-  CountFlags counts(args);
-  const NwcQuery base{*q, args.GetDouble("l", 8.0), args.GetDouble("w", 8.0), counts.Get("n", 8)};
-  const KnwcQuery knwc_query{base, counts.Get("k", 4), counts.Get("m", 2)};
-  if (!counts.status().ok()) return Fail(counts.status().ToString());
-  Result<LoadedIndex> index = LoadIndexFor(args, *options);
-  if (!index.ok()) return Fail(index.status().ToString());
-
-  IoCounter io;
-  QueryTrace trace = QueryTrace::Enabled();
-  if (args.Has("k")) {
-    KnwcEngine engine(index->tree, index->iwp.get(), index->grid.get());
-    const Result<KnwcResult> result = engine.Execute(knwc_query, *options, &io, &trace);
-    if (!result.ok()) return Fail(result.status().ToString());
-    trace.set_label("knwc q=(" + args.Get("q") + ") scheme=" + args.Get("scheme", "star"));
-  } else {
-    NwcEngine engine(index->tree, index->iwp.get(), index->grid.get());
-    const Result<NwcResult> result = engine.Execute(base, *options, &io, &trace);
-    if (!result.ok()) return Fail(result.status().ToString());
-    trace.set_label("nwc q=(" + args.Get("q") + ") scheme=" + args.Get("scheme", "star"));
-  }
-  return EmitTrace(args, trace, io);
 }
 
 /// Watches the process shutdown latch and cancels the backend's queued and
@@ -516,70 +378,25 @@ class DrainWatcher {
   std::thread thread_;
 };
 
-/// ServiceConfig flags shared by `serve-batch` and `serve`.
-Result<ServiceConfig> ServiceConfigFromArgs(const Args& args, const NwcOptions& options) {
-  CountFlags counts(args);
-  ServiceConfig service_config;
-  service_config.num_threads = counts.Get("threads", 4);
-  service_config.queue_capacity = counts.Get("queue", 256);
-  service_config.default_options = options;
+Result<ServiceConfig> ServiceConfigFromFlags(const Flags& flags) {
+  ServiceConfig config;
+  config.num_threads = flags.count("threads");
+  config.queue_capacity = flags.count("queue");
+  config.default_options = OptionsFromFlags(flags);
   // Asking for a trace directory or a slow threshold implies tracing.
-  service_config.trace_slow_queries = args.Has("trace-dir") || args.Has("slow-us");
-  service_config.slow_trace_us = counts.Get("slow-us", 0);
-  service_config.trace_ring_capacity = counts.Get("trace-ring", 32);
-  service_config.default_deadline_micros = counts.Get("deadline-us", 0);
-  service_config.shed_queue_depth = counts.Get("shed-watermark", 0);
-  service_config.max_retries =
-      static_cast<int>(counts.Get("retries", 0, std::numeric_limits<int>::max()));
-  service_config.retry_backoff_micros = counts.Get("retry-backoff-us", 100);
-  service_config.result_cache_bytes =
-      counts.Get("cache-mb", 0, std::numeric_limits<size_t>::max() >> 20) << 20;
-  if (!counts.status().ok()) return counts.status();
-  if (args.Has("inject-faults")) {
-    Result<FaultPlan> plan = ParseFaultPlan(args.Get("inject-faults"));
+  config.trace_slow_queries = flags.has("trace-dir") || flags.has("slow-us");
+  config.slow_trace_us = flags.count("slow-us");
+  config.trace_ring_capacity = flags.count("trace-ring");
+  config.default_deadline_micros = flags.count("deadline-us");
+  config.shed_queue_depth = flags.count("shed-watermark");
+  config.max_retries = static_cast<int>(flags.count("retries"));
+  config.retry_backoff_micros = flags.count("retry-backoff-us");
+  config.result_cache_bytes = flags.count("cache-mb") << 20;
+  if (flags.has("inject-faults")) {
+    Result<FaultPlan> plan = ParseFaultPlan(flags.text("inject-faults"));
     if (!plan.ok()) return plan.status();
-    service_config.fault_plan = *plan;
+    config.fault_plan = *plan;
   }
-  const Status valid = service_config.Validate();
-  if (!valid.ok()) return valid;
-  return service_config;
-}
-
-/// Sharding flags shared by `serve-batch` and `serve` (--shards > 1 puts a
-/// ShardRouter over per-shard QueryServices; see service/shard_router.h).
-/// --shard-max-l / --shard-max-w bound the windows routed queries may
-/// carry (the halo basis — required with --shards > 1); --shard-halo is
-/// the halo factor; --shard-partial picks the partial-failure policy;
-/// --fault-shard scopes --inject-faults to one shard.
-Result<ShardRouterConfig> ShardConfigFromArgs(const Args& args,
-                                              const ServiceConfig& service_config,
-                                              const SessionConfig& session_config) {
-  CountFlags counts(args);
-  ShardRouterConfig config;
-  config.num_shards = counts.Get("shards", 1);
-  config.max_window_length = args.GetDouble("shard-max-l", 0.0);
-  config.max_window_width = args.GetDouble("shard-max-w", 0.0);
-  config.halo_factor = args.GetDouble("shard-halo", 3.0);
-  const std::string partial = args.Get("shard-partial", "fail");
-  if (partial == "fail") {
-    config.partial_failure = PartialFailurePolicy::kFail;
-  } else if (partial == "degrade") {
-    config.partial_failure = PartialFailurePolicy::kDegrade;
-  } else {
-    return Status::InvalidArgument("--shard-partial must be 'fail' or 'degrade'");
-  }
-  config.service = service_config;
-  config.session = session_config;
-  config.iwp_staleness_limit = counts.Get("iwp-staleness", 0);
-  config.fault_plan = service_config.fault_plan;
-  config.fault_shard = static_cast<int>(args.GetLong("fault-shard", -1));
-  // Router dispatch parallelism defaults to the per-shard worker count:
-  // NWC routing holds a router thread across its (mostly sequential)
-  // shard visits, so fewer router threads than workers would idle the
-  // shard services.
-  config.router_threads = counts.Get("router-threads", service_config.num_threads);
-  config.router_queue_capacity = counts.Get("router-queue", service_config.queue_capacity);
-  if (!counts.status().ok()) return counts.status();
   const Status valid = config.Validate();
   if (!valid.ok()) return valid;
   return config;
@@ -593,78 +410,97 @@ struct Backend {
   std::unique_ptr<SnapshotStore> store;   ///< null behind a router
   std::unique_ptr<QueryService> service;  ///< null behind a router
   std::unique_ptr<ShardRouter> router;    ///< null unless --shards > 1
+  std::string shape;  ///< "N shard(s) x W worker(s)" or "W worker(s)", for the banners
 
   QueryBackend& get() const {
     return router != nullptr ? static_cast<QueryBackend&>(*router) : *service;
   }
-  void CancelAll() const {
-    if (router != nullptr) {
-      router->CancelAll();
-    } else {
-      service->CancelAll();
-    }
-  }
 };
 
-Result<Backend> OpenBackend(const Args& args, RStarTree tree, const SessionConfig& session_config,
-                            const ServiceConfig& service_config) {
-  CountFlags counts(args);
-  const size_t num_shards = counts.Get("shards", 1);
-  const size_t iwp_staleness = counts.Get("iwp-staleness", 0);
-  if (!counts.status().ok()) return counts.status();
+/// Opens the tree under --index behind the backend the flags describe,
+/// with the sessions' IWP index and density grid as asked.
+Result<Backend> OpenBackend(const Flags& flags, bool build_iwp, bool build_grid) {
+  Result<ServiceConfig> service_config = ServiceConfigFromFlags(flags);
+  if (!service_config.ok()) return service_config.status();
+  Result<RStarTree> tree = LoadTree(flags.text("index"));
+  if (!tree.ok()) return tree.status();
+  const SessionConfig session_config{.build_iwp = build_iwp,
+                                     .build_grid = build_grid,
+                                     .grid_cell_size = flags.number("grid-cell")};
   Backend backend;
-  if (num_shards > 1) {
-    const Result<ShardRouterConfig> shard_config =
-        ShardConfigFromArgs(args, service_config, session_config);
-    if (!shard_config.ok()) return shard_config.status();
+  if (flags.count("shards") > 1) {
+    constexpr PartialFailurePolicy kPolicies[] = {PartialFailurePolicy::kFail,
+                                                  PartialFailurePolicy::kDegrade};  // in order
+    ShardRouterConfig config;
+    config.num_shards = flags.count("shards");
+    config.max_window_length = flags.number("shard-max-l");
+    config.max_window_width = flags.number("shard-max-w");
+    config.halo_factor = flags.number("shard-halo");
+    config.partial_failure = kPolicies[flags.choice("shard-partial")];
+    config.service = *service_config;
+    config.session = session_config;
+    config.iwp_staleness_limit = flags.count("iwp-staleness");
+    config.fault_plan = service_config->fault_plan;
+    config.fault_shard =
+        flags.has("fault-shard") ? static_cast<int>(flags.count("fault-shard")) : -1;
+    // Router dispatch parallelism defaults to the per-shard worker count:
+    // NWC routing holds a router thread across its (mostly sequential)
+    // shard visits, so fewer router threads than workers would idle the
+    // shard services.
+    config.router_threads =
+        flags.has("router-threads") ? flags.count("router-threads") : service_config->num_threads;
+    config.router_queue_capacity =
+        flags.has("router-queue") ? flags.count("router-queue") : service_config->queue_capacity;
     Result<std::unique_ptr<ShardRouter>> router =
-        ShardRouter::Open(CollectTreeObjects(tree), *shard_config);
+        ShardRouter::Open(CollectTreeObjects(*tree), config);
     if (!router.ok()) return router.status();
     backend.router = std::move(*router);
+    backend.shape = StrFormat("%zu shard(s) x %zu worker(s)", backend.router->num_shards(),
+                              service_config->num_threads);
     return backend;
   }
   SnapshotStore::Config store_config;
   store_config.session = session_config;
-  store_config.iwp_staleness_limit = iwp_staleness;
-  Result<std::unique_ptr<SnapshotStore>> store = SnapshotStore::Open(std::move(tree), store_config);
+  store_config.iwp_staleness_limit = flags.count("iwp-staleness");
+  Result<std::unique_ptr<SnapshotStore>> store =
+      SnapshotStore::Open(std::move(tree).value(), store_config);
   if (!store.ok()) return store.status();
   backend.store = std::move(*store);
-  backend.service = std::make_unique<QueryService>(*backend.store, service_config);
+  backend.service = std::make_unique<QueryService>(*backend.store, *service_config);
+  backend.shape = StrFormat("%zu worker(s)", backend.service->num_workers());
   return backend;
 }
 
-int CmdServeBatch(const Args& args) {
-  const Result<NwcOptions> options = ParseOptions(args);
-  if (!options.ok()) return Fail(options.status().ToString());
-  const std::string index_path = args.Get("index");
-  if (index_path.empty()) return Fail("--index is required");
-  const std::string queries_path = args.Get("queries");
-  if (queries_path.empty()) return Fail("--queries is required");
+/// Writes the final metrics to --metrics-json / --prom when asked.
+Status WriteMetricsOutputs(const Flags& flags, const MetricsSnapshot& snapshot,
+                           QueryBackend& backend) {
+  if (flags.has("metrics-json")) {
+    const Status written = WriteTextFile(flags.text("metrics-json"), snapshot.ToJson() + "\n");
+    if (!written.ok()) return written;
+    std::printf("wrote metrics JSON to %s\n", flags.text("metrics-json").c_str());
+  }
+  if (flags.has("prom")) {
+    std::string text = ToPrometheusText(snapshot, backend.SnapshotLatencyHistogram());
+    backend.AppendPrometheusText(&text);
+    const Status written = WriteTextFile(flags.text("prom"), text);
+    if (!written.ok()) return written;
+    std::printf("wrote Prometheus metrics to %s\n", flags.text("prom").c_str());
+  }
+  return Status::Ok();
+}
 
+int CmdServeBatch(const Flags& flags) {
+  const std::string& queries_path = flags.text("queries");
   Result<std::vector<WorkloadEntry>> entries = LoadWorkloadFile(queries_path);
   if (!entries.ok()) return Fail(entries.status().ToString());
-  Result<RStarTree> tree = LoadTree(index_path);
-  if (!tree.ok()) return Fail(tree.status().ToString());
-
-  SessionConfig session_config;
-  session_config.build_iwp = options->use_iwp;
-  session_config.build_grid = options->use_dep;
-  session_config.grid_cell_size = args.GetDouble("grid-cell", 25.0);
 
   // Mutation batches publish new epochs between query submissions.
-  CountFlags counts(args);
-  const size_t mutate_every_flag = counts.Get("mutate-every", 1);
-  if (!counts.status().ok()) return Fail(counts.status().ToString());
-  const std::string mutations_path = args.Get("mutations");
   std::vector<MutationBatch> mutation_batches;
-  if (!mutations_path.empty()) {
-    Result<std::vector<MutationBatch>> batches = LoadMutationFile(mutations_path);
+  if (flags.has("mutations")) {
+    Result<std::vector<MutationBatch>> batches = LoadMutationFile(flags.text("mutations"));
     if (!batches.ok()) return Fail(batches.status().ToString());
     mutation_batches = std::move(*batches);
   }
-
-  Result<ServiceConfig> service_config = ServiceConfigFromArgs(args, *options);
-  if (!service_config.ok()) return Fail(service_config.status().ToString());
 
   // SIGINT/SIGTERM drain: cancel in-flight work so the harvest below
   // finishes promptly (with Cancelled responses) and the metrics outputs
@@ -672,21 +508,16 @@ int CmdServeBatch(const Args& args) {
   const Status installed = ShutdownSignal::Instance().Install();
   if (!installed.ok()) return Fail(installed.ToString());
 
-  Result<Backend> opened =
-      OpenBackend(args, std::move(tree).value(), session_config, *service_config);
+  const NwcOptions options = OptionsFromFlags(flags);
+  Result<Backend> opened = OpenBackend(flags, options.use_iwp, options.use_dep);
   if (!opened.ok()) return Fail(opened.status().ToString());
   const Backend& served = *opened;
   QueryBackend& backend = served.get();
-  DrainWatcher drain_watcher([&served] { served.CancelAll(); });
-  if (served.router != nullptr) {
-    std::printf("serving %zu queries from %s across %zu shard(s) x %zu worker(s), scheme %s\n",
-                entries->size(), queries_path.c_str(), served.router->num_shards(),
-                service_config->num_threads, args.Get("scheme", "star").c_str());
-  } else {
-    std::printf("serving %zu queries from %s across %zu worker(s), scheme %s\n",
-                entries->size(), queries_path.c_str(), served.service->num_workers(),
-                args.Get("scheme", "star").c_str());
-  }
+  DrainWatcher drain_watcher([&served] {
+    served.router != nullptr ? served.router->CancelAll() : served.service->CancelAll();
+  });
+  std::printf("serving %zu queries from %s across %s, scheme %s\n", entries->size(),
+              queries_path.c_str(), served.shape.c_str(), flags.text("scheme").c_str());
 
   // Submit everything in file order (blocking submit = natural
   // backpressure), then harvest the futures in the same order. Mutation
@@ -699,21 +530,22 @@ int CmdServeBatch(const Args& args) {
   const size_t mutate_every =
       mutation_batches.empty()
           ? 0
-          : std::max<size_t>(1, args.Has("mutate-every")
-                                    ? mutate_every_flag
+          : std::max<size_t>(1, flags.has("mutate-every")
+                                    ? flags.count("mutate-every")
                                     : entries->size() / (mutation_batches.size() + 1));
   size_t next_batch = 0;
+  // NotFound (delete misses) is tolerated: a replay against a different
+  // seed tree may legitimately miss.
+  const auto apply_next_batch = [&] {
+    last_update = backend.ApplyUpdate(mutation_batches[next_batch++]);
+    return last_update.status.code() == StatusCode::kNotFound ? Status::Ok() : last_update.status;
+  };
   size_t since_mutation = 0;
   for (const WorkloadEntry& entry : *entries) {
     if (mutate_every != 0 && since_mutation >= mutate_every &&
         next_batch < mutation_batches.size()) {
-      // NotFound (delete misses) is tolerated: a replay against a
-      // different seed tree may legitimately miss.
-      const UpdateResponse update = backend.ApplyUpdate(mutation_batches[next_batch++]);
-      if (!update.status.ok() && update.status.code() != StatusCode::kNotFound) {
-        return Fail(update.status.ToString());
-      }
-      last_update = update;
+      const Status applied = apply_next_batch();
+      if (!applied.ok()) return Fail(applied.ToString());
       since_mutation = 0;
     }
     if (entry.is_knwc) {
@@ -726,51 +558,38 @@ int CmdServeBatch(const Args& args) {
   // Leftover batches (short query file): apply them so the replay is
   // complete even if nothing queries the final epochs.
   while (next_batch < mutation_batches.size()) {
-    const UpdateResponse update = backend.ApplyUpdate(mutation_batches[next_batch++]);
-    if (!update.status.ok() && update.status.code() != StatusCode::kNotFound) {
-      return Fail(update.status.ToString());
-    }
-    last_update = update;
+    const Status applied = apply_next_batch();
+    if (!applied.ok()) return Fail(applied.ToString());
   }
 
-  const bool print_each = args.Has("print");
+  // One --print line per answer; `what` describes a successful one.
+  const bool print_each = flags.has("print");
   size_t failures = 0;
+  const auto harvest = [&](const char* kind, const Point& q, const auto& response, auto what) {
+    if (!response.status.ok()) ++failures;
+    if (!print_each) return;
+    if (!response.status.ok()) {
+      std::printf("%s: %s\n", kind, response.status.ToString().c_str());
+      return;
+    }
+    std::printf("%s (%.1f, %.1f): %s, %llu us, %llu reads\n", kind, q.x, q.y, what().c_str(),
+                static_cast<unsigned long long>(response.latency_micros),
+                static_cast<unsigned long long>(response.traversal_reads +
+                                                response.window_query_reads));
+  };
   size_t next_nwc = 0;
   size_t next_knwc = 0;
   for (const WorkloadEntry& entry : *entries) {
     if (entry.is_knwc) {
       const KnwcResponse response = knwc_futures[next_knwc++].get();
-      if (!response.status.ok()) ++failures;
-      if (print_each) {
-        if (!response.status.ok()) {
-          std::printf("knwc: %s\n", response.status.ToString().c_str());
-        } else {
-          std::printf("knwc (%.1f, %.1f): %zu group(s), %llu us, %llu reads\n", entry.knwc.base.q.x,
-                      entry.knwc.base.q.y, response.result.groups.size(),
-                      static_cast<unsigned long long>(response.latency_micros),
-                      static_cast<unsigned long long>(response.traversal_reads +
-                                                      response.window_query_reads));
-        }
-      }
+      harvest("knwc", entry.knwc.base.q, response,
+              [&] { return StrFormat("%zu group(s)", response.result.groups.size()); });
     } else {
       const NwcResponse response = nwc_futures[next_nwc++].get();
-      if (!response.status.ok()) ++failures;
-      if (print_each) {
-        if (!response.status.ok()) {
-          std::printf("nwc: %s\n", response.status.ToString().c_str());
-        } else if (!response.result.found) {
-          std::printf("nwc (%.1f, %.1f): no window, %llu us, %llu reads\n", entry.nwc.q.x,
-                      entry.nwc.q.y, static_cast<unsigned long long>(response.latency_micros),
-                      static_cast<unsigned long long>(response.traversal_reads +
-                                                      response.window_query_reads));
-        } else {
-          std::printf("nwc (%.1f, %.1f): found distance %.3f, %llu us, %llu reads\n",
-                      entry.nwc.q.x, entry.nwc.q.y, response.result.distance,
-                      static_cast<unsigned long long>(response.latency_micros),
-                      static_cast<unsigned long long>(response.traversal_reads +
-                                                      response.window_query_reads));
-        }
-      }
+      harvest("nwc", entry.nwc.q, response, [&] {
+        return response.result.found ? StrFormat("found distance %.3f", response.result.distance)
+                                     : std::string("no window");
+      });
     }
   }
   const double seconds = wall.ElapsedSeconds();
@@ -797,43 +616,21 @@ int CmdServeBatch(const Args& args) {
   }
   std::printf("%s", snapshot.ToString().c_str());
 
-  const std::string metrics_json = args.Get("metrics-json");
-  if (!metrics_json.empty()) {
-    std::ofstream file(metrics_json, std::ios::trunc);
-    if (!file) return Fail("cannot open " + metrics_json + " for writing");
-    file << snapshot.ToJson() << "\n";
-    if (!file.good()) return Fail("failed writing " + metrics_json);
-    std::printf("wrote metrics JSON to %s\n", metrics_json.c_str());
-  }
-  const std::string prom = args.Get("prom");
-  if (!prom.empty()) {
-    std::ofstream file(prom, std::ios::trunc);
-    if (!file) return Fail("cannot open " + prom + " for writing");
-    std::string text = ToPrometheusText(snapshot, backend.SnapshotLatencyHistogram());
-    backend.AppendPrometheusText(&text);
-    file << text;
-    if (!file.good()) return Fail("failed writing " + prom);
-    std::printf("wrote Prometheus metrics to %s\n", prom.c_str());
-  }
-  const std::string trace_dir = args.Get("trace-dir");
-  if (!trace_dir.empty()) {
+  const Status outputs = WriteMetricsOutputs(flags, snapshot, backend);
+  if (!outputs.ok()) return Fail(outputs.ToString());
+  if (flags.has("trace-dir")) {
+    const std::string& trace_dir = flags.text("trace-dir");
     std::error_code ec;
     std::filesystem::create_directories(trace_dir, ec);
     if (ec) return Fail("cannot create " + trace_dir + ": " + ec.message());
-    const auto traces = backend.SlowTraces();
     size_t written = 0;
-    for (const auto& trace : traces) {
-      char name[32];
-      std::snprintf(name, sizeof(name), "slow_%03zu.json", written);
-      const std::string path = (std::filesystem::path(trace_dir) / name).string();
-      std::ofstream file(path, std::ios::trunc);
-      if (!file) return Fail("cannot open " + path + " for writing");
-      file << ToChromeTraceJson(*trace);
-      if (!file.good()) return Fail("failed writing " + path);
-      ++written;
+    for (const auto& trace : backend.SlowTraces()) {
+      const std::string path = StrFormat("%s/slow_%03zu.json", trace_dir.c_str(), written++);
+      const Status saved = WriteTextFile(path, ToChromeTraceJson(*trace));
+      if (!saved.ok()) return Fail(saved.ToString());
     }
     std::printf("wrote %zu slow-query trace(s) (>= %llu us) to %s\n", written,
-                static_cast<unsigned long long>(service_config->slow_trace_us),
+                static_cast<unsigned long long>(flags.count("slow-us")),
                 trace_dir.c_str());
   }
   if (ShutdownSignal::Instance().requested()) {
@@ -843,51 +640,26 @@ int CmdServeBatch(const Args& args) {
   return failures == 0 ? 0 : 1;
 }
 
-int CmdServe(const Args& args) {
-  const Result<NwcOptions> options = ParseOptions(args);
-  if (!options.ok()) return Fail(options.status().ToString());
-  const std::string index_path = args.Get("index");
-  if (index_path.empty()) return Fail("--index is required");
-  CountFlags counts(args);
+int CmdServe(const Flags& flags) {
   NetServerConfig net_config;
-  net_config.host = args.Get("host", "127.0.0.1");
-  net_config.port = static_cast<uint16_t>(counts.Get("port", 0, 65535));
-  net_config.max_frame_bytes = counts.Get("max-frame-bytes", 1 << 20);
-  if (!counts.status().ok()) return Fail(counts.status().ToString());
-  Result<RStarTree> tree = LoadTree(index_path);
-  if (!tree.ok()) return Fail(tree.status().ToString());
-
-  // Unlike serve-batch, remote clients may override the scheme per
-  // request, so build every auxiliary structure unless told otherwise.
-  SessionConfig session_config;
-  session_config.build_iwp = !args.Has("no-iwp");
-  session_config.build_grid = !args.Has("no-grid");
-  session_config.grid_cell_size = args.GetDouble("grid-cell", 25.0);
-
-  Result<ServiceConfig> service_config = ServiceConfigFromArgs(args, *options);
-  if (!service_config.ok()) return Fail(service_config.status().ToString());
-
+  net_config.host = flags.text("host");
+  net_config.port = static_cast<uint16_t>(flags.count("port"));
+  net_config.max_frame_bytes = flags.count("max-frame-bytes");
   const Status installed = ShutdownSignal::Instance().Install();
   if (!installed.ok()) return Fail(installed.ToString());
 
-  Result<Backend> opened =
-      OpenBackend(args, std::move(tree).value(), session_config, *service_config);
+  // Unlike serve-batch, remote clients may override the scheme per
+  // request, so build every auxiliary structure unless told otherwise.
+  Result<Backend> opened = OpenBackend(flags, !flags.has("no-iwp"), !flags.has("no-grid"));
   if (!opened.ok()) return Fail(opened.status().ToString());
   const Backend& served = *opened;
   QueryBackend& backend = served.get();
   Result<std::unique_ptr<NetServer>> server = NetServer::Start(backend, net_config);
   if (!server.ok()) return Fail(server.status().ToString());
 
-  if (served.router != nullptr) {
-    std::printf("listening on %s:%u (%zu shard(s) x %zu worker(s), scheme %s)\n",
-                net_config.host.c_str(), static_cast<unsigned>((*server)->port()),
-                served.router->num_shards(), service_config->num_threads,
-                args.Get("scheme", "star").c_str());
-  } else {
-    std::printf("listening on %s:%u (%zu worker(s), scheme %s)\n", net_config.host.c_str(),
-                static_cast<unsigned>((*server)->port()), served.service->num_workers(),
-                args.Get("scheme", "star").c_str());
-  }
+  std::printf("listening on %s:%u (%s, scheme %s)\n", net_config.host.c_str(),
+              static_cast<unsigned>((*server)->port()), served.shape.c_str(),
+              flags.text("scheme").c_str());
   std::fflush(stdout);
 
   ShutdownSignal::Instance().WaitUntilRequested();
@@ -905,30 +677,13 @@ int CmdServe(const Args& args) {
               static_cast<unsigned long long>(net.connections_accepted));
   const MetricsSnapshot snapshot = backend.SnapshotMetrics();
   std::printf("%s", snapshot.ToString().c_str());
-
-  const std::string metrics_json = args.Get("metrics-json");
-  if (!metrics_json.empty()) {
-    std::ofstream file(metrics_json, std::ios::trunc);
-    if (!file) return Fail("cannot open " + metrics_json + " for writing");
-    file << snapshot.ToJson() << "\n";
-    if (!file.good()) return Fail("failed writing " + metrics_json);
-  }
-  const std::string prom = args.Get("prom");
-  if (!prom.empty()) {
-    std::ofstream file(prom, std::ios::trunc);
-    if (!file) return Fail("cannot open " + prom + " for writing");
-    std::string text = ToPrometheusText(snapshot, backend.SnapshotLatencyHistogram());
-    backend.AppendPrometheusText(&text);
-    file << text;
-    if (!file.good()) return Fail("failed writing " + prom);
-  }
+  const Status outputs = WriteMetricsOutputs(flags, snapshot, backend);
+  if (!outputs.ok()) return Fail(outputs.ToString());
   return 0;
 }
 
-int CmdStats(const Args& args) {
-  const std::string index_path = args.Get("index");
-  if (index_path.empty()) return Fail("--index is required");
-  Result<RStarTree> tree = LoadTree(index_path);
+int CmdStats(const Flags& flags) {
+  Result<RStarTree> tree = LoadTree(flags.text("index"));
   if (!tree.ok()) return Fail(tree.status().ToString());
   const Status valid = ValidateTree(*tree);
   std::printf("objects:  %zu\n", tree->size());
@@ -946,30 +701,27 @@ int CmdStats(const Args& args) {
   return 0;
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: nwc_tool <generate|build|query|knwc|trace|stats|serve-batch|serve>"
-               " [--key=value ...]\n"
-               "see the header of tools/nwc_tool.cc for the full reference\n");
-  return 2;
-}
-
-int Run(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  const Args args(argc, argv, 2);
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "build") return CmdBuild(args);
-  if (command == "query") return CmdQuery(args);
-  if (command == "knwc") return CmdKnwc(args);
-  if (command == "trace") return CmdTrace(args);
-  if (command == "stats") return CmdStats(args);
-  if (command == "serve-batch") return CmdServeBatch(args);
-  if (command == "serve") return CmdServe(args);
-  return Usage();
+std::vector<Subcommand> Subcommands() {
+  return {
+      {"generate", JoinFlags({kGenerateFlags}), CmdGenerate},
+      {"build", JoinFlags({kBuildFlags}), CmdBuild},
+      {"query", JoinFlags({kIndexFlags, kQueryFlags, kOptionFlags, kGridFlags}), CmdQuery},
+      {"knwc", JoinFlags({kIndexFlags, kQueryFlags, kKnwcFlags, kOptionFlags, kGridFlags}),
+       CmdKnwc},
+      {"trace", JoinFlags({kIndexFlags, kQueryFlags, kTraceFlags, kOptionFlags, kGridFlags}),
+       CmdTrace},
+      {"stats", JoinFlags({kIndexFlags}), CmdStats},
+      {"serve-batch",
+       JoinFlags({kIndexFlags, kServeBatchFlags, kOptionFlags, kGridFlags, kServiceFlags}),
+       CmdServeBatch},
+      {"serve", JoinFlags({kIndexFlags, kServeFlags, kOptionFlags, kGridFlags, kServiceFlags}),
+       CmdServe},
+  };
 }
 
 }  // namespace
 }  // namespace nwc
 
-int main(int argc, char** argv) { return nwc::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return nwc::RunSubcommand("nwc_tool", nwc::Subcommands(), argc, argv);
+}
