@@ -76,17 +76,6 @@ int main() {
     for (const DataObject& obj : dataset.objects) tree.Insert(obj);
     indexes.push_back({"R* insert (reinsert off)", std::move(tree)});
   }
-  for (const SplitAlgorithm algorithm :
-       {SplitAlgorithm::kQuadratic, SplitAlgorithm::kLinear}) {
-    Progress("Guttman %s split insertion...", SplitAlgorithmName(algorithm));
-    RTreeOptions options;
-    options.forced_reinsert = false;
-    options.split_algorithm = algorithm;
-    RStarTree tree{options};
-    for (const DataObject& obj : dataset.objects) tree.Insert(obj);
-    indexes.push_back(
-        {StrFormat("Guttman %s split", SplitAlgorithmName(algorithm)), std::move(tree)});
-  }
 
   TablePrinter table("Index construction ablation (CA-like)",
                      {"construction", "nodes", "height", "NWC+ io", "NWC* io"});

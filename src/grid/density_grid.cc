@@ -10,8 +10,8 @@ DensityGrid::DensityGrid(const Rect& space, double cell_size,
                          const std::vector<DataObject>& objects)
     : space_(space), cell_size_(cell_size) {
   assert(cell_size > 0.0 && !space.IsEmpty());
-  const double extent = std::max(space.length(), space.width());
-  cells_per_axis_ = std::max<size_t>(1, static_cast<size_t>(std::ceil(extent / cell_size)));
+  cells_per_axis_ = static_cast<size_t>(CellsPerAxis(space, cell_size));
+  assert(cells_per_axis_ * cells_per_axis_ <= kMaxGridCells);
   counts_.assign(cells_per_axis_ * cells_per_axis_, 0);
 
   for (const DataObject& obj : objects) {
@@ -23,6 +23,10 @@ DensityGrid::DensityGrid(const Rect& space, double cell_size,
 
   prefix_dirty_ = true;
   RebuildPrefixIfDirty();
+}
+
+double DensityGrid::CellsPerAxis(const Rect& space, double cell_size) {
+  return std::max(1.0, std::ceil(std::max(space.length(), space.width()) / cell_size));
 }
 
 void DensityGrid::RebuildPrefixIfDirty() const {

@@ -10,6 +10,11 @@
 
 namespace nwc {
 
+/// Most cells a density grid may have (2048 per axis). The largest grid
+/// any experiment builds is 400 x 400; Session::Open rejects a cell size
+/// that would need more than this over its grid space.
+inline constexpr size_t kMaxGridCells = size_t{1} << 22;
+
 /// The density grid backing the DEP optimization (paper Sec. 3.3.3).
 ///
 /// The data space is divided into square cells of a configurable side
@@ -40,6 +45,11 @@ class DensityGrid {
   /// counting `objects`. Objects outside `space` are clamped to the
   /// boundary cells so the bound stays sound for them too.
   DensityGrid(const Rect& space, double cell_size, const std::vector<DataObject>& objects);
+
+  /// Cells per axis of a grid over `space` with cells of side
+  /// `cell_size`, as a double so an absurd ratio compares without
+  /// overflowing.
+  static double CellsPerAxis(const Rect& space, double cell_size);
 
   /// Upper bound on the number of objects within `rect`: the count-sum of
   /// all cells intersecting it (Algorithm 2). Rectangles outside the grid

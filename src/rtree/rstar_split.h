@@ -2,9 +2,7 @@
 #define NWC_RTREE_RSTAR_SPLIT_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "geometry/rect.h"
@@ -17,28 +15,6 @@ struct SplitResult {
   std::vector<Entry> first;
   std::vector<Entry> second;
 };
-
-/// Which split algorithm an R-tree uses on node overflow. The paper's
-/// index is an R*-tree (kRStar); Guttman's classic quadratic and linear
-/// splits are provided for the index-construction ablation.
-enum class SplitAlgorithm {
-  kRStar = 0,      ///< margin-driven axis choice + overlap-driven index (default)
-  kQuadratic = 1,  ///< Guttman quadratic: worst seed pair, greedy assignment
-  kLinear = 2,     ///< Guttman linear: extreme seeds, arbitrary-order assignment
-};
-
-/// Stable display name ("rstar", "quadratic", "linear").
-inline const char* SplitAlgorithmName(SplitAlgorithm algorithm) {
-  switch (algorithm) {
-    case SplitAlgorithm::kRStar:
-      return "rstar";
-    case SplitAlgorithm::kQuadratic:
-      return "quadratic";
-    case SplitAlgorithm::kLinear:
-      return "linear";
-  }
-  return "unknown";
-}
 
 namespace rstar_internal {
 
@@ -150,187 +126,6 @@ SplitResult<Entry> RStarSplit(std::vector<Entry> entries, size_t min_entries,
   result.first.assign(entries.begin(), entries.begin() + static_cast<ptrdiff_t>(best_k));
   result.second.assign(entries.begin() + static_cast<ptrdiff_t>(best_k), entries.end());
   return result;
-}
-
-/// Guttman's quadratic split (SIGMOD 1984): pick as seeds the pair whose
-/// combined MBR wastes the most area, then repeatedly assign the entry
-/// with the largest preference difference to the group whose MBR grows
-/// least, respecting the min-fill constraint.
-template <typename Entry, typename MbrOf>
-SplitResult<Entry> QuadraticSplit(std::vector<Entry> entries, size_t min_entries,
-                                  const MbrOf& mbr_of) {
-  const size_t n = entries.size();
-  const size_t m = min_entries;
-
-  // PickSeeds: maximize dead area d = area(union) - area(a) - area(b).
-  size_t seed_a = 0;
-  size_t seed_b = 1;
-  double worst = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      const Rect ri = mbr_of(entries[i]);
-      const Rect rj = mbr_of(entries[j]);
-      const double dead = Rect::Union(ri, rj).Area() - ri.Area() - rj.Area();
-      if (dead > worst) {
-        worst = dead;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-
-  SplitResult<Entry> result;
-  Rect mbr_a = mbr_of(entries[seed_a]);
-  Rect mbr_b = mbr_of(entries[seed_b]);
-  result.first.push_back(entries[seed_a]);
-  result.second.push_back(entries[seed_b]);
-
-  std::vector<bool> assigned(n, false);
-  assigned[seed_a] = true;
-  assigned[seed_b] = true;
-  size_t remaining = n - 2;
-  while (remaining > 0) {
-    // Min-fill shortcut: hand everything left to the starving group.
-    if (result.first.size() + remaining == m) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!assigned[i]) {
-          result.first.push_back(entries[i]);
-          mbr_a.Expand(mbr_of(entries[i]));
-        }
-      }
-      break;
-    }
-    if (result.second.size() + remaining == m) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!assigned[i]) {
-          result.second.push_back(entries[i]);
-          mbr_b.Expand(mbr_of(entries[i]));
-        }
-      }
-      break;
-    }
-    // PickNext: largest |enlargement(a) - enlargement(b)|.
-    size_t pick = n;
-    double best_diff = -1.0;
-    double pick_grow_a = 0.0;
-    double pick_grow_b = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (assigned[i]) continue;
-      const double grow_a = mbr_a.EnlargementArea(mbr_of(entries[i]));
-      const double grow_b = mbr_b.EnlargementArea(mbr_of(entries[i]));
-      const double diff = std::abs(grow_a - grow_b);
-      if (diff > best_diff) {
-        best_diff = diff;
-        pick = i;
-        pick_grow_a = grow_a;
-        pick_grow_b = grow_b;
-      }
-    }
-    assigned[pick] = true;
-    --remaining;
-    // Ties: smaller enlargement, then smaller area, then fewer entries.
-    bool to_a = pick_grow_a < pick_grow_b;
-    if (pick_grow_a == pick_grow_b) {
-      to_a = mbr_a.Area() < mbr_b.Area() ||
-             (mbr_a.Area() == mbr_b.Area() && result.first.size() <= result.second.size());
-    }
-    if (to_a) {
-      result.first.push_back(entries[pick]);
-      mbr_a.Expand(mbr_of(entries[pick]));
-    } else {
-      result.second.push_back(entries[pick]);
-      mbr_b.Expand(mbr_of(entries[pick]));
-    }
-  }
-  return result;
-}
-
-/// Guttman's linear split (SIGMOD 1984): choose, on the axis with the
-/// greatest normalized separation, the entry with the highest low side and
-/// the entry with the lowest high side as seeds; assign the rest in input
-/// order by least enlargement (with the same min-fill shortcut as the
-/// quadratic split).
-template <typename Entry, typename MbrOf>
-SplitResult<Entry> LinearSplit(std::vector<Entry> entries, size_t min_entries,
-                               const MbrOf& mbr_of) {
-  const size_t n = entries.size();
-  const size_t m = min_entries;
-
-  // LinearPickSeeds.
-  size_t seed_a = 0;
-  size_t seed_b = 1;
-  double best_separation = -std::numeric_limits<double>::infinity();
-  for (int axis = 0; axis < 2; ++axis) {
-    double min_lo = std::numeric_limits<double>::infinity();
-    double max_hi = -std::numeric_limits<double>::infinity();
-    size_t highest_lo = 0;
-    double highest_lo_value = -std::numeric_limits<double>::infinity();
-    size_t lowest_hi = 0;
-    double lowest_hi_value = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < n; ++i) {
-      const Rect r = mbr_of(entries[i]);
-      const double lo = axis == 0 ? r.min_x : r.min_y;
-      const double hi = axis == 0 ? r.max_x : r.max_y;
-      min_lo = std::min(min_lo, lo);
-      max_hi = std::max(max_hi, hi);
-      if (lo > highest_lo_value) {
-        highest_lo_value = lo;
-        highest_lo = i;
-      }
-      if (hi < lowest_hi_value) {
-        lowest_hi_value = hi;
-        lowest_hi = i;
-      }
-    }
-    const double width = max_hi - min_lo;
-    const double separation =
-        width > 0.0 ? (highest_lo_value - lowest_hi_value) / width : 0.0;
-    if (separation > best_separation && highest_lo != lowest_hi) {
-      best_separation = separation;
-      seed_a = highest_lo;
-      seed_b = lowest_hi;
-    }
-  }
-  if (seed_a == seed_b) seed_b = seed_a == 0 ? 1 : 0;  // all-identical fallback
-
-  SplitResult<Entry> result;
-  Rect mbr_a = mbr_of(entries[seed_a]);
-  Rect mbr_b = mbr_of(entries[seed_b]);
-  result.first.push_back(entries[seed_a]);
-  result.second.push_back(entries[seed_b]);
-  for (size_t i = 0; i < n; ++i) {
-    if (i == seed_a || i == seed_b) continue;
-    const double grow_a = mbr_a.EnlargementArea(mbr_of(entries[i]));
-    const double grow_b = mbr_b.EnlargementArea(mbr_of(entries[i]));
-    bool to_a = grow_a < grow_b || (grow_a == grow_b && mbr_a.Area() <= mbr_b.Area());
-    // Min-fill guard: never leave a group unable to reach m.
-    const size_t left_after = n - (result.first.size() + result.second.size()) - 1;
-    if (to_a && result.second.size() + left_after < m) to_a = false;
-    if (!to_a && result.first.size() + left_after < m) to_a = true;
-    if (to_a) {
-      result.first.push_back(entries[i]);
-      mbr_a.Expand(mbr_of(entries[i]));
-    } else {
-      result.second.push_back(entries[i]);
-      mbr_b.Expand(mbr_of(entries[i]));
-    }
-  }
-  return result;
-}
-
-/// Dispatches to the configured split algorithm.
-template <typename Entry, typename MbrOf>
-SplitResult<Entry> SplitEntries(SplitAlgorithm algorithm, std::vector<Entry> entries,
-                                size_t min_entries, const MbrOf& mbr_of) {
-  switch (algorithm) {
-    case SplitAlgorithm::kRStar:
-      return RStarSplit(std::move(entries), min_entries, mbr_of);
-    case SplitAlgorithm::kQuadratic:
-      return QuadraticSplit(std::move(entries), min_entries, mbr_of);
-    case SplitAlgorithm::kLinear:
-      return LinearSplit(std::move(entries), min_entries, mbr_of);
-  }
-  return RStarSplit(std::move(entries), min_entries, mbr_of);
 }
 
 }  // namespace nwc

@@ -30,7 +30,7 @@ Status RTreeOptions::Validate() const {
     return Status::InvalidArgument(
         StrFormat("min_entries must be in [1, max_entries/2], got %d", min_entries));
   }
-  if (reinsert_fraction < 0.0 || reinsert_fraction > 0.5) {
+  if (!(reinsert_fraction >= 0.0 && reinsert_fraction <= 0.5)) {
     return Status::InvalidArgument(
         StrFormat("reinsert_fraction must be in [0, 0.5], got %f", reinsert_fraction));
   }
@@ -290,13 +290,11 @@ void RStarTree::SplitNode(NodeId node_id, std::vector<bool>& levels_reinserted) 
 
   const size_t m = static_cast<size_t>(options_.min_entries);
   if (n->is_leaf()) {
-    SplitResult<DataObject> split =
-        SplitEntries(options_.split_algorithm, n->objects.ToVector(), m, MbrOfObject);
+    SplitResult<DataObject> split = RStarSplit(n->objects.ToVector(), m, MbrOfObject);
     n->objects.Assign(split.first);
     sibling->objects.Assign(split.second);
   } else {
-    SplitResult<ChildEntry> split =
-        SplitEntries(options_.split_algorithm, std::move(n->children), m, MbrOfChild);
+    SplitResult<ChildEntry> split = RStarSplit(std::move(n->children), m, MbrOfChild);
     n->children = std::move(split.first);
     sibling->children = std::move(split.second);
     for (const ChildEntry& entry : sibling->children) {

@@ -10,7 +10,6 @@
 #include "geometry/point.h"
 #include "geometry/rect.h"
 #include "rtree/node.h"
-#include "rtree/rstar_split.h"
 #include "storage/page.h"
 
 namespace nwc {
@@ -27,9 +26,6 @@ struct RTreeOptions {
   /// Disable to fall back to plain split-on-overflow (Guttman-style
   /// overflow handling with the R* split); used by ablation benchmarks.
   bool forced_reinsert = true;
-  /// Node split algorithm; the paper's index uses the R* split. Guttman's
-  /// quadratic/linear splits exist for the index-construction ablation.
-  SplitAlgorithm split_algorithm = SplitAlgorithm::kRStar;
 
   /// Validates parameter consistency.
   Status Validate() const;

@@ -1,5 +1,6 @@
 #include "rtree/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -13,6 +14,8 @@ namespace nwc {
 namespace {
 
 constexpr uint64_t kMagic = 0x4E57435452454531ULL;  // "NWCTREE1"
+// The header's split-algorithm byte: 0 is the R* split, the only one.
+constexpr uint8_t kSplitByte = 0;
 
 class FileWriter {
  public:
@@ -39,7 +42,12 @@ class FileWriter {
 
 class FileReader {
  public:
-  explicit FileReader(const std::string& path) : file_(std::fopen(path.c_str(), "rb")) {}
+  explicit FileReader(const std::string& path) : file_(std::fopen(path.c_str(), "rb")) {
+    if (file_ != nullptr && std::fseek(file_, 0, SEEK_END) == 0) {
+      remaining_ = static_cast<uint64_t>(std::max(std::ftell(file_), 0L));
+      std::rewind(file_);
+    }
+  }
   ~FileReader() {
     if (file_ != nullptr) std::fclose(file_);
   }
@@ -48,19 +56,32 @@ class FileReader {
 
   bool ok() const { return file_ != nullptr && !failed_; }
 
+  /// True when the unread bytes can hold `count` items of `bytes_each`
+  /// bytes: a count read from the file sizes no allocation before this.
+  bool CanHold(uint64_t count, uint64_t bytes_each) const {
+    return count <= remaining_ / bytes_each;
+  }
+
   template <typename T>
   T Read() {
     static_assert(std::is_trivially_copyable_v<T>);
     T value{};
     if (!ok()) return value;
     if (std::fread(&value, sizeof(T), 1, file_) != 1) failed_ = true;
+    remaining_ -= std::min<uint64_t>(remaining_, sizeof(T));
     return value;
   }
 
  private:
   std::FILE* file_;
   bool failed_ = false;
+  uint64_t remaining_ = 0;
 };
+
+// Smallest encodings of a node slot and of each entry kind (see SaveTree).
+constexpr uint64_t kSlotBytes = sizeof(uint8_t);
+constexpr uint64_t kObjectBytes = sizeof(ObjectId) + 2 * sizeof(double);
+constexpr uint64_t kChildBytes = 4 * sizeof(double) + sizeof(NodeId);
 
 }  // namespace
 
@@ -73,7 +94,7 @@ Status SaveTree(const RStarTree& tree, const std::string& path) {
   out.Write(static_cast<int32_t>(tree.options().min_entries));
   out.Write(tree.options().reinsert_fraction);
   out.Write(static_cast<uint8_t>(tree.options().forced_reinsert ? 1 : 0));
-  out.Write(static_cast<uint8_t>(tree.options().split_algorithm));
+  out.Write(kSplitByte);
   out.Write(static_cast<uint64_t>(tree.size()));
   out.Write(static_cast<uint64_t>(tree.node_slot_count()));
   out.Write(tree.root());
@@ -119,17 +140,19 @@ Result<RStarTree> LoadTree(const std::string& path) {
   options.min_entries = in.Read<int32_t>();
   options.reinsert_fraction = in.Read<double>();
   options.forced_reinsert = in.Read<uint8_t>() != 0;
-  const uint8_t split_byte = in.Read<uint8_t>();
-  if (split_byte > static_cast<uint8_t>(SplitAlgorithm::kLinear)) {
+  if (in.Read<uint8_t>() != kSplitByte) {
     return Status::IoError(StrFormat("%s has an unknown split algorithm", path.c_str()));
   }
-  options.split_algorithm = static_cast<SplitAlgorithm>(split_byte);
   const Status options_ok = options.Validate();
   if (!options_ok.ok()) return options_ok;
 
   const uint64_t size = in.Read<uint64_t>();
   const uint64_t slot_count = in.Read<uint64_t>();
   const NodeId root = in.Read<NodeId>();
+  if (!in.CanHold(slot_count, kSlotBytes)) {
+    return Status::IoError(StrFormat("tree file %s claims %llu node slots", path.c_str(),
+                                     static_cast<unsigned long long>(slot_count)));
+  }
 
   std::vector<std::unique_ptr<RTreeNode>> nodes(slot_count);
   for (NodeId id = 0; id < slot_count; ++id) {
@@ -141,6 +164,11 @@ Result<RStarTree> LoadTree(const std::string& path) {
     n->level = in.Read<int32_t>();
     n->parent = in.Read<NodeId>();
     const uint32_t count = in.Read<uint32_t>();
+    if (count > static_cast<uint32_t>(options.max_entries) ||
+        !in.CanHold(count, n->level == 0 ? kObjectBytes : kChildBytes)) {
+      return Status::IoError(
+          StrFormat("tree file %s has a node of %u entries", path.c_str(), count));
+    }
     if (n->level == 0) {
       n->objects.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {

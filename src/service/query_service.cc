@@ -94,9 +94,6 @@ UpdateResponse QueryService::ApplyUpdate(const MutationBatch& mutations) {
   SnapshotStore::ApplyStats stats;
   SnapshotStore::SnapshotRef ref;
   response.status = store_.ApplyAndPublish(mutations, &stats, &ref);
-  // Old-epoch cache entries are already unreachable (the epoch is part of
-  // the key); the generation bump lets the cache lazily reclaim them.
-  InvalidateResultCache();
   response.epoch = ref.epoch;
   response.applied_inserts = stats.inserts;
   response.applied_deletes = stats.deletes;

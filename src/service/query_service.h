@@ -169,12 +169,12 @@ class QueryService : public QueryBackend {
   /// next epoch (synchronously — callers wanting async apply wrap it in
   /// their own executor; the serving layer applies inline in its event
   /// loop, which also serializes updates arriving on one connection).
-  /// Invalidate and publish are coupled here: after this returns, no
-  /// future query can observe a pre-publish cached answer — epoch-keyed
-  /// cache entries make that structural, and the generation bump lets the
-  /// cache reclaim the dead epoch's entries lazily. Mutations already
-  /// applied to the store but not yet published (SnapshotStore::Apply)
-  /// are published by the same call.
+  /// After this returns, no future query can observe a pre-publish cached
+  /// answer: cache keys carry the data epoch. A batch that publishes
+  /// nothing (empty, or only deletes that miss) keeps the epoch and so
+  /// keeps every cached answer. Mutations already applied to the store
+  /// but not yet published (SnapshotStore::Apply) are published by the
+  /// same call.
   UpdateResponse ApplyUpdate(const MutationBatch& mutations) override;
 
   /// Cancels every request currently queued or executing: each observes
@@ -191,12 +191,6 @@ class QueryService : public QueryBackend {
 
   /// The result cache, or nullptr when result_cache_bytes == 0.
   const ResultCache* result_cache() const { return result_cache_.get(); }
-
-  /// Invalidates every cached result (generation bump). Call when the
-  /// backing Session is being swapped for one over different data.
-  void InvalidateResultCache() {
-    if (result_cache_ != nullptr) result_cache_->Invalidate();
-  }
 
   /// Copy of the raw latency histogram (bucket-level export; see
   /// obs/prometheus.h).

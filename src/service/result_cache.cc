@@ -92,19 +92,10 @@ ResultCache::ResultCache(size_t capacity_bytes, size_t shards)
 
 template <typename Fill>
 bool ResultCache::LookupImpl(const ResultCacheKey& key, const Fill& fill) {
-  const uint64_t generation = generation_.load(std::memory_order_relaxed);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    ++shard.misses;
-    return false;
-  }
-  if (it->second->generation != generation) {
-    // Stale entry from before the last Invalidate(): erase lazily.
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
     ++shard.misses;
     return false;
   }
@@ -129,7 +120,6 @@ bool ResultCache::LookupKnwc(const KnwcQuery& query, const NwcOptions& options, 
 void ResultCache::InsertImpl(const ResultCacheKey& key, Entry entry) {
   if (entry.bytes > shard_capacity_bytes_) return;  // would evict a whole shard
   entry.key = key;
-  entry.generation = generation_.load(std::memory_order_relaxed);
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);

@@ -1,7 +1,6 @@
 #ifndef NWC_SERVICE_RESULT_CACHE_H_
 #define NWC_SERVICE_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -78,14 +77,13 @@ struct ResultCacheKey {
 /// LRU tail independently. Sharding bounds lock contention: workers
 /// serving different queries almost always lock different shards.
 ///
-/// Invalidation is generational: Invalidate() bumps a global generation
-/// counter, and entries stamped with an older generation are treated as
-/// misses and lazily erased on the next probe. The service calls this when
-/// its Session is swapped — the cache object can stay in place while every
-/// stale answer becomes unreachable immediately.
+/// There is one invalidation rule: the data epoch is part of every key, so
+/// a publish makes every older answer unreachable, and LRU eviction
+/// reclaims those entries as new ones arrive. An update that publishes
+/// nothing keeps the epoch and every cached answer.
 ///
 /// ThreadSafety: all methods are safe to call concurrently; each shard is
-/// guarded by its own mutex and the generation counter is atomic.
+/// guarded by its own mutex.
 class ResultCache {
  public:
   /// Aggregated counters across all shards. hits/misses/insertions/
@@ -124,10 +122,6 @@ class ResultCache {
   void InsertKnwc(const KnwcQuery& query, const NwcOptions& options, const KnwcResult& result,
                   uint64_t data_epoch = 0);
 
-  /// Makes every current entry unreachable (lazily erased). Call when the
-  /// data under the cache changes — e.g. the service's Session is swapped.
-  void Invalidate() { generation_.fetch_add(1, std::memory_order_relaxed); }
-
   /// Aggregated counters + gauges across shards.
   Stats GetStats() const;
 
@@ -136,12 +130,10 @@ class ResultCache {
 
   size_t capacity_bytes() const { return capacity_bytes_; }
   size_t shard_count() const { return shards_.size(); }
-  uint64_t generation() const { return generation_.load(std::memory_order_relaxed); }
 
  private:
   struct Entry {
     ResultCacheKey key;
-    uint64_t generation = 0;
     size_t bytes = 0;
     bool is_knwc = false;
     NwcResult nwc;
@@ -178,7 +170,6 @@ class ResultCache {
 
   size_t capacity_bytes_;
   size_t shard_capacity_bytes_;
-  std::atomic<uint64_t> generation_{0};
   // unique_ptr: Shard holds a mutex and must not move.
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "rtree/node.h"
 
 namespace nwc {
@@ -35,20 +36,29 @@ Result<Session> Session::Open(RStarTree tree, const SessionConfig& config) {
   const Status valid = config.Validate();
   if (!valid.ok()) return valid;
 
-  Session session;
-  session.tree_ = std::make_unique<RStarTree>(std::move(tree));
-  if (config.build_iwp) {
-    session.iwp_ = std::make_unique<IwpIndex>(IwpIndex::Build(*session.tree_));
-  }
+  Rect space = config.grid_space;
   if (config.build_grid) {
-    Rect space = config.grid_space;
-    if (space.IsEmpty()) space = session.tree_->bounds();
+    if (space.IsEmpty()) space = tree.bounds();
     if (space.IsEmpty()) {
       // Empty tree: a 1-cell grid with zero counts keeps DEP sound (it
       // prunes everything, which is the right answer for no data; in a
       // SnapshotStore, later inserts clamp into the single cell).
       space = Rect{0.0, 0.0, config.grid_cell_size, config.grid_cell_size};
     }
+    const double cells = DensityGrid::CellsPerAxis(space, config.grid_cell_size);
+    if (cells * cells > static_cast<double>(kMaxGridCells)) {
+      return Status::InvalidArgument(StrFormat(
+          "grid_cell_size %g needs %.0f x %.0f density-grid cells; at most %zu are allowed",
+          config.grid_cell_size, cells, cells, kMaxGridCells));
+    }
+  }
+
+  Session session;
+  session.tree_ = std::make_unique<RStarTree>(std::move(tree));
+  if (config.build_iwp) {
+    session.iwp_ = std::make_unique<IwpIndex>(IwpIndex::Build(*session.tree_));
+  }
+  if (config.build_grid) {
     session.grid_ = std::make_unique<DensityGrid>(space, config.grid_cell_size,
                                                   CollectTreeObjects(*session.tree_));
   }

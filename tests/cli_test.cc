@@ -402,6 +402,23 @@ TEST_F(CliPipelineTest, LoadRejectsMisspelledFlag) {
   ExpectLoadFlagError("--port=1 --conections=1", "--conections");
 }
 
+// serve keeps its slow-query traces in memory for /debug/slow and writes
+// none, so --trace-dir is a flag of serve-batch only. (No --index here: a
+// serve that took the flag would otherwise start listening.)
+TEST_F(CliPipelineTest, ServeRejectsTraceDir) {
+  const CommandResult result = RunTool("serve --trace-dir=x");
+  ExpectFlagError(result, "--trace-dir");
+  EXPECT_EQ(result.output.find("listening"), std::string::npos) << result.output;
+}
+
+// A 4.7-unit cell over the 10,000-unit space needs 2128 x 2128 cells, past
+// the density grid's 2048 x 2048 bound.
+TEST_F(CliPipelineTest, QueryRejectsGridCellTooFineForTheSpace) {
+  ExpectFlagError(RunTool("query --index=" + *tree_path_ +
+                          " --q=5000,5000 --l=400 --w=400 --n=3 --scheme=dep --grid-cell=4.7"),
+                  "grid_cell_size");
+}
+
 TEST_F(CliPipelineTest, ServeRejectsOutOfRangePortBeforeListening) {
   const CommandResult result = RunTool("serve --index=" + *tree_path_ + " --port=70000");
   ExpectFlagError(result, "--port");

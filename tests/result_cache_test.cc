@@ -220,28 +220,6 @@ TEST(ResultCacheTest, EntryLargerThanAShardIsNotAdmitted) {
   EXPECT_EQ(stats.bytes, 0u);
 }
 
-TEST(ResultCacheTest, InvalidateMakesEveryEntryUnreachable) {
-  ResultCache cache(1 << 20, /*shards=*/2);
-  const NwcOptions options = NwcOptions::Plain();
-  cache.InsertNwc(MakeQuery(1, 1), options, MakeResult(1, 1));
-  cache.InsertNwc(MakeQuery(2, 2), options, MakeResult(2, 1));
-  ASSERT_EQ(cache.GetStats().entries, 2u);
-
-  const uint64_t before = cache.generation();
-  cache.Invalidate();
-  EXPECT_EQ(cache.generation(), before + 1);
-
-  NwcResult out;
-  EXPECT_FALSE(cache.LookupNwc(MakeQuery(1, 1), options, &out));
-  EXPECT_FALSE(cache.LookupNwc(MakeQuery(2, 2), options, &out));
-  // Stale entries are lazily erased by the probes that found them.
-  EXPECT_EQ(cache.GetStats().entries, 0u);
-
-  // The cache keeps working across generations.
-  cache.InsertNwc(MakeQuery(3, 3), options, MakeResult(3, 1));
-  EXPECT_TRUE(cache.LookupNwc(MakeQuery(3, 3), options, &out));
-}
-
 TEST(ResultCacheTest, ResetStatsZeroesCountersButKeepsEntries) {
   ResultCache cache(1 << 20);
   cache.InsertNwc(MakeQuery(1, 1), NwcOptions::Plain(), MakeResult(1, 1));
@@ -385,10 +363,16 @@ TEST(ResultCacheDifferentialTest, InvalidationForcesRecomputeWithSameAnswer) {
   EXPECT_TRUE(hit.result_cache_hit);
   EXPECT_EQ(hit.traversal_reads, 0u) << "a cache hit performs no tree I/O";
 
-  service.InvalidateResultCache();
+  // Insert and delete one object: the data ends as it began, but the
+  // batch publishes a new epoch, and the epoch is part of every key.
+  const DataObject transient{900001, Point{0, 0}};
+  const UpdateResponse update =
+      service.ApplyUpdate({Mutation::Insert(transient), Mutation::Delete(transient)});
+  ASSERT_TRUE(update.status.ok()) << update.status.ToString();
+  EXPECT_EQ(update.epoch, 2u);
   const NwcResponse recomputed = service.SubmitNwc(request).get();
   ASSERT_TRUE(recomputed.status.ok());
-  EXPECT_FALSE(recomputed.result_cache_hit) << "invalidation must force a recompute";
+  EXPECT_FALSE(recomputed.result_cache_hit) << "a publish must force a recompute";
   EXPECT_EQ(recomputed.result.found, first.result.found);
   EXPECT_EQ(recomputed.result.distance, first.result.distance);
   ASSERT_EQ(recomputed.result.objects.size(), first.result.objects.size());
@@ -396,6 +380,34 @@ TEST(ResultCacheDifferentialTest, InvalidationForcesRecomputeWithSameAnswer) {
     EXPECT_EQ(recomputed.result.objects[i].id, first.result.objects[i].id);
   }
   EXPECT_EQ(service.result_cache()->GetStats().insertions, 2u);
+}
+
+TEST(ResultCacheDifferentialTest, UpdateThatPublishesNothingKeepsCachedAnswers) {
+  const Session session = OpenTestSession(1000);
+  ServiceConfig config;
+  config.num_threads = 2;
+  config.result_cache_bytes = 1 << 20;
+  QueryService service(session, config);
+
+  NwcRequest request;
+  request.query = MakeQuery(5000, 5000, 300, 300, 4);
+  ASSERT_TRUE(service.SubmitNwc(request).get().status.ok());
+
+  // Neither an empty batch nor one whose every delete misses changes the
+  // data, so neither publishes: the epoch and the cached answer stay.
+  const UpdateResponse empty = service.ApplyUpdate({});
+  ASSERT_TRUE(empty.status.ok()) << empty.status.ToString();
+  EXPECT_EQ(empty.epoch, 1u);
+  const UpdateResponse miss =
+      service.ApplyUpdate({Mutation::Delete(DataObject{900001, Point{0, 0}})});
+  EXPECT_EQ(miss.status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(miss.epoch, 1u);
+  EXPECT_EQ(miss.delete_misses, 1u);
+
+  const NwcResponse again = service.SubmitNwc(request).get();
+  ASSERT_TRUE(again.status.ok());
+  EXPECT_TRUE(again.result_cache_hit) << "an update that publishes nothing keeps the cache";
+  EXPECT_EQ(service.result_cache()->GetStats().insertions, 1u);
 }
 
 TEST(ResultCacheDifferentialTest, AbortedQueriesNeverPopulateTheCache) {

@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -120,6 +122,70 @@ TEST(SerializeTest, LoadGarbageFails) {
   std::fclose(f);
   Result<RStarTree> loaded = LoadTree(path);
   EXPECT_FALSE(loaded.ok());
+}
+
+// One empty root leaf, written field by field as SaveTree lays it out,
+// with the header fields the corrupt-file tests below overwrite.
+struct CraftedTree {
+  double reinsert_fraction = 0.3;
+  uint8_t split_byte = 0;
+  uint64_t slot_count = 1;
+  uint32_t root_entries = 0;
+};
+
+std::string WriteCraftedTree(const char* name, const CraftedTree& fields) {
+  const std::string path = TempPath(name);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  const auto put = [f](const auto& value) { std::fwrite(&value, sizeof(value), 1, f); };
+  put(uint64_t{0x4E57435452454531ULL});  // "NWCTREE1"
+  put(int32_t{kMaxEntriesDefault});
+  put(int32_t{kMaxEntriesDefault * 2 / 5});
+  put(fields.reinsert_fraction);
+  put(uint8_t{1});  // forced reinsert
+  put(fields.split_byte);
+  put(uint64_t{0});  // objects
+  put(fields.slot_count);
+  put(NodeId{0});  // root
+  put(uint8_t{1});  // live
+  put(int32_t{0});  // level
+  put(kInvalidNodeId);
+  put(fields.root_entries);
+  std::fclose(f);
+  return path;
+}
+
+TEST(SerializeTest, CraftedTreeLoads) {
+  Result<RStarTree> loaded = LoadTree(WriteCraftedTree("crafted.nwctree", {}));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->size(), 0u);
+}
+
+TEST(SerializeTest, LoadHugeSlotCountFailsWithoutAllocating) {
+  Result<RStarTree> loaded =
+      LoadTree(WriteCraftedTree("slots.nwctree", {.slot_count = uint64_t{1} << 62}));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << loaded.status().ToString();
+}
+
+TEST(SerializeTest, LoadNanReinsertFractionFails) {
+  Result<RStarTree> loaded = LoadTree(
+      WriteCraftedTree("nan.nwctree", {.reinsert_fraction = std::nan("")}));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << loaded.status().ToString();
+}
+
+TEST(SerializeTest, LoadNonzeroSplitByteFails) {
+  Result<RStarTree> loaded = LoadTree(WriteCraftedTree("split.nwctree", {.split_byte = 1}));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << loaded.status().ToString();
+}
+
+TEST(SerializeTest, LoadHugeNodeCountFailsWithoutAllocating) {
+  Result<RStarTree> loaded =
+      LoadTree(WriteCraftedTree("count.nwctree", {.root_entries = UINT32_MAX}));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << loaded.status().ToString();
 }
 
 TEST(SerializeTest, LoadTruncatedFails) {

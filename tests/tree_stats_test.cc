@@ -70,25 +70,6 @@ TEST(TreeStatsTest, FillWithinBounds) {
   EXPECT_NEAR(stats.levels[0].avg_fill, 0.7, 0.15);
 }
 
-TEST(TreeStatsTest, RStarTreeHasLessLeafOverlapThanLinearSplitTree) {
-  const std::vector<DataObject> objects = RandomObjects(3000, 13);
-  RTreeOptions rstar_options;
-  rstar_options.max_entries = 10;
-  rstar_options.min_entries = 4;
-  RStarTree rstar(rstar_options);
-  for (const DataObject& obj : objects) rstar.Insert(obj);
-
-  RTreeOptions linear_options = rstar_options;
-  linear_options.split_algorithm = SplitAlgorithm::kLinear;
-  linear_options.forced_reinsert = false;
-  RStarTree linear(linear_options);
-  for (const DataObject& obj : objects) linear.Insert(obj);
-
-  const TreeStats rstar_stats = ComputeTreeStats(rstar);
-  const TreeStats linear_stats = ComputeTreeStats(linear);
-  EXPECT_LT(rstar_stats.levels[0].total_overlap, linear_stats.levels[0].total_overlap);
-}
-
 TEST(TreeStatsTest, ToStringMentionsEveryLevel) {
   const RStarTree tree = BulkLoadStr(RandomObjects(1000, 14), RTreeOptions{});
   const TreeStats stats = ComputeTreeStats(tree);

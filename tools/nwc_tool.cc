@@ -148,8 +148,6 @@ constexpr Flag kServiceFlags[] = {
      "page-read fault plan: every:N, once:K, bernoulli:P[:SEED] or spike:N:MICROS"},
     {"slow-us", kCount, "0", "trace queries at or over this latency (0 = all)"},
     {"trace-ring", kCount, "32", "slow-query traces retained"},
-    {"trace-dir", kText, nullptr,
-     "trace slow queries; serve-batch writes each retained trace here as Chrome JSON"},
     {"iwp-staleness", kCount, "0", "mutations a published epoch may serve without the IWP"},
     {"metrics-json", kText, nullptr, "write the final metrics as JSON"},
     {"prom", kText, nullptr, "write the final metrics as Prometheus text"},
@@ -171,6 +169,8 @@ constexpr Flag kServeBatchFlags[] = {
     {"mutate-every", kCount, nullptr,
      "queries between mutation batches (default: spread the batches evenly)"},
     {"print", kBool, nullptr, "print every answer"},
+    {"trace-dir", kText, nullptr,
+     "trace slow queries; write each retained trace here as Chrome JSON"},
 };
 
 constexpr Flag kServeFlags[] = {
@@ -692,7 +692,6 @@ int CmdStats(const Flags& flags) {
   std::printf("height:   %d\n", tree->height());
   std::printf("fanout:   max %d / min %d\n", tree->options().max_entries,
               tree->options().min_entries);
-  std::printf("split:    %s\n", SplitAlgorithmName(tree->options().split_algorithm));
   std::printf("valid:    %s\n", valid.ok() ? "yes" : valid.ToString().c_str());
   const Rect bounds = tree->bounds();
   std::printf("bounds:   [%.1f, %.1f] x [%.1f, %.1f]\n", bounds.min_x, bounds.max_x,
