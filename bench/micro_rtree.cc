@@ -84,14 +84,18 @@ BENCHMARK(BM_KnnQuery)->Arg(1)->Arg(10)->Arg(100);
 void BM_WindowQueryFromRoot(benchmark::State& state) {
   const std::vector<DataObject> objects = BenchObjects(100000);
   const RStarTree tree = BulkLoadStr(objects, RTreeOptions{});
+  const NodeId root = tree.root();
   Rng rng(13);
   uint64_t reads = 0;
   uint64_t windows = 0;
+  std::vector<DataObject> hits;
   for (auto _ : state) {
     const size_t idx = rng.NextUint64(objects.size());
     const Rect window = Rect::FromPoint(objects[idx].pos).Inflated(8, 8);
     IoCounter io;
-    benchmark::DoNotOptimize(WindowQuery(tree, window, &io).size());
+    hits.clear();
+    WindowQueryFrom(tree, {&root, 1}, window, &hits, &io);
+    benchmark::DoNotOptimize(hits.size());
     reads += io.window_query_reads();
     ++windows;
   }
@@ -115,11 +119,14 @@ void BM_WindowQueryViaIwp(benchmark::State& state) {
   Rng rng(13);
   uint64_t reads = 0;
   uint64_t windows = 0;
+  std::vector<DataObject> hits;
   for (auto _ : state) {
     const auto& [obj, leaf] = located[rng.NextUint64(located.size())];
     const Rect window = Rect::FromPoint(obj.pos).Inflated(8, 8);
     IoCounter io;
-    benchmark::DoNotOptimize(iwp.WindowQuery(tree, leaf, window, &io).size());
+    hits.clear();
+    iwp.WindowQuery(tree, leaf, window, &hits, &io);
+    benchmark::DoNotOptimize(hits.size());
     reads += io.window_query_reads();
     ++windows;
   }

@@ -79,6 +79,7 @@ struct KernelTimings {
   double distance_s = 0.0;
   double distance_points_s = 0.0;
   double min_dist_s = 0.0;
+  double intersect_s = 0.0;
 };
 
 volatile uint64_t g_sink;  // defeats dead-code elimination across timings
@@ -111,6 +112,12 @@ KernelTimings TimeOps(const simd::KernelOps& ops, const Workload& w, int reps) {
       [&] {
         ops.batch_min_dist(w.q, &w.entries.data()->mbr, sizeof(ChildEntry), n, out.data());
         g_sink = g_sink + static_cast<uint64_t>(out[n / 2]);
+      },
+      reps);
+  t.intersect_s = TimeKernel(
+      [&] {
+        g_sink = g_sink + ops.collect_intersecting(&w.entries.data()->mbr, sizeof(ChildEntry), n,
+                                                   w.window, indices.data());
       },
       reps);
   return t;
@@ -154,6 +161,15 @@ size_t CountMismatches(const simd::KernelOps& scalar, const simd::KernelOps& avx
     scalar.batch_min_dist(w.q, &w.entries.data()->mbr, sizeof(ChildEntry), n, out_a.data());
     avx2.batch_min_dist(w.q, &w.entries.data()->mbr, sizeof(ChildEntry), n, out_b.data());
     if (!compare_doubles()) ++mismatches;
+    const size_t boxes_a = scalar.collect_intersecting(&w.entries.data()->mbr, sizeof(ChildEntry),
+                                                       n, w.window, idx_a.data());
+    const size_t boxes_b = avx2.collect_intersecting(&w.entries.data()->mbr, sizeof(ChildEntry),
+                                                     n, w.window, idx_b.data());
+    if (boxes_a != boxes_b ||
+        !std::equal(idx_a.begin(), idx_a.begin() + static_cast<ptrdiff_t>(boxes_a),
+                    idx_b.begin())) {
+      ++mismatches;
+    }
   }
   return mismatches;
 }
@@ -192,16 +208,19 @@ int RunSmoke() {
   PrintRow("batch_distance", scalar_t.distance_s, avx2_t.distance_s);
   PrintRow("batch_distance_points", scalar_t.distance_points_s, avx2_t.distance_points_s);
   PrintRow("batch_min_dist", scalar_t.min_dist_s, avx2_t.min_dist_s);
+  PrintRow("collect_intersecting", scalar_t.intersect_s, avx2_t.intersect_s);
 
   const double scalar_total = scalar_t.count_s + scalar_t.collect_s + scalar_t.distance_s +
-                              scalar_t.distance_points_s + scalar_t.min_dist_s;
+                              scalar_t.distance_points_s + scalar_t.min_dist_s +
+                              scalar_t.intersect_s;
   const double avx2_total = avx2_t.count_s + avx2_t.collect_s + avx2_t.distance_s +
-                            avx2_t.distance_points_s + avx2_t.min_dist_s;
+                            avx2_t.distance_points_s + avx2_t.min_dist_s + avx2_t.intersect_s;
   const double best_speedup =
       std::max({scalar_t.count_s / avx2_t.count_s, scalar_t.collect_s / avx2_t.collect_s,
                 scalar_t.distance_s / avx2_t.distance_s,
                 scalar_t.distance_points_s / avx2_t.distance_points_s,
-                scalar_t.min_dist_s / avx2_t.min_dist_s});
+                scalar_t.min_dist_s / avx2_t.min_dist_s,
+                scalar_t.intersect_s / avx2_t.intersect_s});
   std::printf("  total: scalar %.3f ms, avx2 %.3f ms, best kernel speedup %.2fx\n",
               scalar_total * 1e3, avx2_total * 1e3, best_speedup);
 
@@ -236,6 +255,7 @@ int RunTable() {
     PrintRow("batch_distance", scalar_t.distance_s, avx2_t.distance_s);
     PrintRow("batch_distance_points", scalar_t.distance_points_s, avx2_t.distance_points_s);
     PrintRow("batch_min_dist", scalar_t.min_dist_s, avx2_t.min_dist_s);
+    PrintRow("collect_intersecting", scalar_t.intersect_s, avx2_t.intersect_s);
   }
   return 0;
 }

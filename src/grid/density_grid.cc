@@ -106,8 +106,10 @@ uint64_t DensityGrid::CountUpperBound(const Rect& rect) const {
   if (x1 < x0 || y1 < y0) return 0;
 
   const size_t stride = n + 1;
-  return prefix_[(y1 + 1) * stride + (x1 + 1)] - prefix_[y0 * stride + (x1 + 1)] -
-         prefix_[(y1 + 1) * stride + x0] + prefix_[y0 * stride + x0];
+  const uint32_t count = prefix_[(y1 + 1) * stride + (x1 + 1)] -
+                         prefix_[y0 * stride + (x1 + 1)] - prefix_[(y1 + 1) * stride + x0] +
+                         prefix_[y0 * stride + x0];
+  return count;
 }
 
 uint32_t DensityGrid::CellCount(const Point& p) const {

@@ -103,8 +103,12 @@ class DensityGrid {
   // O(cells in rect); an implementation refinement that does not change
   // the bound. Rebuilt lazily (O(cells)) after OnInsert/OnRemove updates,
   // so update-heavy phases cost O(1) per update and the rebuild is paid
-  // once by the next query.
-  mutable std::vector<uint64_t> prefix_;
+  // once by the next query. The sums are 32-bit: every count fits, since
+  // object ids are 32-bit, and the table is read by every DEP check, so
+  // half the width is half the cache footprint. Sums that wrap are still
+  // exact modulo 2^32, and so is CountUpperBound's 4-term difference,
+  // whose true value is a count and fits.
+  mutable std::vector<uint32_t> prefix_;
   mutable bool prefix_dirty_ = false;
 };
 

@@ -84,8 +84,7 @@ uint64_t QueryTrace::NowNs() const {
                                    .count());
 }
 
-SpanId QueryTrace::Begin(SpanKind kind, const IoCounter* io, int64_t detail) {
-  if (!enabled_) return kNoSpan;
+SpanId QueryTrace::BeginArmed(SpanKind kind, const IoCounter* io, int64_t detail) {
   TraceSpan span;
   span.kind = kind;
   span.parent = open_.empty() ? kNoSpan : open_.back();
@@ -102,8 +101,7 @@ SpanId QueryTrace::Begin(SpanKind kind, const IoCounter* io, int64_t detail) {
   return id;
 }
 
-void QueryTrace::End(SpanId id, const IoCounter* io) {
-  if (!enabled_ || id == kNoSpan) return;
+void QueryTrace::EndArmed(SpanId id, const IoCounter* io) {
   assert(!open_.empty() && open_.back() == id && "trace spans must end LIFO");
   open_.pop_back();
   TraceSpan& span = spans_[id];
@@ -120,21 +118,6 @@ void QueryTrace::End(SpanId id, const IoCounter* io) {
     parent.child_traversal_reads += span.traversal_reads;
     parent.child_window_reads += span.window_reads;
   }
-}
-
-void QueryTrace::SetDetail(SpanId id, int64_t detail) {
-  if (!enabled_ || id == kNoSpan) return;
-  spans_[id].detail = detail;
-}
-
-void QueryTrace::Count(TraceCounter counter, uint64_t delta) {
-  if (!enabled_) return;
-  counters_[static_cast<size_t>(counter)] += delta;
-}
-
-void QueryTrace::NoteHeapSize(size_t size) {
-  if (!enabled_) return;
-  if (size > heap_high_water_) heap_high_water_ = size;
 }
 
 void QueryTrace::set_label(std::string label) {

@@ -124,21 +124,35 @@ class QueryTrace {
 
   bool enabled() const { return enabled_; }
 
+  // The record calls below test enabled_ inline, so a disabled recorder
+  // costs one branch at the call site and no call; the armed bodies of
+  // Begin and End live in query_trace.cc.
+
   /// Opens a span as a child of the innermost open span. `io` (nullable)
   /// is snapshotted so the span can report the reads it covers.
-  SpanId Begin(SpanKind kind, const IoCounter* io, int64_t detail = -1);
+  SpanId Begin(SpanKind kind, const IoCounter* io, int64_t detail = -1) {
+    return enabled_ ? BeginArmed(kind, io, detail) : kNoSpan;
+  }
 
   /// Closes the innermost open span, which must be `id` (LIFO).
-  void End(SpanId id, const IoCounter* io);
+  void End(SpanId id, const IoCounter* io) {
+    if (enabled_ && id != kNoSpan) EndArmed(id, io);
+  }
 
   /// Sets the kind-specific payload of an open or closed span.
-  void SetDetail(SpanId id, int64_t detail);
+  void SetDetail(SpanId id, int64_t detail) {
+    if (enabled_ && id != kNoSpan) spans_[id].detail = detail;
+  }
 
   /// Bumps a structured counter.
-  void Count(TraceCounter counter, uint64_t delta = 1);
+  void Count(TraceCounter counter, uint64_t delta = 1) {
+    if (enabled_) counters_[static_cast<size_t>(counter)] += delta;
+  }
 
   /// Observes the traversal heap size; keeps the high-water mark.
-  void NoteHeapSize(size_t size);
+  void NoteHeapSize(size_t size) {
+    if (enabled_ && size > heap_high_water_) heap_high_water_ = size;
+  }
 
   /// Free-form query description carried into the exporters.
   void set_label(std::string label);
@@ -154,6 +168,8 @@ class QueryTrace {
   bool complete() const { return open_.empty(); }
 
  private:
+  SpanId BeginArmed(SpanKind kind, const IoCounter* io, int64_t detail);
+  void EndArmed(SpanId id, const IoCounter* io);
   uint64_t NowNs() const;
 
   bool enabled_ = false;

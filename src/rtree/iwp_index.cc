@@ -22,6 +22,18 @@ int BackwardPointerCountFor(int height) {
 
 }  // namespace
 
+IwpIndex::PointerTable IwpIndex::PointerTable::FromLists(
+    const std::vector<std::vector<NodePointer>>& lists) {
+  PointerTable table;
+  table.offsets.reserve(lists.size() + 1);
+  table.offsets.push_back(0);
+  for (const std::vector<NodePointer>& list : lists) {
+    table.pointers.insert(table.pointers.end(), list.begin(), list.end());
+    table.offsets.push_back(static_cast<uint32_t>(table.pointers.size()));
+  }
+  return table;
+}
+
 IwpIndex IwpIndex::Build(const RStarTree& tree) {
   IwpIndex index;
   index.root_ = tree.root();
@@ -41,9 +53,12 @@ IwpIndex IwpIndex::Build(const RStarTree& tree) {
   }
 
   // Backward pointers for each leaf: self, ancestors at exponentially
-  // growing height offsets, then the root.
+  // growing height offsets, then the root. Lists are indexed by node id
+  // while building and flattened into the CSR tables at the end.
+  std::vector<std::vector<NodePointer>> backward(tree.node_slot_count());
+  std::vector<std::vector<NodePointer>> overlaps(tree.node_slot_count());
   for (const NodeId leaf_id : by_level[0]) {
-    std::vector<NodePointer>& pointers = index.backward_[leaf_id];
+    std::vector<NodePointer>& pointers = backward[leaf_id];
     pointers.reserve(static_cast<size_t>(r));
     pointers.push_back(NodePointer{leaf_id, tree.node(leaf_id).ComputeMbr()});
     for (int i = 2; i < r; ++i) {
@@ -60,7 +75,6 @@ IwpIndex IwpIndex::Build(const RStarTree& tree) {
     if (r >= 2) {
       pointers.push_back(NodePointer{tree.root(), tree.node(tree.root()).ComputeMbr()});
     }
-    index.backward_pointer_count_ += pointers.size();
   }
 
   // Overlapping pointers for every backward-target node except the root:
@@ -79,65 +93,52 @@ IwpIndex IwpIndex::Build(const RStarTree& tree) {
               [](const auto& a, const auto& b) { return a.first.min_x < b.first.min_x; });
     for (size_t i = 0; i < boxes.size(); ++i) {
       if (boxes[i].second == tree.root()) continue;
-      std::vector<NodePointer>& pointers = index.overlaps_[boxes[i].second];
+      std::vector<NodePointer>& pointers = overlaps[boxes[i].second];
       for (size_t j = i + 1; j < boxes.size(); ++j) {
         if (boxes[j].first.min_x > boxes[i].first.max_x) break;
         if (!boxes[i].first.Intersects(boxes[j].first)) continue;
         pointers.push_back(NodePointer{boxes[j].second, boxes[j].first});
         if (boxes[j].second != tree.root()) {
-          index.overlaps_[boxes[j].second].push_back(
+          overlaps[boxes[j].second].push_back(
               NodePointer{boxes[i].second, boxes[i].first});
         }
       }
     }
   }
-  for (const auto& [node, pointers] : index.overlaps_) {
-    (void)node;
-    index.overlap_pointer_count_ += pointers.size();
-  }
+  index.backward_ = PointerTable::FromLists(backward);
+  index.overlaps_ = PointerTable::FromLists(overlaps);
   return index;
 }
 
-const std::vector<NodePointer>& IwpIndex::BackwardPointers(NodeId leaf) const {
-  static const std::vector<NodePointer> kEmpty;
-  const auto it = backward_.find(leaf);
-  return it != backward_.end() ? it->second : kEmpty;
-}
-
-const std::vector<NodePointer>& IwpIndex::OverlapPointers(NodeId node) const {
-  static const std::vector<NodePointer> kEmpty;
-  const auto it = overlaps_.find(node);
-  return it != overlaps_.end() ? it->second : kEmpty;
-}
-
-std::vector<NodeId> IwpIndex::ResolveStartNodes(NodeId leaf, const Rect& window) const {
-  std::vector<NodeId> starts;
-  const std::vector<NodePointer>& pointers = BackwardPointers(leaf);
+void IwpIndex::ResolveStartNodes(NodeId leaf, const Rect& window,
+                                 std::vector<NodeId>* out) const {
   // Smallest i whose MBR covers the window; the root covers every window
   // that can contain objects, and search regions may extend beyond the
   // data space, so fall back to the root when nothing covers.
   const NodePointer* chosen = nullptr;
-  for (const NodePointer& bp : pointers) {
+  for (const NodePointer& bp : BackwardPointers(leaf)) {
     if (bp.mbr.Contains(window)) {
       chosen = &bp;
       break;
     }
   }
   if (chosen == nullptr) {
-    starts.push_back(root_);
-    return starts;
+    out->push_back(root_);
+    return;
   }
-  starts.push_back(chosen->node);
+  out->push_back(chosen->node);
   for (const NodePointer& op : OverlapPointers(chosen->node)) {
-    if (op.mbr.Intersects(window)) starts.push_back(op.node);
+    if (op.mbr.Intersects(window)) out->push_back(op.node);
   }
-  return starts;
 }
 
-std::vector<DataObject> IwpIndex::WindowQuery(const RStarTree& tree, NodeId leaf,
-                                              const Rect& window, IoCounter* io, IoPhase phase,
-                                              QueryControl* control) const {
-  return WindowQueryFrom(tree, ResolveStartNodes(leaf, window), window, io, phase, control);
+void IwpIndex::WindowQuery(const RStarTree& tree, NodeId leaf, const Rect& window,
+                           std::vector<DataObject>* out, IoCounter* io, IoPhase phase,
+                           QueryControl* control) const {
+  thread_local std::vector<NodeId> starts;
+  starts.clear();
+  ResolveStartNodes(leaf, window, &starts);
+  WindowQueryFrom(tree, starts, window, out, io, phase, control);
 }
 
 }  // namespace nwc

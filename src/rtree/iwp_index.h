@@ -2,7 +2,8 @@
 #define NWC_RTREE_IWP_INDEX_H_
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/cancel.h"
@@ -48,49 +49,67 @@ class IwpIndex {
   /// index and remain unmodified.
   static IwpIndex Build(const RStarTree& tree);
 
-  /// Backward pointers of `leaf` (lowest first, root last).
-  const std::vector<NodePointer>& BackwardPointers(NodeId leaf) const;
+  /// Backward pointers of `leaf` (lowest first, root last); empty for an
+  /// id that is not a leaf of the indexed tree.
+  std::span<const NodePointer> BackwardPointers(NodeId leaf) const {
+    return backward_.Of(leaf);
+  }
 
   /// Overlapping pointers of `node` (empty for nodes that are not backward
   /// targets and for the root).
-  const std::vector<NodePointer>& OverlapPointers(NodeId node) const;
+  std::span<const NodePointer> OverlapPointers(NodeId node) const { return overlaps_.Of(node); }
 
   /// Algorithm 3: answers the window query for `window`, issued while
-  /// processing an object stored in `leaf`, and returns the objects inside.
+  /// processing an object stored in `leaf`, and appends the objects inside
+  /// to `out` (see WindowQueryFrom).
   ///
   /// I/O accounting: consulting the pointer tables is free — the backward
   /// pointers ride along with the object when its leaf is expanded into the
   /// priority queue, and the overlap table of the chosen start node is
   /// embedded in that node's page. Every node traversed by the window
   /// query itself charges one read, exactly as a root-based query would.
-  std::vector<DataObject> WindowQuery(const RStarTree& tree, NodeId leaf, const Rect& window,
-                                      IoCounter* io, IoPhase phase = IoPhase::kWindowQuery,
-                                      QueryControl* control = nullptr) const;
+  void WindowQuery(const RStarTree& tree, NodeId leaf, const Rect& window,
+                   std::vector<DataObject>* out, IoCounter* io,
+                   IoPhase phase = IoPhase::kWindowQuery, QueryControl* control = nullptr) const;
 
-  /// Resolves the start nodes Algorithm 3 would search from (exposed for
-  /// tests and for the storage/ablation analysis).
-  std::vector<NodeId> ResolveStartNodes(NodeId leaf, const Rect& window) const;
+  /// Appends to `out` the start nodes Algorithm 3 would search from
+  /// (exposed for tests and for the storage/ablation analysis). A leaf
+  /// without backward pointers falls back to the root.
+  void ResolveStartNodes(NodeId leaf, const Rect& window, std::vector<NodeId>* out) const;
 
   /// Total number of stored backward pointers (Sec. 5.2 accounting).
-  size_t backward_pointer_count() const { return backward_pointer_count_; }
+  size_t backward_pointer_count() const { return backward_.pointers.size(); }
 
   /// Total number of stored overlapping pointers (Sec. 5.2 accounting).
-  size_t overlap_pointer_count() const { return overlap_pointer_count_; }
+  size_t overlap_pointer_count() const { return overlaps_.pointers.size(); }
 
   /// Storage overhead in bytes under the paper's 4-bytes-per-pointer
   /// assumption (MBR copies excluded, matching Sec. 5.2's accounting).
   size_t StorageBytes() const {
-    return (backward_pointer_count_ + overlap_pointer_count_) * kPointerBytes;
+    return (backward_pointer_count() + overlap_pointer_count()) * kPointerBytes;
   }
 
  private:
   IwpIndex() = default;
 
-  std::unordered_map<NodeId, std::vector<NodePointer>> backward_;
-  std::unordered_map<NodeId, std::vector<NodePointer>> overlaps_;
+  /// Per-node pointer lists in compressed-sparse-row form, indexed by
+  /// NodeId: node v's pointers are pointers[offsets[v] .. offsets[v + 1]).
+  /// A lookup is two array reads instead of a hash probe.
+  struct PointerTable {
+    std::vector<uint32_t> offsets;
+    std::vector<NodePointer> pointers;
+
+    static PointerTable FromLists(const std::vector<std::vector<NodePointer>>& lists);
+    std::span<const NodePointer> Of(NodeId node) const {
+      if (static_cast<size_t>(node) + 1 >= offsets.size()) return {};
+      return std::span<const NodePointer>(pointers).subspan(
+          offsets[node], offsets[node + 1] - offsets[node]);
+    }
+  };
+
+  PointerTable backward_;
+  PointerTable overlaps_;
   NodeId root_ = kInvalidNodeId;
-  size_t backward_pointer_count_ = 0;
-  size_t overlap_pointer_count_ = 0;
 };
 
 }  // namespace nwc

@@ -23,12 +23,17 @@ namespace {
 // another page read; the walk then abandons the remaining frontier, same
 // as the recursion unwinding without emitting.
 //
-// The scratch stack is thread-local because window walks never nest on one
-// thread (leaf visitors only append to result buffers).
+// An internal node's children are tested against the window by the
+// strided intersection kernel, which lists hits in ascending slot order;
+// pushing them in reverse keeps the visit order.
+//
+// The scratch stack and hit list are thread-local because window walks
+// never nest on one thread (leaf visitors only append to result buffers).
 template <typename VisitLeaf>
 void WindowWalk(const RStarTree& tree, NodeId start, const Rect& window, IoCounter* io,
                 IoPhase phase, QueryControl* control, const VisitLeaf& visit_leaf) {
   thread_local std::vector<NodeId> stack;
+  thread_local std::vector<uint32_t> hits;
   stack.clear();
   stack.push_back(start);
   while (!stack.empty()) {
@@ -44,9 +49,13 @@ void WindowWalk(const RStarTree& tree, NodeId start, const Rect& window, IoCount
       continue;
     }
     const std::vector<ChildEntry>& children = n.children;
-    for (size_t i = children.size(); i-- > 0;) {
-      if (children[i].mbr.Intersects(window)) stack.push_back(children[i].child);
-    }
+    hits.resize(children.size());
+    const size_t hit_count = children.empty()
+                                 ? 0
+                                 : simd::CollectIntersecting(&children.data()->mbr,
+                                                             sizeof(ChildEntry), children.size(),
+                                                             window, hits.data());
+    for (size_t i = hit_count; i-- > 0;) stack.push_back(children[hits[i]].child);
   }
 }
 
@@ -73,17 +82,14 @@ std::vector<DataObject> WindowQuery(const RStarTree& tree, const Rect& window, I
   return result;
 }
 
-std::vector<DataObject> WindowQueryFrom(const RStarTree& tree,
-                                        const std::vector<NodeId>& start_nodes,
-                                        const Rect& window, IoCounter* io, IoPhase phase,
-                                        QueryControl* control) {
-  std::vector<DataObject> result;
+void WindowQueryFrom(const RStarTree& tree, std::span<const NodeId> start_nodes,
+                     const Rect& window, std::vector<DataObject>* out, IoCounter* io,
+                     IoPhase phase, QueryControl* control) {
   for (const NodeId start : start_nodes) {
     WindowWalk(tree, start, window, io, phase, control, [&](const RTreeNode& leaf) {
-      CollectLeafHits(leaf, window, &result);
+      CollectLeafHits(leaf, window, out);
     });
   }
-  return result;
 }
 
 size_t WindowCount(const RStarTree& tree, const Rect& window, IoCounter* io, IoPhase phase,

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/cancel.h"
@@ -29,14 +30,16 @@ std::vector<DataObject> WindowQuery(const RStarTree& tree, const Rect& window, I
                                     QueryControl* control = nullptr);
 
 /// Window query that starts from an explicit set of subtree roots instead
-/// of the tree root; the IWP technique (Algorithm 3) uses this with the
-/// nodes reached through backward/overlapping pointers. Subtrees must be
-/// disjoint (as same-depth R-tree nodes are), or duplicates will result.
-std::vector<DataObject> WindowQueryFrom(const RStarTree& tree,
-                                        const std::vector<NodeId>& start_nodes,
-                                        const Rect& window, IoCounter* io,
-                                        IoPhase phase = IoPhase::kWindowQuery,
-                                        QueryControl* control = nullptr);
+/// of the tree root, appending the hits to `out` (which keeps its earlier
+/// contents and its capacity, so a caller reusing one buffer allocates
+/// nothing in steady state). The IWP technique (Algorithm 3) uses this with
+/// the nodes reached through backward/overlapping pointers, and the NWC
+/// search with the root alone. Subtrees must be disjoint (as same-depth
+/// R-tree nodes are), or duplicates will result. I/O accounting and
+/// `control` as for WindowQuery.
+void WindowQueryFrom(const RStarTree& tree, std::span<const NodeId> start_nodes,
+                     const Rect& window, std::vector<DataObject>* out, IoCounter* io,
+                     IoPhase phase = IoPhase::kWindowQuery, QueryControl* control = nullptr);
 
 /// Counts the objects inside `window` without materializing them; same
 /// traversal and I/O accounting as WindowQuery.

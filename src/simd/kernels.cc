@@ -53,13 +53,25 @@ void BatchMinDist(const Point& q, const Rect* first, size_t stride_bytes, size_t
   }
 }
 
+size_t CollectIntersecting(const Rect* first, size_t stride_bytes, size_t count,
+                           const Rect& window, uint32_t* out_indices) {
+  const char* base = reinterpret_cast<const char*>(first);
+  size_t hits = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const Rect* rect = reinterpret_cast<const Rect*>(base + i * stride_bytes);
+    if (rect->Intersects(window)) out_indices[hits++] = static_cast<uint32_t>(i);
+  }
+  return hits;
+}
+
 }  // namespace scalar_impl
 
 const KernelOps& ScalarOps() {
   static constexpr KernelOps kOps = {
       &scalar_impl::CountInWindow,  &scalar_impl::CollectInWindow,
       &scalar_impl::BatchDistance,  &scalar_impl::BatchDistancePoints,
-      &scalar_impl::BatchMinDist,   "scalar",
+      &scalar_impl::BatchMinDist,   &scalar_impl::CollectIntersecting,
+      "scalar",
   };
   return kOps;
 }

@@ -10,8 +10,9 @@
 /// Vectorized hot-path kernels over structure-of-arrays data.
 ///
 /// The per-object work of every query algorithm — window containment over
-/// leaf points, point-to-query distances for the best-first traversal, and
-/// MINDIST-to-rect over child MBRs — runs through this layer. Each kernel
+/// leaf points, point-to-query distances for the best-first traversal,
+/// MINDIST-to-rect over child MBRs and the child-MBR intersection test of
+/// window walks — runs through this layer. Each kernel
 /// exists twice: a scalar implementation (built from the exact same
 /// geometry primitives the query code used before this layer existed) and
 /// an AVX2 implementation compiled into a separate translation unit with
@@ -52,6 +53,13 @@ struct KernelOps {
   /// elements embed a Rect as their first member can be scanned in place).
   void (*batch_min_dist)(const Point& q, const Rect* first, size_t stride_bytes, size_t count,
                          double* out);
+  /// Writes the indices i of the strided rects (laid out as for
+  /// batch_min_dist) with rect_i.Intersects(window) to `out_indices` in
+  /// ascending order; returns how many were written. Empty rects and an
+  /// empty window intersect nothing. `out_indices` must have room for
+  /// `count` entries.
+  size_t (*collect_intersecting)(const Rect* first, size_t stride_bytes, size_t count,
+                                 const Rect& window, uint32_t* out_indices);
   /// Human-readable implementation name ("scalar", "avx2").
   const char* name;
 };
@@ -106,6 +114,10 @@ inline void BatchDistancePoints(const Point& q, const DataObject* objects, size_
 inline void BatchMinDist(const Point& q, const Rect* first, size_t stride_bytes, size_t count,
                          double* out) {
   Ops().batch_min_dist(q, first, stride_bytes, count, out);
+}
+inline size_t CollectIntersecting(const Rect* first, size_t stride_bytes, size_t count,
+                                  const Rect& window, uint32_t* out_indices) {
+  return Ops().collect_intersecting(first, stride_bytes, count, window, out_indices);
 }
 
 }  // namespace nwc::simd

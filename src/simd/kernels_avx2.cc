@@ -45,6 +45,39 @@ inline int ContainsMask(__m256d xs, __m256d ys, __m256d min_x, __m256d max_x, __
   return _mm256_movemask_pd(_mm256_and_pd(in_x, in_y));
 }
 
+// One register per coordinate of the four {min_x, min_y, max_x, max_y}
+// rects at `stride_bytes * (i + 0..3)` past `base` (lane j is rect i + j).
+struct RectLanes {
+  __m256d min_x, max_x, min_y, max_y;
+};
+
+inline RectLanes LoadRectLanes(const char* base, size_t stride_bytes, size_t i) {
+  const __m256d r0 =
+      _mm256_loadu_pd(reinterpret_cast<const double*>(base + (i + 0) * stride_bytes));
+  const __m256d r1 =
+      _mm256_loadu_pd(reinterpret_cast<const double*>(base + (i + 1) * stride_bytes));
+  const __m256d r2 =
+      _mm256_loadu_pd(reinterpret_cast<const double*>(base + (i + 2) * stride_bytes));
+  const __m256d r3 =
+      _mm256_loadu_pd(reinterpret_cast<const double*>(base + (i + 3) * stride_bytes));
+  const __m256d lo01 = _mm256_unpacklo_pd(r0, r1);  // [minx0 minx1 | maxx0 maxx1]
+  const __m256d hi01 = _mm256_unpackhi_pd(r0, r1);  // [miny0 miny1 | maxy0 maxy1]
+  const __m256d lo23 = _mm256_unpacklo_pd(r2, r3);
+  const __m256d hi23 = _mm256_unpackhi_pd(r2, r3);
+  return RectLanes{_mm256_permute2f128_pd(lo01, lo23, 0x20),
+                   _mm256_permute2f128_pd(lo01, lo23, 0x31),
+                   _mm256_permute2f128_pd(hi01, hi23, 0x20),
+                   _mm256_permute2f128_pd(hi01, hi23, 0x31)};
+}
+
+// Rect::Intersects spelled out for a non-empty window: the inline member
+// must not be instantiated in this translation unit (see rect.h).
+inline bool IntersectsNonEmptyWindow(const Rect& r, const Rect& window) {
+  if (r.min_x > r.max_x || r.min_y > r.max_y) return false;
+  return r.min_x <= window.max_x && window.min_x <= r.max_x && r.min_y <= window.max_y &&
+         window.min_y <= r.max_y;
+}
+
 }  // namespace
 
 size_t CountInWindow(const double* xs, const double* ys, size_t count, const Rect& window) {
@@ -132,24 +165,11 @@ void BatchMinDist(const Point& q, const Rect* first, size_t stride_bytes, size_t
   const __m256d inf = _mm256_set1_pd(__builtin_inf());
   size_t i = 0;
   for (; i + 4 <= count; i += 4) {
-    // Load four {min_x, min_y, max_x, max_y} rects and transpose them into
-    // one register per coordinate.
-    const __m256d r0 = _mm256_loadu_pd(
-        reinterpret_cast<const double*>(base + (i + 0) * stride_bytes));
-    const __m256d r1 = _mm256_loadu_pd(
-        reinterpret_cast<const double*>(base + (i + 1) * stride_bytes));
-    const __m256d r2 = _mm256_loadu_pd(
-        reinterpret_cast<const double*>(base + (i + 2) * stride_bytes));
-    const __m256d r3 = _mm256_loadu_pd(
-        reinterpret_cast<const double*>(base + (i + 3) * stride_bytes));
-    const __m256d lo01 = _mm256_unpacklo_pd(r0, r1);  // [minx0 minx1 | maxx0 maxx1]
-    const __m256d hi01 = _mm256_unpackhi_pd(r0, r1);  // [miny0 miny1 | maxy0 maxy1]
-    const __m256d lo23 = _mm256_unpacklo_pd(r2, r3);
-    const __m256d hi23 = _mm256_unpackhi_pd(r2, r3);
-    const __m256d min_x = _mm256_permute2f128_pd(lo01, lo23, 0x20);
-    const __m256d max_x = _mm256_permute2f128_pd(lo01, lo23, 0x31);
-    const __m256d min_y = _mm256_permute2f128_pd(hi01, hi23, 0x20);
-    const __m256d max_y = _mm256_permute2f128_pd(hi01, hi23, 0x31);
+    const RectLanes r = LoadRectLanes(base, stride_bytes, i);
+    const __m256d min_x = r.min_x;
+    const __m256d max_x = r.max_x;
+    const __m256d min_y = r.min_y;
+    const __m256d max_y = r.max_y;
 
     // dx = max(min_x - qx, 0, qx - max_x); any sign-of-zero difference vs
     // std::max is erased by the square. Same for dy.
@@ -170,11 +190,45 @@ void BatchMinDist(const Point& q, const Rect* first, size_t stride_bytes, size_t
   }
 }
 
+size_t CollectIntersecting(const Rect* first, size_t stride_bytes, size_t count,
+                           const Rect& window, uint32_t* out_indices) {
+  if (window.min_x > window.max_x || window.min_y > window.max_y) return 0;
+  const char* base = reinterpret_cast<const char*>(first);
+  const __m256d w_min_x = _mm256_set1_pd(window.min_x);
+  const __m256d w_max_x = _mm256_set1_pd(window.max_x);
+  const __m256d w_min_y = _mm256_set1_pd(window.min_y);
+  const __m256d w_max_y = _mm256_set1_pd(window.max_y);
+  size_t hits = 0;
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const RectLanes r = LoadRectLanes(base, stride_bytes, i);
+    const __m256d in_x = _mm256_and_pd(_mm256_cmp_pd(r.min_x, w_max_x, _CMP_LE_OQ),
+                                       _mm256_cmp_pd(w_min_x, r.max_x, _CMP_LE_OQ));
+    const __m256d in_y = _mm256_and_pd(_mm256_cmp_pd(r.min_y, w_max_y, _CMP_LE_OQ),
+                                       _mm256_cmp_pd(w_min_y, r.max_y, _CMP_LE_OQ));
+    // Empty (inverted) rects intersect nothing, as in Rect::Intersects.
+    const __m256d empty = _mm256_or_pd(_mm256_cmp_pd(r.min_x, r.max_x, _CMP_GT_OQ),
+                                       _mm256_cmp_pd(r.min_y, r.max_y, _CMP_GT_OQ));
+    unsigned mask = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_andnot_pd(empty, _mm256_and_pd(in_x, in_y))));
+    while (mask != 0) {
+      const unsigned lane = static_cast<unsigned>(__builtin_ctz(mask));
+      out_indices[hits++] = static_cast<uint32_t>(i + lane);
+      mask &= mask - 1;
+    }
+  }
+  for (; i < count; ++i) {
+    const Rect* rect = reinterpret_cast<const Rect*>(base + i * stride_bytes);
+    if (IntersectsNonEmptyWindow(*rect, window)) out_indices[hits++] = static_cast<uint32_t>(i);
+  }
+  return hits;
+}
+
 bool CpuSupportsAvx2() { return __builtin_cpu_supports("avx2"); }
 
 const KernelOps kOps = {
-    &CountInWindow, &CollectInWindow, &BatchDistance, &BatchDistancePoints, &BatchMinDist,
-    "avx2",
+    &CountInWindow, &CollectInWindow,     &BatchDistance, &BatchDistancePoints,
+    &BatchMinDist,  &CollectIntersecting, "avx2",
 };
 
 }  // namespace nwc::simd::avx2_impl

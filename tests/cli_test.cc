@@ -84,7 +84,9 @@ TEST_F(CliPipelineTest, StatsReportsValidTree) {
   const CommandResult result = RunTool("stats --index=" + *tree_path_);
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("objects:  5000"), std::string::npos) << result.output;
-  EXPECT_NE(result.output.find("valid:    yes"), std::string::npos) << result.output;
+  // LoadTree rejects an invalid tree, so stats printing at all is the
+  // validity report; the fan-out line shows the tree's options came back.
+  EXPECT_NE(result.output.find("fanout:   max 50 / min 20"), std::string::npos) << result.output;
 }
 
 TEST_F(CliPipelineTest, QueryFindsGroup) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -57,7 +58,7 @@ TEST(IwpIndexTest, BackwardPointerCountFollowsExponentialRule) {
   const int expected_r =
       static_cast<int>(std::ceil(std::log2(static_cast<double>(h)))) + 2;
   for (const NodeId leaf : AllLeaves(tree)) {
-    const std::vector<NodePointer>& pointers = index.BackwardPointers(leaf);
+    const std::span<const NodePointer> pointers = index.BackwardPointers(leaf);
     ASSERT_EQ(static_cast<int>(pointers.size()), expected_r);
     // bp_1 is the leaf itself, bp_r the root.
     EXPECT_EQ(pointers.front().node, leaf);
@@ -77,7 +78,7 @@ TEST(IwpIndexTest, RootOnlyTree) {
   RStarTree tree;
   tree.Insert(DataObject{0, Point{1, 1}});
   const IwpIndex index = IwpIndex::Build(tree);
-  const std::vector<NodePointer>& pointers = index.BackwardPointers(tree.root());
+  const std::span<const NodePointer> pointers = index.BackwardPointers(tree.root());
   ASSERT_EQ(pointers.size(), 1u);
   EXPECT_EQ(pointers[0].node, tree.root());
 }
@@ -92,7 +93,7 @@ TEST(IwpIndexTest, OverlapPointersAreSymmetricSameLevelOverlaps) {
       EXPECT_NE(op.node, leaf);
       EXPECT_TRUE(op.mbr.Intersects(tree.node(leaf).ComputeMbr()));
       // Symmetry: the other node points back.
-      const std::vector<NodePointer>& reverse = index.OverlapPointers(op.node);
+      const std::span<const NodePointer> reverse = index.OverlapPointers(op.node);
       EXPECT_TRUE(std::any_of(reverse.begin(), reverse.end(),
                               [leaf](const NodePointer& p) { return p.node == leaf; }));
     }
@@ -125,8 +126,9 @@ TEST(IwpIndexTest, WindowQueryMatchesRootBasedQuery) {
       std::sort(ids.begin(), ids.end());
       return ids;
     };
-    EXPECT_EQ(sorted_ids(index.WindowQuery(tree, leaf, window, nullptr)),
-              sorted_ids(WindowQuery(tree, window, nullptr)))
+    std::vector<DataObject> hits;
+    index.WindowQuery(tree, leaf, window, &hits, nullptr);
+    EXPECT_EQ(sorted_ids(hits), sorted_ids(WindowQuery(tree, window, nullptr)))
         << "window " << window;
   }
 }
@@ -140,7 +142,8 @@ TEST(IwpIndexTest, WindowQueryNeverReturnsDuplicates) {
     const NodeId leaf = leaves[rng.NextUint64(leaves.size())];
     const Rect leaf_mbr = tree.node(leaf).ComputeMbr();
     const Rect window = leaf_mbr.Inflated(rng.NextDouble(0, 100), rng.NextDouble(0, 100));
-    const std::vector<DataObject> hits = index.WindowQuery(tree, leaf, window, nullptr);
+    std::vector<DataObject> hits;
+    index.WindowQuery(tree, leaf, window, &hits, nullptr);
     std::set<ObjectId> ids;
     for (const DataObject& obj : hits) {
       EXPECT_TRUE(ids.insert(obj.id).second) << "duplicate id " << obj.id;
@@ -165,7 +168,8 @@ TEST(IwpIndexTest, SmallWindowCostsLessIoThanRootQuery) {
     const Point center = leaf_mbr.Center();
     const Rect window{center.x - 2, center.y - 2, center.x + 2, center.y + 2};
     IoCounter io_a;
-    index.WindowQuery(tree, leaf, window, &io_a);
+    std::vector<DataObject> hits;
+    index.WindowQuery(tree, leaf, window, &hits, &io_a);
     IoCounter io_b;
     WindowQuery(tree, window, &io_b);
     iwp_io += io_a.window_query_reads();
@@ -188,8 +192,8 @@ TEST(IwpIndexTest, ResolveStartNodesFallsBackToRootForHugeWindows) {
   const NodeId leaf = AllLeaves(tree).front();
   // A window exceeding the data space is covered by nothing but must still
   // be answerable: the root is the fallback start.
-  const std::vector<NodeId> starts =
-      index.ResolveStartNodes(leaf, Rect{-1e9, -1e9, 1e9, 1e9});
+  std::vector<NodeId> starts;
+  index.ResolveStartNodes(leaf, Rect{-1e9, -1e9, 1e9, 1e9}, &starts);
   ASSERT_EQ(starts.size(), 1u);
   EXPECT_EQ(starts[0], tree.root());
 }

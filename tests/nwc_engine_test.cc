@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -275,6 +276,54 @@ TEST(NwcEngineTest, NEqualsDatasetSize) {
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->found);
   EXPECT_EQ(result->objects.size(), 5u);
+}
+
+// A tree whose nodes hold more entries than its max_entries (FromParts
+// performs no validation) must still search exactly: the traversal queue
+// sizes its run blocks by max_entries and has to grow them. The leaves
+// overlap and grow in size with their id (3, 5, ..., 15 objects), so the
+// blocks grow while earlier leaves' runs are still queued.
+TEST(NwcEngineTest, OverfullNodesSearchLikeABulkLoadedTree) {
+  const std::vector<DataObject> objects = UniformObjects(63, 91, 100.0);
+  std::vector<std::unique_ptr<RTreeNode>> nodes;
+  nodes.push_back(std::make_unique<RTreeNode>());
+  nodes[0]->id = 0;
+  nodes[0]->level = 1;
+  size_t next = 0;
+  for (NodeId leaf = 1; leaf <= 7; ++leaf) {
+    auto node = std::make_unique<RTreeNode>();
+    node->id = leaf;
+    node->parent = 0;
+    for (size_t i = 0; i < 2 * leaf + 1; ++i) node->objects.push_back(objects[next++]);
+    nodes[0]->children.push_back(ChildEntry{node->ComputeMbr(), leaf});
+    nodes.push_back(std::move(node));
+  }
+  RTreeOptions options;
+  options.max_entries = 4;
+  options.min_entries = 2;
+  const RStarTree overfull = RStarTree::FromParts(options, std::move(nodes), 0, objects.size());
+  const IwpIndex iwp = IwpIndex::Build(overfull);
+  const DensityGrid grid(Rect{0, 0, 100, 100}, 10.0, objects);
+  const Fixture reference = MakeFixture(objects, Rect{0, 0, 100, 100});
+
+  const NwcEngine engine(overfull, &iwp, &grid);
+  const NwcEngine reference_engine(reference.tree, &reference.iwp, &reference.grid);
+  Rng rng(92);
+  for (int trial = 0; trial < 20; ++trial) {
+    const NwcQuery query{Point{rng.NextDouble(0, 100), rng.NextDouble(0, 100)},
+                         rng.NextDouble(5, 30), rng.NextDouble(5, 30), 2 + rng.NextUint64(4)};
+    for (const NwcOptions& options :
+         {NwcOptions::Plain(), NwcOptions::Plus(), NwcOptions::Star()}) {
+      const Result<NwcResult> result = engine.Execute(query, options, nullptr);
+      const Result<NwcResult> expected = reference_engine.Execute(query, options, nullptr);
+      ASSERT_TRUE(result.ok());
+      ASSERT_TRUE(expected.ok());
+      ASSERT_EQ(result->found, expected->found);
+      if (result->found) {
+        EXPECT_NEAR(result->distance, expected->distance, 1e-9);
+      }
+    }
+  }
 }
 
 }  // namespace

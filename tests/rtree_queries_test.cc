@@ -179,8 +179,8 @@ TEST(WindowQueryFromTest, SubtreeQueryFindsSubtreeObjects) {
   const RTreeNode& root = tree.node(tree.root());
   size_t total = 0;
   for (const ChildEntry& entry : root.children) {
-    const std::vector<DataObject> sub =
-        WindowQueryFrom(tree, {entry.child}, Rect{0, 0, 1000, 1000}, nullptr);
+    std::vector<DataObject> sub;
+    WindowQueryFrom(tree, {&entry.child, 1}, Rect{0, 0, 1000, 1000}, &sub, nullptr);
     for (const DataObject& obj : sub) {
       EXPECT_TRUE(entry.mbr.Contains(obj.pos));
     }

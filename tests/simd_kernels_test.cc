@@ -156,6 +156,58 @@ TEST_F(SimdKernelsTest, BatchMinDistMatchesScalarBitExactOverStridedEntries) {
   }
 }
 
+// A coordinate on a 5-unit lattice, so child edges land exactly on the
+// test windows' edges.
+double LatticeCoord(Rng& rng) { return 5.0 * (static_cast<double>(rng.NextUint64(21)) - 10.0); }
+
+TEST_F(SimdKernelsTest, CollectIntersectingMatchesScalarIndexExactOverStridedEntries) {
+  const simd::KernelOps& scalar = simd::ScalarOps();
+  const Rect windows[] = {
+      Rect{-25.0, -25.0, 25.0, 25.0},
+      Rect{0.0, 0.0, 0.0, 0.0},                // a point on lattice corners
+      Rect{10.0, -30.0, 10.0, 30.0},           // a segment on a lattice line
+      Rect{-0.0, -0.0, 0.0, 0.0},              // signed-zero boundary
+      Rect{10.0, 10.0, 5.0, 5.0},              // inverted window
+      Rect::Empty(),                           // empty window
+      Rect{-1000.0, -1000.0, 1000.0, 1000.0},  // everything
+  };
+  for (uint64_t seed = 31; seed <= 35; ++seed) {
+    Rng rng(seed);
+    std::vector<ChildEntry> entries;
+    for (size_t i = 0; i < 68; ++i) {
+      const Point a{LatticeCoord(rng), LatticeCoord(rng)};
+      Rect mbr = Rect::FromCorners(a, Point{LatticeCoord(rng), LatticeCoord(rng)});
+      switch (i % 9) {
+        case 2: mbr = Rect::Empty(); break;
+        case 4: mbr = Rect{5.0, 0.0, -5.0, 10.0}; break;   // inverted in x only
+        case 6: mbr = Rect{0.0, 5.0, 10.0, -5.0}; break;   // inverted in y only
+        case 7: mbr = Rect{25.0, 25.0, 40.0, 40.0}; break;  // touches a corner
+        case 8: mbr = Rect{-40.0, -10.0, -25.0, 10.0}; break;  // touches an edge
+        default: break;
+      }
+      entries.push_back(ChildEntry{mbr, static_cast<NodeId>(i)});
+    }
+    for (size_t count = 0; count <= entries.size(); ++count) {
+      for (const Rect& window : windows) {
+        std::vector<uint32_t> expected;
+        for (size_t i = 0; i < count; ++i) {
+          if (entries[i].mbr.Intersects(window)) expected.push_back(static_cast<uint32_t>(i));
+        }
+        std::vector<uint32_t> scalar_idx(count + 1, 0xDEADBEEF);
+        std::vector<uint32_t> avx2_idx(count + 1, 0xDEADBEEF);
+        const size_t scalar_hits = scalar.collect_intersecting(
+            &entries.data()->mbr, sizeof(ChildEntry), count, window, scalar_idx.data());
+        const size_t avx2_hits = avx2_->collect_intersecting(
+            &entries.data()->mbr, sizeof(ChildEntry), count, window, avx2_idx.data());
+        scalar_idx.resize(scalar_hits);
+        avx2_idx.resize(avx2_hits);
+        ASSERT_EQ(scalar_idx, expected) << "seed=" << seed << " count=" << count;
+        ASSERT_EQ(avx2_idx, expected) << "seed=" << seed << " count=" << count;
+      }
+    }
+  }
+}
+
 TEST(SimdDispatchTest, ForceScalarSelectsTheOracle) {
   const simd::DispatchMode saved = simd::GetDispatchMode();
   simd::SetDispatchMode(simd::DispatchMode::kForceScalar);

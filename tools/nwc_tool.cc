@@ -74,7 +74,6 @@
 #include "rtree/bulk_load.h"
 #include "rtree/serialize.h"
 #include "rtree/tree_stats.h"
-#include "rtree/validate.h"
 #include "service/query_service.h"
 #include "service/session.h"
 #include "service/shard_router.h"
@@ -685,14 +684,12 @@ int CmdServe(const Flags& flags) {
 int CmdStats(const Flags& flags) {
   Result<RStarTree> tree = LoadTree(flags.text("index"));
   if (!tree.ok()) return Fail(tree.status().ToString());
-  const Status valid = ValidateTree(*tree);
   std::printf("objects:  %zu\n", tree->size());
   std::printf("nodes:    %zu (%zu bytes as pages)\n", tree->node_count(),
               tree->StorageBytes());
   std::printf("height:   %d\n", tree->height());
   std::printf("fanout:   max %d / min %d\n", tree->options().max_entries,
               tree->options().min_entries);
-  std::printf("valid:    %s\n", valid.ok() ? "yes" : valid.ToString().c_str());
   const Rect bounds = tree->bounds();
   std::printf("bounds:   [%.1f, %.1f] x [%.1f, %.1f]\n", bounds.min_x, bounds.max_x,
               bounds.min_y, bounds.max_y);
