@@ -2,20 +2,20 @@
 //
 // A dynamic deployment has two ways to keep the index stack fresh while
 // data mutates: apply each batch to the writer R*-tree and publish a
-// copy-on-write snapshot (SnapshotStore — tree clone + frozen grid copy,
-// IWP rebuilt only past the staleness bound), or rebuild the whole stack
+// copy-on-write snapshot (SnapshotStore — tree clone, IWP build over the
+// clone, frozen grid copy), or rebuild the whole stack
 // from scratch after every batch (STR bulk load + IWP build + grid
 // rebuild). Both serve bit-exact answers; this driver measures what the
 // incremental path saves, and *verifies* the bit-exactness claim by
 // running probe queries against both stacks at every publish point.
 //
-// The main mode sweeps churn ratios and IWP staleness limits over a
-// MutationWorkload stream, reporting per-batch maintenance time for both
-// strategies and the speedup. Honors NWC_SCALE for the object count.
+// The main mode sweeps churn ratios over a MutationWorkload stream,
+// reporting per-batch maintenance time for both strategies and the
+// speedup. Honors NWC_SCALE for the object count.
 //
 // `--smoke` runs a small fixed gate instead (used by CI): 10% churn in
-// batches of 5 over 20k objects, with a staleness limit amortizing the
-// IWP rebuild over ~10 batches. The gate fails (exit 1) when incremental
+// batches of 5 over 20k objects, every publish rebuilding the IWP. The
+// gate fails (exit 1) when incremental
 // maintenance is not at least 5x faster than rebuild-per-batch, or when
 // any probe query disagrees between the two stacks.
 
@@ -105,12 +105,9 @@ struct ChurnRun {
 /// Replays `workload`'s mutations in batches of `batch_size` through both
 /// strategies, timing each, and cross-checks `probes_per_batch` probe
 /// queries (drawn from the workload's query steps) at every publish point.
-ChurnRun RunChurn(const MutationWorkload& workload, size_t batch_size,
-                  size_t iwp_staleness_limit, size_t probes_per_batch) {
-  SnapshotStore::Config store_config;
-  store_config.iwp_staleness_limit = iwp_staleness_limit;
+ChurnRun RunChurn(const MutationWorkload& workload, size_t batch_size, size_t probes_per_batch) {
   Result<std::unique_ptr<SnapshotStore>> store =
-      SnapshotStore::Open(BulkLoadStr(workload.initial, RTreeOptions{}), store_config);
+      SnapshotStore::Open(BulkLoadStr(workload.initial, RTreeOptions{}), SnapshotStore::Config{});
   CheckOk(store.status(), "churn_service SnapshotStore::Open");
 
   RebuildStack rebuild{workload.initial};
@@ -137,14 +134,10 @@ ChurnRun RunChurn(const MutationWorkload& workload, size_t batch_size,
     ++run.batches;
     pending.clear();
 
-    // Bit-exactness probes under the snapshot's *effective* scheme: when
-    // it shipped without IWP (inside the staleness bound), both stacks
-    // answer with use_iwp off so the comparison is scheme-for-scheme.
-    NwcOptions options = NwcOptions::Star();
-    if (ref.session->iwp() == nullptr) options.use_iwp = false;
+    // Bit-exactness probes: both stacks answer NWC*.
+    const NwcOptions options = NwcOptions::Star();
     NwcEngine snapshot_engine(ref.session->tree(), ref.session->iwp(), ref.session->grid());
-    NwcEngine rebuilt_engine(*rebuild.tree, options.use_iwp ? rebuild.iwp.get() : nullptr,
-                             rebuild.grid.get());
+    NwcEngine rebuilt_engine(*rebuild.tree, rebuild.iwp.get(), rebuild.grid.get());
     for (size_t p = 0; p < probes_per_batch && !probe_pool.empty(); ++p) {
       const NwcQuery& query = probe_pool[next_probe++ % probe_pool.size()];
       const Result<NwcResult> a = snapshot_engine.Execute(query, options, nullptr);
@@ -176,10 +169,7 @@ int RunSmoke() {
   config.initial_objects = 20000;
   const MutationWorkload workload = MakeMutationWorkload(config);
 
-  // Staleness limit 50: the IWP rebuilds roughly every 10 batches, the
-  // amortization a real deployment would pick at this churn.
-  const ChurnRun run = RunChurn(workload, /*batch_size=*/5, /*iwp_staleness_limit=*/50,
-                                /*probes_per_batch=*/5);
+  const ChurnRun run = RunChurn(workload, /*batch_size=*/5, /*probes_per_batch=*/5);
   const double speedup = run.incremental_us > 0
                              ? static_cast<double>(run.rebuild_us) /
                                    static_cast<double>(run.incremental_us)
@@ -219,13 +209,12 @@ int main(int argc, char** argv) {
   PrintRunConfig("Churn maintenance: incremental MVCC publish vs rebuild-per-batch");
   const size_t objects = ScaledCardinality(62556);
   const double kChurns[] = {0.01, 0.05, 0.1, 0.2};
-  const size_t kStaleness[] = {0, 10, 50};
 
-  TablePrinter table("Maintenance us/batch - incremental (by IWP staleness) | rebuild",
-                     {"churn", "stale=0", "stale=10", "stale=50", "rebuild", "best speedup"});
+  TablePrinter table("Maintenance us/batch - incremental | rebuild",
+                     {"churn", "incremental", "rebuild", "speedup"});
   TablePrinter csv("Churn maintenance (CSV series)",
-                   {"churn", "staleness", "batches", "incremental_us", "rebuild_us",
-                    "speedup", "probes", "mismatches"});
+                   {"churn", "batches", "incremental_us", "rebuild_us", "speedup", "probes",
+                    "mismatches"});
 
   for (const double churn : kChurns) {
     MutationWorkloadConfig config;
@@ -235,41 +224,29 @@ int main(int argc, char** argv) {
     config.initial_objects = objects;
     const MutationWorkload workload = MakeMutationWorkload(config);
 
-    std::vector<std::string> row{StrFormat("%.0f%%", churn * 100.0)};
-    uint64_t rebuild_us = 0;
-    size_t batches = 0;
-    double best_speedup = 0.0;
-    for (const size_t staleness : kStaleness) {
-      const ChurnRun run = RunChurn(workload, /*batch_size=*/5, staleness,
-                                    /*probes_per_batch=*/2);
-      if (run.probe_mismatches > 0) {
-        std::fprintf(stderr, "FAIL: %zu probe mismatch(es) at churn %.2f staleness %zu\n",
-                     run.probe_mismatches, churn, staleness);
-        return 1;
-      }
-      rebuild_us = run.rebuild_us;  // same stream; any staleness run's figure works
-      batches = run.batches;
-      const double speedup =
-          run.incremental_us > 0 ? static_cast<double>(run.rebuild_us) /
-                                       static_cast<double>(run.incremental_us)
-                                 : 0.0;
-      if (speedup > best_speedup) best_speedup = speedup;
-      Progress("churn=%.0f%% staleness=%zu: %llu us inc vs %llu us rebuild (%.1fx)",
-               churn * 100.0, staleness, static_cast<unsigned long long>(run.incremental_us),
-               static_cast<unsigned long long>(run.rebuild_us), speedup);
-      row.push_back(StrFormat(
-          "%.0f", batches > 0 ? static_cast<double>(run.incremental_us) / batches : 0.0));
-      csv.AddRow({StrFormat("%.2f", churn), StrFormat("%zu", staleness),
-                  StrFormat("%zu", run.batches),
-                  StrFormat("%llu", static_cast<unsigned long long>(run.incremental_us)),
-                  StrFormat("%llu", static_cast<unsigned long long>(run.rebuild_us)),
-                  StrFormat("%.2f", speedup), StrFormat("%zu", run.probes),
-                  StrFormat("%zu", run.probe_mismatches)});
+    const ChurnRun run = RunChurn(workload, /*batch_size=*/5, /*probes_per_batch=*/2);
+    if (run.probe_mismatches > 0) {
+      std::fprintf(stderr, "FAIL: %zu probe mismatch(es) at churn %.2f\n", run.probe_mismatches,
+                   churn);
+      return 1;
     }
-    row.push_back(StrFormat(
-        "%.0f", batches > 0 ? static_cast<double>(rebuild_us) / batches : 0.0));
-    row.push_back(StrFormat("%.1fx", best_speedup));
-    table.AddRow(std::move(row));
+    const double speedup = run.incremental_us > 0 ? static_cast<double>(run.rebuild_us) /
+                                                        static_cast<double>(run.incremental_us)
+                                                  : 0.0;
+    Progress("churn=%.0f%%: %llu us inc vs %llu us rebuild (%.1fx)", churn * 100.0,
+             static_cast<unsigned long long>(run.incremental_us),
+             static_cast<unsigned long long>(run.rebuild_us), speedup);
+    const auto per_batch = [&](uint64_t total_us) {
+      return StrFormat("%.0f", run.batches > 0 ? static_cast<double>(total_us) / run.batches
+                                               : 0.0);
+    };
+    table.AddRow({StrFormat("%.0f%%", churn * 100.0), per_batch(run.incremental_us),
+                  per_batch(run.rebuild_us), StrFormat("%.1fx", speedup)});
+    csv.AddRow({StrFormat("%.2f", churn), StrFormat("%zu", run.batches),
+                StrFormat("%llu", static_cast<unsigned long long>(run.incremental_us)),
+                StrFormat("%llu", static_cast<unsigned long long>(run.rebuild_us)),
+                StrFormat("%.2f", speedup), StrFormat("%zu", run.probes),
+                StrFormat("%zu", run.probe_mismatches)});
   }
 
   table.Print();

@@ -1,20 +1,17 @@
 // Microbenchmarks (google-benchmark): wall-clock cost of the substrate
-// operations, plus two ablation studies the paper motivates but does not
-// plot — the IWP window-query saving in isolation, and how much of the
-// simulated I/O a small LRU buffer pool would absorb per scheme.
+// operations, plus an ablation the paper motivates but does not plot: the
+// IWP window-query saving in isolation.
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/nwc_engine.h"
 #include "datasets/generators.h"
-#include "grid/density_grid.h"
 #include "rtree/bulk_load.h"
 #include "rtree/iwp_index.h"
 #include "rtree/queries.h"
-#include "storage/buffer_pool.h"
 
 namespace {
 
@@ -67,18 +64,6 @@ void BM_WindowQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowQuery)->Arg(16)->Arg(128)->Arg(1024);
 
-void BM_KnnQuery(benchmark::State& state) {
-  const std::vector<DataObject> objects = BenchObjects(100000);
-  const RStarTree tree = BulkLoadStr(objects, RTreeOptions{});
-  Rng rng(12);
-  const size_t k = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    const Point q{rng.NextDouble(0, 10000), rng.NextDouble(0, 10000)};
-    benchmark::DoNotOptimize(KnnQuery(tree, q, k, nullptr).size());
-  }
-}
-BENCHMARK(BM_KnnQuery)->Arg(1)->Arg(10)->Arg(100);
-
 // IWP ablation: the same small window query answered from the root vs.
 // through the backward/overlapping pointers of a nearby leaf.
 void BM_WindowQueryFromRoot(benchmark::State& state) {
@@ -108,13 +93,12 @@ void BM_WindowQueryViaIwp(benchmark::State& state) {
   const std::vector<DataObject> objects = BenchObjects(100000);
   const RStarTree tree = BulkLoadStr(objects, RTreeOptions{});
   const IwpIndex iwp = IwpIndex::Build(tree);
-  // Map each object to its leaf the way the engine's traversal would.
-  DistanceBrowser browser(tree, Point{0, 0}, nullptr);
+  // Map each object to the leaf that stores it.
   std::vector<std::pair<DataObject, NodeId>> located;
   located.reserve(objects.size());
-  while (browser.HasNext()) {
-    const DistanceBrowser::BrowseItem item = browser.Next();
-    located.emplace_back(item.object, item.leaf);
+  for (NodeId id = 0; id < tree.node_slot_count(); ++id) {
+    if (!tree.IsLive(id) || !tree.node(id).is_leaf()) continue;
+    for (const DataObject& object : tree.node(id).objects) located.emplace_back(object, id);
   }
   Rng rng(13);
   uint64_t reads = 0;
@@ -134,42 +118,6 @@ void BM_WindowQueryViaIwp(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(reads) / static_cast<double>(windows));
 }
 BENCHMARK(BM_WindowQueryViaIwp);
-
-// Buffer-pool ablation: replay an NWC* query's exact page-access trace
-// through LRU pools of growing size and report the miss ratio (what
-// fraction of the paper's counted I/O would still hit storage).
-void BM_BufferPoolAblation(benchmark::State& state) {
-  const std::vector<DataObject> objects = BenchObjects(100000);
-  const RStarTree tree = BulkLoadStr(objects, RTreeOptions{});
-  const IwpIndex iwp = IwpIndex::Build(tree);
-  Dataset dataset;
-  dataset.space = NormalizedSpace();
-  dataset.objects = objects;
-  const DensityGrid grid(dataset.space, 25.0, objects);
-  NwcEngine engine(tree, &iwp, &grid);
-
-  const NwcQuery query{Point{5000, 5000}, 64, 64, 8};
-  IoCounter io;
-  io.EnableTrace();
-  benchmark::DoNotOptimize(engine.Execute(query, NwcOptions::Star(), &io).ok());
-  const std::vector<uint32_t> trace = io.trace();
-
-  const size_t pool_pages = static_cast<size_t>(state.range(0));
-  uint64_t misses = 0;
-  uint64_t accesses = 0;
-  for (auto _ : state) {
-    BufferPool pool(pool_pages);
-    for (const uint32_t page : trace) {
-      if (!pool.Access(page)) ++misses;
-      ++accesses;
-    }
-    benchmark::DoNotOptimize(pool.size());
-  }
-  state.counters["miss_ratio"] = benchmark::Counter(
-      accesses == 0 ? 0.0 : static_cast<double>(misses) / static_cast<double>(accesses));
-  state.counters["trace_len"] = benchmark::Counter(static_cast<double>(trace.size()));
-}
-BENCHMARK(BM_BufferPoolAblation)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace
 

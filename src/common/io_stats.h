@@ -14,8 +14,7 @@ namespace nwc {
 /// window queries issued per object (Sec. 3.2) and lets tests assert that a
 /// specific optimization saved I/O in the phase it targets.
 enum class IoPhase {
-  /// Node expanded by the best-first traversal of the NWC/kNWC algorithm
-  /// (or by a standalone kNN / browse query).
+  /// Node expanded by the best-first traversal of the NWC/kNWC algorithm.
   kTraversal = 0,
   /// Node visited while answering a window (range) query.
   kWindowQuery = 1,
@@ -24,9 +23,7 @@ enum class IoPhase {
 /// Accumulates simulated I/O cost. One R*-tree node access == one page read,
 /// matching the paper's "number of R*-tree nodes visited" metric (Sec. 5).
 /// The counter deliberately has no notion of a buffer pool: the paper counts
-/// every visit, including re-visits by successive window queries. (The
-/// LRU BufferPool in storage/ is an offline ablation model: it replays a
-/// recorded trace(), it never sits in front of this counter.)
+/// every visit, including re-visits by successive window queries.
 ///
 /// ThreadSafety: NOT thread-safe. The service layer gives every in-flight
 /// query its own IoCounter and merges them with Add() under the metrics
@@ -57,8 +54,7 @@ class IoCounter {
   /// Placeholder page id recorded when the caller did not supply one.
   static constexpr uint32_t kUnknownPage = 0xFFFFFFFFu;
 
-  /// Starts recording the sequence of accessed page ids; used by the
-  /// buffer-pool ablation to replay a query's exact access pattern.
+  /// Starts recording the sequence of accessed page ids.
   void EnableTrace() { trace_enabled_ = true; }
 
   /// The recorded access sequence (empty unless EnableTrace was called

@@ -75,6 +75,4 @@ void ShutdownSignal::WaitUntilRequested() const {
   }
 }
 
-void ShutdownSignal::Trigger() { HandleShutdownSignal(0); }
-
 }  // namespace nwc

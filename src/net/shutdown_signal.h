@@ -24,7 +24,7 @@ class ShutdownSignal {
   /// Installs the SIGINT and SIGTERM handlers (idempotent).
   Status Install();
 
-  /// True once a signal has been delivered (or Trigger() called).
+  /// True once a signal has been delivered.
   bool requested() const;
 
   /// Read end of the self-pipe: poll/epoll it for readability to learn of
@@ -33,10 +33,6 @@ class ShutdownSignal {
 
   /// Blocks until requested() turns true.
   void WaitUntilRequested() const;
-
-  /// Latches the request programmatically — same observable effect as a
-  /// signal (used by tests and by in-process drain paths).
-  void Trigger();
 
  private:
   ShutdownSignal() = default;

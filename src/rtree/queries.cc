@@ -1,8 +1,5 @@
 #include "rtree/queries.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "simd/kernels.h"
 
 namespace nwc {
@@ -90,88 +87,6 @@ void WindowQueryFrom(const RStarTree& tree, std::span<const NodeId> start_nodes,
       CollectLeafHits(leaf, window, out);
     });
   }
-}
-
-size_t WindowCount(const RStarTree& tree, const Rect& window, IoCounter* io, IoPhase phase,
-                   QueryControl* control) {
-  size_t count = 0;
-  WindowWalk(tree, tree.root(), window, io, phase, control, [&](const RTreeNode& leaf) {
-    count += simd::CountInWindow(leaf.objects.xs(), leaf.objects.ys(), leaf.objects.size(),
-                                 window);
-  });
-  return count;
-}
-
-std::vector<DataObject> KnnQuery(const RStarTree& tree, const Point& q, size_t k, IoCounter* io,
-                                 IoPhase phase) {
-  std::vector<DataObject> result;
-  if (k == 0) return result;
-  DistanceBrowser browser(tree, q, io, phase);
-  while (result.size() < k && browser.HasNext()) {
-    result.push_back(browser.Next().object);
-  }
-  return result;
-}
-
-DistanceBrowser::DistanceBrowser(const RStarTree& tree, const Point& q, IoCounter* io,
-                                 IoPhase phase)
-    : tree_(tree), q_(q), io_(io), phase_(phase) {
-  QueueEntry root_entry;
-  root_entry.distance = 0.0;
-  root_entry.is_object = false;
-  root_entry.node = tree.root();
-  queue_.push(root_entry);
-}
-
-void DistanceBrowser::Advance() {
-  while (!queue_.empty() && !queue_.top().is_object) {
-    const QueueEntry top = queue_.top();
-    queue_.pop();
-    const RTreeNode& n = tree_.AccessNode(top.node, io_, phase_);
-    thread_local std::vector<double> distances;
-    if (n.is_leaf()) {
-      distances.resize(n.objects.size());
-      simd::BatchDistance(q_, n.objects.xs(), n.objects.ys(), n.objects.size(),
-                          distances.data());
-      for (size_t i = 0; i < n.objects.size(); ++i) {
-        QueueEntry entry;
-        entry.distance = distances[i];
-        entry.is_object = true;
-        entry.node = top.node;  // remember the holding leaf
-        entry.object = n.objects[i];
-        queue_.push(entry);
-      }
-    } else {
-      distances.resize(n.children.size());
-      if (!n.children.empty()) {
-        simd::BatchMinDist(q_, &n.children.data()->mbr, sizeof(ChildEntry), n.children.size(),
-                           distances.data());
-      }
-      for (size_t i = 0; i < n.children.size(); ++i) {
-        QueueEntry entry;
-        entry.distance = distances[i];
-        entry.is_object = false;
-        entry.node = n.children[i].child;
-        queue_.push(entry);
-      }
-    }
-  }
-}
-
-bool DistanceBrowser::HasNext() {
-  Advance();
-  return !queue_.empty();
-}
-
-DistanceBrowser::BrowseItem DistanceBrowser::Next() {
-  Advance();
-  const QueueEntry top = queue_.top();
-  queue_.pop();
-  BrowseItem item;
-  item.object = top.object;
-  item.distance = top.distance;
-  item.leaf = top.node;
-  return item;
 }
 
 }  // namespace nwc

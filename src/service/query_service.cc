@@ -78,9 +78,6 @@ void QueryService::Shutdown() { pool_.Shutdown(); }
 Status QueryService::CheckRequest(const std::optional<NwcOptions>& override_options,
                                   NwcOptions* effective) const {
   *effective = override_options.value_or(config_.default_options);
-  // Checked against the store's configuration, not a specific snapshot: a
-  // snapshot missing its IWP inside the staleness bound is a per-query
-  // degrade (EffectiveOptions), not a request error.
   if (!store_.Supports(*effective)) {
     return Status::FailedPrecondition(
         "session lacks the IWP index / density grid required by the requested scheme");
@@ -173,7 +170,7 @@ void CacheInsert(ResultCache& cache, const KnwcQuery& query, const NwcOptions& o
 }  // namespace
 
 template <typename Response, typename Query, typename Done>
-void QueryService::Execute(size_t worker_index, const Query& query, const NwcOptions& requested,
+void QueryService::Execute(size_t worker_index, const Query& query, const NwcOptions& options,
                            const RequestTiming& timing, Done done) {
   // Dequeue-time queue-depth observation: the submit-side sample alone
   // under-reports bursts, because submitters that would see the peak are
@@ -184,9 +181,6 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
   // queries never observe a publish mid-flight.
   const SnapshotStore::SnapshotRef snapshot = store_.Acquire();
   const Session& session = *snapshot.session;
-  // The effective options also key the result cache, so a degraded
-  // (IWP-less) answer can never be replayed to a fully-indexed epoch.
-  const NwcOptions options = EffectiveOptions(snapshot, requested);
 
   Response response;
   IoCounter total_io;  // merged across attempts for metrics/response
@@ -398,11 +392,6 @@ MetricsSnapshot QueryService::SnapshotMetrics() const {
     snapshot.result_cache_bytes = stats.bytes;
   }
   return snapshot;
-}
-
-void QueryService::ResetMetrics() {
-  metrics_.Reset();
-  if (result_cache_ != nullptr) result_cache_->ResetStats();
 }
 
 }  // namespace nwc

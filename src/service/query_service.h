@@ -116,11 +116,6 @@ struct ServiceConfig {
 /// those, and RunNwcBatch/RunKnwcBatch are loops over the futures. Sheds
 /// and per-query latency/I/O are visible in SnapshotMetrics().
 ///
-/// Snapshots published within the IWP staleness bound carry no IWP; the
-/// service silently degrades a use_iwp request to its SRR+DIP(+DEP)
-/// remainder for that query. The *effective* options key the result cache,
-/// so degraded and full answers never mix.
-///
 /// Shutdown (or destruction) drains accepted requests before returning,
 /// so every accepted request's `done` runs (every future becomes ready).
 ///
@@ -156,10 +151,6 @@ class QueryService : public QueryBackend {
   void SubmitNwcAsyncTraced(NwcRequest request, StampedDone<NwcResponse> done) override;
   void SubmitKnwcAsyncTraced(KnwcRequest request, StampedDone<KnwcResponse> done) override;
 
-  /// Jobs queued but not yet picked up by a worker (approximate — for
-  /// monitoring and external admission control).
-  size_t QueueDepth() const { return pool_.QueueDepth(); }
-
   /// Convenience: submits every request (blocking on backpressure) and
   /// waits for all responses, returned in request order.
   std::vector<NwcResponse> RunNwcBatch(const std::vector<NwcRequest>& requests);
@@ -184,10 +175,9 @@ class QueryService : public QueryBackend {
   /// normally.
   void CancelAll() { cancel_epoch_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Aggregated per-query metrics since construction / the last reset,
-  /// with the result-cache counters/gauges overlaid from the cache itself.
+  /// Aggregated per-query metrics since construction, with the
+  /// result-cache counters/gauges overlaid from the cache itself.
   MetricsSnapshot SnapshotMetrics() const override;
-  void ResetMetrics();
 
   /// The result cache, or nullptr when result_cache_bytes == 0.
   const ResultCache* result_cache() const { return result_cache_.get(); }
@@ -223,17 +213,6 @@ class QueryService : public QueryBackend {
 
   /// The Session constructor's path: serves `*owned_store` and keeps it.
   QueryService(std::unique_ptr<SnapshotStore> owned_store, const ServiceConfig& config);
-
-  /// Drops techniques the pinned snapshot cannot serve — today only
-  /// use_iwp, when the snapshot was published inside the IWP staleness
-  /// bound. The result stays bit-exact for the *effective* scheme, which
-  /// is also what keys the result cache.
-  static NwcOptions EffectiveOptions(const SnapshotStore::SnapshotRef& snapshot,
-                                     const NwcOptions& options) {
-    NwcOptions effective = options;
-    if (effective.use_iwp && snapshot.session->iwp() == nullptr) effective.use_iwp = false;
-    return effective;
-  }
 
   /// Resolves the effective options and checks the store supports them.
   Status CheckRequest(const std::optional<NwcOptions>& override_options,

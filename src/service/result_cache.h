@@ -129,7 +129,6 @@ class ResultCache {
   void ResetStats();
 
   size_t capacity_bytes() const { return capacity_bytes_; }
-  size_t shard_count() const { return shards_.size(); }
 
  private:
   struct Entry {

@@ -279,10 +279,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(std::vector<DataObject> o
             ? config.fault_plan
             : FaultPlan::None();
 
-    SnapshotStore::Config store_config;
-    store_config.session = session_config;
-    store_config.iwp_staleness_limit = config.iwp_staleness_limit;
-    auto store = SnapshotStore::Open(std::move(trees[s]), store_config);
+    auto store = SnapshotStore::Open(std::move(trees[s]), {session_config});
     if (!store.ok()) return store.status();
     shard.store = std::move(store).value();
     shard.service = std::make_unique<QueryService>(*shard.store, service_config);

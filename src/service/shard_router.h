@@ -78,9 +78,6 @@ struct ShardRouterConfig {
   SessionConfig session;
   RTreeOptions tree;
 
-  /// SnapshotStore::Config::iwp_staleness_limit for every shard's store.
-  size_t iwp_staleness_limit = 0;
-
   /// Fault plan installed into shard services for resilience drills:
   /// `fault_shard` -1 installs it into every shard, >= 0 into exactly that
   /// shard (the scoped form exercises partial-failure handling).
@@ -221,8 +218,6 @@ class ShardRouter : public QueryBackend {
   /// the shards a mutation at `p` is applied to.
   std::vector<size_t> TargetShards(const Point& p) const;
 
-  /// The conservative rect cover of shard `s`'s owned region.
-  const std::vector<Rect>& shard_region(size_t s) const { return shards_[s].region; }
   /// Objects resident in shard `s`'s tree (owned + halo replicas) at build
   /// time, and the owned subset.
   size_t shard_resident_count(size_t s) const { return shards_[s].resident_count; }

@@ -17,11 +17,12 @@ Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(RStarTree tree, const
 
 namespace {
 
+// The store reads only which structures its epochs carry; the writer grid
+// is a copy of the session's, so its geometry needs no config.
 SnapshotStore::Config ConfigOf(const Session& session) {
   SnapshotStore::Config config;
   config.session.build_iwp = session.iwp() != nullptr;
   config.session.build_grid = session.grid() != nullptr;
-  if (session.grid() != nullptr) config.session.grid_cell_size = session.grid()->cell_size();
   return config;
 }
 
@@ -46,11 +47,6 @@ uint64_t SnapshotStore::epoch() const {
 size_t SnapshotStore::writer_object_count() const {
   std::lock_guard<std::mutex> lock(writer_mu_);
   return writer_tree_ != nullptr ? writer_tree_->size() : Acquire().session->tree().size();
-}
-
-size_t SnapshotStore::mutations_since_iwp_build() const {
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  return mutations_since_iwp_build_;
 }
 
 Status SnapshotStore::Apply(const MutationBatch& batch, ApplyStats* stats) {
@@ -102,9 +98,7 @@ Status SnapshotStore::ApplyLocked(const MutationBatch& batch, ApplyStats* stats)
       }
     }
   }
-  const size_t applied = local.inserts + local.deletes;
-  unpublished_mutations_ += applied;
-  mutations_since_iwp_build_ += applied;
+  unpublished_mutations_ += local.inserts + local.deletes;
   if (stats != nullptr) *stats = local;
   if (local.delete_misses > 0) {
     return Status::NotFound(
@@ -121,16 +115,9 @@ SnapshotStore::SnapshotRef SnapshotStore::PublishLocked() {
   // clone they can hold across any number of future publishes.
   auto tree = std::make_unique<RStarTree>(writer_tree_->Clone());
 
+  // Built over the clone — the exact tree this snapshot serves.
   std::unique_ptr<IwpIndex> iwp;
-  if (config_.session.build_iwp) {
-    if (mutations_since_iwp_build_ > config_.iwp_staleness_limit) {
-      // Built over the clone — the exact tree this snapshot serves.
-      iwp = std::make_unique<IwpIndex>(IwpIndex::Build(*tree));
-      mutations_since_iwp_build_ = 0;
-    }
-    // Else: within the staleness bound the snapshot ships without IWP and
-    // the service degrades use_iwp requests (see class comment).
-  }
+  if (config_.session.build_iwp) iwp = std::make_unique<IwpIndex>(IwpIndex::Build(*tree));
 
   std::unique_ptr<DensityGrid> grid;
   if (writer_grid_ != nullptr) {

@@ -42,23 +42,14 @@ using MutationBatch = std::vector<Mutation>;
 /// density grid — that it builds on the first Apply() by cloning the
 /// published snapshot, so a store that never receives an update costs what
 /// a Session costs. Apply() mutates only the writer stack; Publish() clones
-/// it (deep tree copy, grid copy with frozen prefix sums, IWP rebuilt or
-/// omitted per the staleness bound below) into a fresh Session and
-/// atomically swaps it in under a new epoch number. Readers that
-/// Acquire()d the previous epoch keep their shared_ptr — and therefore
-/// bit-exact answers for that epoch — until they drop it; the old Session
-/// is destroyed when the last holder releases.
-///
-/// Lazy IWP rebuild: the IWP pointer tables store node ids and MBRs of the
-/// exact tree they were built over, so *any* structural change invalidates
-/// them — a stale IWP is wrong, not merely slow. Rather than pay the full
-/// O(n) rebuild on every publish, a snapshot published while the number of
-/// mutations since the last IWP build is within `iwp_staleness_limit`
-/// simply carries no IWP (`session->iwp() == nullptr`); QueryService then
-/// degrades use_iwp requests to the SRR+DIP+DEP path, which is bit-exact
-/// for the effective scheme. Once the bound is exceeded, Publish() rebuilds
-/// and the next snapshots carry a fresh IWP again. The default limit of 0
-/// rebuilds on every publish (every snapshot has a fresh IWP).
+/// it (deep tree copy, grid copy with frozen prefix sums, and — when the
+/// store is configured for IWP — an IWP built over the clone, since its
+/// pointer tables name the node ids and MBRs of the exact tree they were
+/// built over) into a fresh Session and atomically swaps it in under a new
+/// epoch number. Readers that Acquire()d the previous epoch keep their
+/// shared_ptr — and therefore bit-exact answers for that epoch — until
+/// they drop it; the old Session is destroyed when the last holder
+/// releases. Every epoch thus carries every structure the config asks for.
 ///
 /// ThreadSafety: Acquire()/epoch() are safe from any thread at any time;
 /// each takes `publish_mu_` for a pointer copy, which contends only with
@@ -70,9 +61,6 @@ class SnapshotStore {
  public:
   struct Config {
     SessionConfig session;
-    /// Mutations a published snapshot may be missing from its IWP before
-    /// Publish() pays the rebuild. 0 = rebuild every publish.
-    size_t iwp_staleness_limit = 0;
   };
 
   /// A pinned view: the Session plus the epoch it was published under.
@@ -100,7 +88,7 @@ class SnapshotStore {
   /// A store whose epoch 1 is `session`, borrowed: it must outlive the
   /// store and is never mutated (the first Apply() clones it). The config
   /// follows from the Session — IWP and grid are configured exactly when
-  /// it carries them — with an IWP staleness limit of 0.
+  /// it carries them.
   explicit SnapshotStore(const Session& session);
 
   /// The currently-published snapshot. Never null after Open().
@@ -129,19 +117,11 @@ class SnapshotStore {
   /// inserts exist, etc.); the published count until the first Apply().
   size_t writer_object_count() const;
 
-  /// Mutations applied since the last IWP build (test/monitoring hook).
-  size_t mutations_since_iwp_build() const;
-
-  /// True when the store is *configured* to serve this scheme. Unlike
-  /// Session::Supports this is epoch-independent: with build_iwp on, a
-  /// use_iwp request is supported even against a snapshot currently inside
-  /// the staleness bound (the service degrades it for that query).
+  /// True when the store is configured to serve this scheme.
   bool Supports(const NwcOptions& options) const {
     return (!options.use_iwp || config_.session.build_iwp) &&
            (!options.use_dep || config_.session.build_grid);
   }
-
-  const Config& config() const { return config_; }
 
  private:
   SnapshotStore(const Config& config, std::shared_ptr<const Session> epoch_one)
@@ -159,7 +139,6 @@ class SnapshotStore {
   std::unique_ptr<RStarTree> writer_tree_;
   std::unique_ptr<DensityGrid> writer_grid_;  ///< null when !build_grid
   size_t unpublished_mutations_ = 0;
-  size_t mutations_since_iwp_build_ = 0;
 
   /// Guards the published (session, epoch) pair; held only for the swap in
   /// Publish() and the copy in Acquire().

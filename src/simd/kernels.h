@@ -95,10 +95,6 @@ const KernelOps& Ops();
 const char* ActiveKernelName();
 
 // Convenience wrappers through the active dispatch table.
-inline size_t CountInWindow(const double* xs, const double* ys, size_t count,
-                            const Rect& window) {
-  return Ops().count_in_window(xs, ys, count, window);
-}
 inline size_t CollectInWindow(const double* xs, const double* ys, size_t count,
                               const Rect& window, uint32_t* out_indices) {
   return Ops().collect_in_window(xs, ys, count, window, out_indices);

@@ -118,27 +118,46 @@ TEST_F(CliPipelineTest, KnwcReturnsOrderedGroups) {
   EXPECT_NE(result.output.find("group 1:"), std::string::npos) << result.output;
 }
 
-TEST_F(CliPipelineTest, ServeBatchReplaysQueryFileAndReportsMetrics) {
-  const std::string queries_path = TempPath("cli_serve_batch.txt");
+// Writes a 13-request replay file: 12 NWC windows across the space and
+// one kNWC. Returns its path.
+std::string WriteReplayFile(const char* name) {
+  const std::string queries_path = TempPath(name);
   std::FILE* file = std::fopen(queries_path.c_str(), "w");
-  ASSERT_NE(file, nullptr);
+  EXPECT_NE(file, nullptr);
+  if (file == nullptr) return queries_path;
   std::fprintf(file, "# mixed NWC / kNWC replay\n");
   for (int i = 0; i < 12; ++i) {
     std::fprintf(file, "nwc %d %d 400 400 5\n", 1000 + i * 700, 9000 - i * 600);
   }
   std::fprintf(file, "knwc 5000 5000 400 400 4 3 1\n");
   std::fclose(file);
+  return queries_path;
+}
 
+TEST_F(CliPipelineTest, ServeBatchReplaysQueryFileAndReportsMetrics) {
   const CommandResult result =
-      RunTool("serve-batch --index=" + *tree_path_ + " --queries=" + queries_path +
-          " --threads=4 --scheme=star --print");
+      RunTool("serve-batch --index=" + *tree_path_ + " --queries=" +
+              WriteReplayFile("cli_serve_batch.txt") + " --threads=4 --scheme=star --print");
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("serving 13 queries"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("metrics report"), std::string::npos) << result.output;
-  EXPECT_NE(result.output.find("queries/sec"), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("13 requests"), std::string::npos) << result.output;
+  EXPECT_NE(result.output.find("requests/sec"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("p95"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("node reads:"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("queries:    13 (0 failed"), std::string::npos) << result.output;
+}
+
+// The wall-time line counts the requests the tool submitted. Behind a
+// router one request runs on every shard it visits, and the line used to
+// divide those shard executions (22 here) by the wall time.
+TEST_F(CliPipelineTest, ServeBatchThroughRouterReportsRequestsNotShardExecutions) {
+  const CommandResult result =
+      RunTool("serve-batch --index=" + *tree_path_ + " --queries=" +
+              WriteReplayFile("cli_serve_router.txt") +
+              " --shards=4 --threads=1 --shard-max-l=400 --shard-max-w=400");
+  ASSERT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("(13 requests, "), std::string::npos) << result.output;
 }
 
 TEST_F(CliPipelineTest, ServeBatchMatchesSingleQueryDistance) {
@@ -402,6 +421,17 @@ TEST_F(CliPipelineTest, LoadRejectsMalformedQps) {
 
 TEST_F(CliPipelineTest, LoadRejectsMisspelledFlag) {
   ExpectLoadFlagError("--port=1 --conections=1", "--conections");
+}
+
+// The IWP staleness mode is gone: every published epoch carries an IWP.
+TEST_F(CliPipelineTest, ServeBatchRejectsIwpStaleness) {
+  ExpectFlagError(ServeBatchWith(*tree_path_, "--iwp-staleness=5"), "--iwp-staleness");
+}
+
+TEST_F(CliPipelineTest, ServeRejectsIwpStalenessBeforeListening) {
+  const CommandResult result = RunTool("serve --index=" + *tree_path_ + " --iwp-staleness=5");
+  ExpectFlagError(result, "--iwp-staleness");
+  EXPECT_EQ(result.output.find("listening"), std::string::npos) << result.output;
 }
 
 // serve keeps its slow-query traces in memory for /debug/slow and writes

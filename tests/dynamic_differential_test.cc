@@ -3,12 +3,15 @@
 // underneath, epoch-keyed result cache on), while a from-scratch oracle —
 // BulkLoadStr over the exact live object set, full auxiliary structures —
 // answers every query independently. Every answer must be bit-exact for
-// the *effective* scheme, tree invariants must hold on every published
-// snapshot, and concurrency / fault / deadline pressure must never turn a
-// wrong answer into a visible one.
+// the requested scheme, tree invariants must hold on every published
+// snapshot, every published IWP must equal a fresh build over its tree,
+// and concurrency / fault / deadline pressure must never turn a wrong
+// answer into a visible one.
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "core/knwc_engine.h"
 #include "core/nwc_engine.h"
 #include "rtree/bulk_load.h"
+#include "rtree/iwp_index.h"
 #include "rtree/validate.h"
 #include "service/query_service.h"
 #include "service/session.h"
@@ -94,18 +98,36 @@ struct Oracle {
   }
 };
 
+/// The published IWP must equal one built from scratch over the published
+/// tree: its tables name node ids and MBRs of one exact tree.
+void ExpectFreshIwp(const Session& session) {
+  ASSERT_NE(session.iwp(), nullptr);
+  const IwpIndex fresh = IwpIndex::Build(session.tree());
+  const auto same = [](std::span<const NodePointer> a, std::span<const NodePointer> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const NodePointer& x, const NodePointer& y) {
+                        return x.node == y.node && x.mbr == y.mbr;
+                      });
+  };
+  for (NodeId id = 0; id < session.tree().node_slot_count(); ++id) {
+    ASSERT_TRUE(same(session.iwp()->BackwardPointers(id), fresh.BackwardPointers(id)))
+        << "backward pointers of node " << id;
+    ASSERT_TRUE(same(session.iwp()->OverlapPointers(id), fresh.OverlapPointers(id)))
+        << "overlap pointers of node " << id;
+  }
+}
+
 struct PresetCase {
   const char* name;
   NwcOptions options;
-  size_t iwp_staleness_limit;  ///< varied so lazy-IWP paths get exercised
 };
 
 std::vector<PresetCase> Presets() {
   return {
-      {"plain", NwcOptions::Plain(), 0},
-      {"dep", NwcOptions::Dep(), 4},
-      {"iwp", NwcOptions::Iwp(), 6},
-      {"star", NwcOptions::Star(), 8},
+      {"plain", NwcOptions::Plain()},
+      {"dep", NwcOptions::Dep()},
+      {"iwp", NwcOptions::Iwp()},
+      {"star", NwcOptions::Star()},
   };
 }
 
@@ -121,10 +143,8 @@ void RunDifferential(const PresetCase& preset, size_t steps, uint64_t seed) {
   workload_config.churn_ratio = 0.1;
   const MutationWorkload workload = MakeMutationWorkload(workload_config);
 
-  SnapshotStore::Config store_config;
-  store_config.iwp_staleness_limit = preset.iwp_staleness_limit;
   Result<std::unique_ptr<SnapshotStore>> store =
-      SnapshotStore::Open(BulkLoadStr(workload.initial, RTreeOptions{}), store_config);
+      SnapshotStore::Open(BulkLoadStr(workload.initial, RTreeOptions{}), SnapshotStore::Config{});
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
   ServiceConfig service_config;
@@ -166,16 +186,7 @@ void RunDifferential(const PresetCase& preset, size_t steps, uint64_t seed) {
       const Status valid = ValidateTree(ref.session->tree());
       ASSERT_TRUE(valid.ok()) << preset.name << " step " << i << ": " << valid.ToString();
       ASSERT_EQ(ref.session->tree().size(), oracle.live.size());
-    }
-
-    // The *effective* scheme for this query: a snapshot inside the IWP
-    // staleness bound ships without IWP and the service degrades use_iwp;
-    // the oracle must answer under the same scheme or the comparison is
-    // meaningless (different schemes legally return different-but-equal-
-    // distance groups only under exact ties; we demand bit-exactness).
-    NwcOptions effective = preset.options;
-    if (effective.use_iwp && (*store)->Acquire().session->iwp() == nullptr) {
-      effective.use_iwp = false;
+      ASSERT_NO_FATAL_FAILURE(ExpectFreshIwp(*ref.session)) << preset.name << " step " << i;
     }
 
     ++queries;
@@ -183,13 +194,13 @@ void RunDifferential(const PresetCase& preset, size_t steps, uint64_t seed) {
       KnwcResponse response = service.SubmitKnwc(KnwcRequest{step.query.knwc, {}}).get();
       ASSERT_TRUE(response.status.ok())
           << preset.name << " step " << i << ": " << response.status.ToString();
-      EXPECT_TRUE(SameKnwc(response.result, oracle.RunKnwc(step.query.knwc, effective)))
+      EXPECT_TRUE(SameKnwc(response.result, oracle.RunKnwc(step.query.knwc, preset.options)))
           << preset.name << " kNWC diverged at step " << i;
     } else {
       NwcResponse response = service.SubmitNwc(NwcRequest{step.query.nwc, {}}).get();
       ASSERT_TRUE(response.status.ok())
           << preset.name << " step " << i << ": " << response.status.ToString();
-      EXPECT_TRUE(SameNwc(response.result, oracle.RunNwc(step.query.nwc, effective)))
+      EXPECT_TRUE(SameNwc(response.result, oracle.RunNwc(step.query.nwc, preset.options)))
           << preset.name << " NWC diverged at step " << i;
       // Every 16th query re-submits: the repeat must hit the epoch-keyed
       // cache and return the identical answer.
@@ -213,13 +224,6 @@ TEST(DynamicDifferentialTest, DepPreset) { RunDifferential(Presets()[1], 2000, 1
 TEST(DynamicDifferentialTest, IwpPreset) { RunDifferential(Presets()[2], 2000, 103); }
 TEST(DynamicDifferentialTest, StarPreset) { RunDifferential(Presets()[3], 2000, 104); }
 
-/// A rebuild-every-publish store (staleness limit 0) must stay bit-exact
-/// under the full NWC* scheme with the IWP always present — the
-/// counterpart to StarPreset's lazy-IWP run above.
-TEST(DynamicDifferentialTest, StarPresetEagerIwp) {
-  RunDifferential(PresetCase{"star-eager", NwcOptions::Star(), 0}, 2000, 105);
-}
-
 /// Many readers, one writer, no synchronization between them beyond the
 /// store's own: every reader pins a snapshot, runs a query twice on that
 /// pinned session and demands identical answers (a torn or mutated-under-
@@ -233,10 +237,8 @@ TEST(DynamicDifferentialTest, SnapshotStressManyReadersOneWriter) {
   workload_config.initial_objects = 500;
   const MutationWorkload workload = MakeMutationWorkload(workload_config);
 
-  SnapshotStore::Config store_config;
-  store_config.iwp_staleness_limit = 10;
   Result<std::unique_ptr<SnapshotStore>> store =
-      SnapshotStore::Open(BulkLoadStr(workload.initial, RTreeOptions{}), store_config);
+      SnapshotStore::Open(BulkLoadStr(workload.initial, RTreeOptions{}), SnapshotStore::Config{});
   ASSERT_TRUE(store.ok());
 
   // Forward batches plus their exact inverses: the writer replays
@@ -286,8 +288,7 @@ TEST(DynamicDifferentialTest, SnapshotStressManyReadersOneWriter) {
       Rng rng(1000 + r);
       for (size_t i = 0; i < kReadsPerReader; ++i) {
         const SnapshotStore::SnapshotRef ref = (*store)->Acquire();
-        NwcOptions options = NwcOptions::Star();
-        if (ref.session->iwp() == nullptr) options.use_iwp = false;
+        const NwcOptions options = NwcOptions::Star();
         NwcQuery query;
         query.q = Point{rng.NextDouble(0, 1000), rng.NextDouble(0, 1000)};
         query.length = 60;
@@ -320,10 +321,8 @@ TEST(DynamicDifferentialTest, FaultAndDeadlineSweepNeverWrong) {
   workload_config.initial_objects = 250;
   const MutationWorkload workload = MakeMutationWorkload(workload_config);
 
-  SnapshotStore::Config store_config;
-  store_config.iwp_staleness_limit = 5;
   Result<std::unique_ptr<SnapshotStore>> store =
-      SnapshotStore::Open(BulkLoadStr(workload.initial, RTreeOptions{}), store_config);
+      SnapshotStore::Open(BulkLoadStr(workload.initial, RTreeOptions{}), SnapshotStore::Config{});
   ASSERT_TRUE(store.ok());
 
   ServiceConfig service_config;
@@ -356,12 +355,10 @@ TEST(DynamicDifferentialTest, FaultAndDeadlineSweepNeverWrong) {
     }
     if (step.query.is_knwc) continue;  // NWC-only keeps the sweep fast
 
-    NwcOptions effective = NwcOptions::Star();
-    if ((*store)->Acquire().session->iwp() == nullptr) effective.use_iwp = false;
     const NwcResponse response = service.SubmitNwc(NwcRequest{step.query.nwc, {}}).get();
     if (response.status.ok()) {
       ++ok_answers;
-      EXPECT_TRUE(SameNwc(response.result, oracle.RunNwc(step.query.nwc, effective)))
+      EXPECT_TRUE(SameNwc(response.result, oracle.RunNwc(step.query.nwc, NwcOptions::Star())))
           << "fault/deadline pressure produced a WRONG answer (not an error)";
     } else {
       ++typed_errors;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include "core/knwc_engine.h"
 #include "core/nwc_engine.h"
 #include "rtree/bulk_load.h"
-#include "rtree/queries.h"
 
 namespace nwc {
 namespace {
@@ -163,14 +163,19 @@ TEST(EngineEdgeCaseTest, WindowCoveringWholeSpaceReturnsNearestN) {
   NwcEngine engine(f.tree, &f.iwp, &f.grid);
   const Point q{37, 81};
   const size_t n = 7;
-  const std::vector<DataObject> knn = KnnQuery(f.tree, q, n, nullptr);
+  // The n nearest objects, by (distance, id).
+  std::vector<std::pair<double, ObjectId>> by_distance;
+  for (const DataObject& object : objects) {
+    by_distance.emplace_back(Distance(q, object.pos), object.id);
+  }
+  std::sort(by_distance.begin(), by_distance.end());
   NwcOptions options = NwcOptions::Star();
   options.measure = DistanceMeasure::kMax;
   const Result<NwcResult> result =
       engine.Execute(NwcQuery{q, 1000, 1000, n}, options, nullptr);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->found);
-  EXPECT_NEAR(result->distance, Distance(q, knn.back().pos), 1e-9);
+  EXPECT_NEAR(result->distance, by_distance[n - 1].first, 1e-9);
 }
 
 TEST(EngineEdgeCaseTest, TinyWindowRequiresCoincidence) {

@@ -14,7 +14,6 @@
 #include "core/nwc_engine.h"
 #include "datasets/generators.h"
 #include "rtree/serialize.h"
-#include "storage/buffer_pool.h"
 #include "rtree/validate.h"
 
 namespace nwc {
@@ -172,27 +171,6 @@ TEST_F(IntegrationFixture, DeterministicAcrossRuns) {
   }
 }
 
-
-TEST_F(IntegrationFixture, BufferPoolAbsorbsRepeatedAccesses) {
-  // The buffer-pool ablation (extension beyond the paper's bufferless
-  // metric): replaying an NWC* query's recorded access trace through an
-  // LRU pool absorbs part of the node visits, and hits + misses account
-  // for every bufferless read exactly.
-  NwcEngine engine(fixture_->tree(), &fixture_->iwp(), &fixture_->GridFor(25.0));
-  const NwcQuery query{Point{5000, 5000}, 64, 64, 8};
-
-  IoCounter io;
-  io.EnableTrace();
-  const Result<NwcResult> result = engine.Execute(query, NwcOptions::Star(), &io);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(io.trace().size(), io.query_total());
-
-  BufferPool pool(64);
-  for (const uint32_t page : io.trace()) pool.Access(page);
-  EXPECT_GT(pool.hits(), 0u);
-  EXPECT_LT(pool.misses(), io.query_total());
-  EXPECT_EQ(pool.hits() + pool.misses(), io.query_total());
-}
 
 }  // namespace
 }  // namespace nwc

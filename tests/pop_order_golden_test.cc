@@ -231,5 +231,59 @@ TEST(PopOrderGolden, CaLikeKnwc) {
   });
 }
 
+// The queue breaks equal-distance object ties by object id, so the pop
+// order does not depend on how the tree was built. 4 objects at each of 25
+// distances: every ring (+-d, 0), (0, +-d) around q is an exact 4-way tie.
+// n exceeds the object count, so no window qualifies and the plain search
+// pops every object.
+TEST(PopOrderTest, TieHeavyRingsPopInIdOrderAcrossLayouts) {
+  const Point q{500.0, 500.0};
+  std::vector<DataObject> objects;
+  for (int ring = 1; ring <= 25; ++ring) {
+    const double d = 10.0 * ring;
+    const Point offsets[] = {{d, 0.0}, {-d, 0.0}, {0.0, d}, {0.0, -d}};
+    for (const Point& offset : offsets) {
+      objects.push_back(DataObject{static_cast<ObjectId>(objects.size()),
+                                   Point{q.x + offset.x, q.y + offset.y}});
+    }
+  }
+
+  const auto popped_ids = [&](const RStarTree& tree) {
+    const NwcEngine engine(tree, nullptr, nullptr);
+    QueryTrace trace = QueryTrace::EnabledWithClock([] { return uint64_t{0}; });
+    const Result<NwcResult> result =
+        engine.Execute(NwcQuery{q, 1.0, 1.0, objects.size() + 1}, NwcOptions::Plain(), nullptr,
+                       &trace);
+    EXPECT_TRUE(result.ok() && !result->found);
+    std::vector<ObjectId> ids;
+    for (const TraceSpan& span : trace.spans()) {
+      if (span.kind == SpanKind::kCandidate) ids.push_back(static_cast<ObjectId>(span.detail));
+    }
+    for (size_t i = 1; i < ids.size(); ++i) {
+      const double before = Distance(q, objects[ids[i - 1]].pos);
+      const double after = Distance(q, objects[ids[i]].pos);
+      EXPECT_LE(before, after) << "pop " << i;
+      if (before == after) {
+        EXPECT_LT(ids[i - 1], ids[i]) << "pop " << i;
+      }
+    }
+    return ids;
+  };
+
+  // Two very different layouts of the same data: incremental R* inserts
+  // (splits + reinserts) vs STR bulk load.
+  RTreeOptions insert_options;
+  insert_options.max_entries = 10;
+  insert_options.min_entries = 4;
+  RStarTree inserted(insert_options);
+  for (const DataObject& object : objects) inserted.Insert(object);
+  RTreeOptions str_options;
+  str_options.max_entries = 16;
+  str_options.min_entries = 6;
+  const std::vector<ObjectId> insert_order = popped_ids(inserted);
+  EXPECT_EQ(insert_order.size(), objects.size());
+  EXPECT_EQ(insert_order, popped_ids(BulkLoadStr(objects, str_options)));
+}
+
 }  // namespace
 }  // namespace nwc

@@ -32,18 +32,14 @@ std::vector<DataObject> UniformObjects(size_t count, uint64_t seed, double span 
   return objects;
 }
 
-std::unique_ptr<SnapshotStore> OpenStore(const std::vector<DataObject>& objects,
-                                         size_t iwp_staleness_limit = 0) {
-  SnapshotStore::Config config;
-  config.iwp_staleness_limit = iwp_staleness_limit;
+std::unique_ptr<SnapshotStore> OpenStore(const std::vector<DataObject>& objects) {
   Result<std::unique_ptr<SnapshotStore>> store =
-      SnapshotStore::Open(BulkLoadStr(objects, RTreeOptions{}), config);
+      SnapshotStore::Open(BulkLoadStr(objects, RTreeOptions{}), SnapshotStore::Config{});
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return std::move(*store);
 }
 
-NwcResult RunQuery(const Session& session, const NwcQuery& query, NwcOptions options) {
-  if (options.use_iwp && session.iwp() == nullptr) options.use_iwp = false;
+NwcResult RunQuery(const Session& session, const NwcQuery& query, const NwcOptions& options) {
   NwcEngine engine(session.tree(), session.iwp(), session.grid());
   Result<NwcResult> result = engine.Execute(query, options, nullptr);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -175,43 +171,6 @@ TEST(SnapshotStoreTest, DeleteMissReportsNotFoundButAppliesRest) {
   EXPECT_TRUE(ValidateTree(out.session->tree()).ok());
 }
 
-TEST(SnapshotStoreTest, LazyIwpRespectsStalenessBoundAndStaysBitExact) {
-  const std::vector<DataObject> objects = UniformObjects(300, 7);
-  auto store = OpenStore(objects, /*iwp_staleness_limit=*/5);
-  EXPECT_NE(store->Acquire().session->iwp(), nullptr);  // first publish builds
-  EXPECT_EQ(store->mutations_since_iwp_build(), 0u);
-
-  // 3 mutations: inside the bound, the snapshot ships without IWP.
-  MutationBatch small;
-  for (int i = 0; i < 3; ++i) {
-    small.push_back(Mutation::Insert(DataObject{static_cast<ObjectId>(9000 + i),
-                                                Point{40.0 + i, 40.0}}));
-  }
-  ASSERT_TRUE(store->ApplyAndPublish(small, nullptr, nullptr).ok());
-  const SnapshotStore::SnapshotRef degraded = store->Acquire();
-  EXPECT_EQ(degraded.session->iwp(), nullptr);
-  EXPECT_EQ(store->mutations_since_iwp_build(), 3u);
-
-  // The IWP-less snapshot still answers bit-exactly (degraded scheme) vs a
-  // from-scratch stack with full IWP over the same data.
-  Result<Session> oracle = Session::Open(
-      BulkLoadStr(CollectTreeObjects(degraded.session->tree()), RTreeOptions{}));
-  ASSERT_TRUE(oracle.ok());
-  const NwcQuery query{Point{42, 41}, 15, 15, 3};
-  EXPECT_TRUE(SameResult(RunQuery(*degraded.session, query, NwcOptions::Star()),
-                         RunQuery(*oracle, query, NwcOptions::Star())));
-
-  // 3 more push past the bound of 5: the next publish rebuilds.
-  MutationBatch more;
-  for (int i = 0; i < 3; ++i) {
-    more.push_back(Mutation::Insert(DataObject{static_cast<ObjectId>(9100 + i),
-                                               Point{60.0 + i, 60.0}}));
-  }
-  ASSERT_TRUE(store->ApplyAndPublish(more, nullptr, nullptr).ok());
-  EXPECT_NE(store->Acquire().session->iwp(), nullptr);
-  EXPECT_EQ(store->mutations_since_iwp_build(), 0u);
-}
-
 TEST(SnapshotStoreTest, EpochOneStaysPinnedAndBitExactAfterTheFirstPublish) {
   const std::vector<DataObject> objects = UniformObjects(300, 12);
   auto store = OpenStore(objects);
@@ -251,21 +210,18 @@ TEST(SnapshotStoreTest, EpochOneStaysPinnedAndBitExactAfterTheFirstPublish) {
   }
 }
 
+// Every publish of an IWP-configured store carries an IWP, so the store's
+// configuration and each of its epochs agree on what they serve.
 TEST(SnapshotStoreTest, ConfigSupportsIsEpochIndependent) {
-  SnapshotStore::Config config;
-  config.iwp_staleness_limit = 100;
-  Result<std::unique_ptr<SnapshotStore>> store =
-      SnapshotStore::Open(BulkLoadStr(UniformObjects(50, 8), RTreeOptions{}), config);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)
-                  ->ApplyAndPublish(
-                      MutationBatch{Mutation::Insert(DataObject{1, Point{2, 2}})},
-                      nullptr, nullptr)
+  auto store = OpenStore(UniformObjects(50, 8));
+  ASSERT_TRUE(store->ApplyAndPublish(MutationBatch{Mutation::Insert(DataObject{1, Point{2, 2}})},
+                                     nullptr, nullptr)
                   .ok());
-  // The current snapshot has no IWP (inside the bound), but the store is
-  // configured for it — use_iwp requests stay supported and degrade.
-  EXPECT_EQ((*store)->Acquire().session->iwp(), nullptr);
-  EXPECT_TRUE((*store)->Supports(NwcOptions::Star()));
+  const SnapshotStore::SnapshotRef published = store->Acquire();
+  ASSERT_EQ(published.epoch, 2u);
+  EXPECT_NE(published.session->iwp(), nullptr);
+  EXPECT_TRUE(store->Supports(NwcOptions::Star()));
+  EXPECT_TRUE(published.session->Supports(NwcOptions::Star()));
 }
 
 // ---- service-level guarantees -------------------------------------------

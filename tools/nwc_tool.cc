@@ -147,7 +147,6 @@ constexpr Flag kServiceFlags[] = {
      "page-read fault plan: every:N, once:K, bernoulli:P[:SEED] or spike:N:MICROS"},
     {"slow-us", kCount, "0", "trace queries at or over this latency (0 = all)"},
     {"trace-ring", kCount, "32", "slow-query traces retained"},
-    {"iwp-staleness", kCount, "0", "mutations a published epoch may serve without the IWP"},
     {"metrics-json", kText, nullptr, "write the final metrics as JSON"},
     {"prom", kText, nullptr, "write the final metrics as Prometheus text"},
     {"shards", kCount, "1", "Z-order range shards behind a ShardRouter (1 = no router)"},
@@ -438,7 +437,6 @@ Result<Backend> OpenBackend(const Flags& flags, bool build_iwp, bool build_grid)
     config.partial_failure = kPolicies[flags.choice("shard-partial")];
     config.service = *service_config;
     config.session = session_config;
-    config.iwp_staleness_limit = flags.count("iwp-staleness");
     config.fault_plan = service_config->fault_plan;
     config.fault_shard =
         flags.has("fault-shard") ? static_cast<int>(flags.count("fault-shard")) : -1;
@@ -458,11 +456,8 @@ Result<Backend> OpenBackend(const Flags& flags, bool build_iwp, bool build_grid)
                               service_config->num_threads);
     return backend;
   }
-  SnapshotStore::Config store_config;
-  store_config.session = session_config;
-  store_config.iwp_staleness_limit = flags.count("iwp-staleness");
   Result<std::unique_ptr<SnapshotStore>> store =
-      SnapshotStore::Open(std::move(tree).value(), store_config);
+      SnapshotStore::Open(std::move(tree).value(), {session_config});
   if (!store.ok()) return store.status();
   backend.store = std::move(*store);
   backend.service = std::make_unique<QueryService>(*backend.store, *service_config);
@@ -595,8 +590,11 @@ int CmdServeBatch(const Flags& flags) {
 
   const MetricsSnapshot snapshot = backend.SnapshotMetrics();
   std::printf("\n--- metrics report ---\n");
-  std::printf("wall time:  %.3f s (%.1f queries/sec)\n", seconds,
-              seconds > 0.0 ? static_cast<double>(snapshot.queries) / seconds : 0.0);
+  // Requests, not the backend's executions: a router counts one per shard
+  // a request visits.
+  std::printf("wall time:  %.3f s (%zu requests, %.1f requests/sec)\n", seconds,
+              entries->size(),
+              seconds > 0.0 ? static_cast<double>(entries->size()) / seconds : 0.0);
   if (mutation_batches.empty()) {
     // No update stream, nothing to report.
   } else if (served.store != nullptr) {
