@@ -83,17 +83,6 @@ struct RebuildStack {
   }
 };
 
-bool SameResult(const NwcResult& a, const NwcResult& b) {
-  if (a.found != b.found || a.distance != b.distance ||
-      a.objects.size() != b.objects.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.objects.size(); ++i) {
-    if (!(a.objects[i] == b.objects[i])) return false;
-  }
-  return true;
-}
-
 struct ChurnRun {
   uint64_t incremental_us = 0;  ///< total ApplyAndPublish time
   uint64_t rebuild_us = 0;      ///< total apply+rebuild time
@@ -145,7 +134,7 @@ ChurnRun RunChurn(const MutationWorkload& workload, size_t batch_size, size_t pr
       CheckOk(a.status(), "churn snapshot probe");
       CheckOk(b.status(), "churn rebuilt probe");
       ++run.probes;
-      if (!SameResult(*a, *b)) ++run.probe_mismatches;
+      if (*a != *b) ++run.probe_mismatches;
     }
   };
 

@@ -94,7 +94,7 @@ ShardRouterConfig MakeRouterConfig(size_t shards, size_t workers, bool storage_b
   config.max_window_width = kMaxWindowBound;
   config.service.num_threads = workers;
   config.service.queue_capacity = 1024;
-  if (storage_bound) config.fault_plan = FaultPlan::LatencySpike(1, kStallMicros);
+  if (storage_bound) config.service.fault_plan = FaultPlan::LatencySpike(1, kStallMicros);
   config.router_threads = 16;  // dispatch must never be the bottleneck
   config.router_queue_capacity = 2 * stream_size + 1;
   return config;
@@ -209,14 +209,20 @@ int RunSmoke() {
     }
     const double best = BestQps(*router, stream, 3);
     const MetricsSnapshot metrics = router->SnapshotMetrics();
+    std::vector<uint64_t> executions(shards);
+    uint64_t total_executions = 0;
+    for (size_t s = 0; s < shards; ++s) {
+      executions[s] = router->ShardMetrics(s).queries;
+      total_executions += executions[s];
+    }
     std::printf("%zu shard(s) x 2 workers: %.1f q/s (stall %lluus/read, %zu queries)\n",
                 shards, best, static_cast<unsigned long long>(kStallMicros), stream.size());
     std::printf("  shard executions/query: %.2f, node reads/query: %.1f, per-shard load:",
-                static_cast<double>(metrics.queries) / (3.0 * stream.size() + pool.size()),
+                static_cast<double>(total_executions) / static_cast<double>(metrics.queries),
                 static_cast<double>(metrics.total_reads()) /
-                    (3.0 * stream.size() + pool.size()));
-    for (size_t s = 0; s < shards; ++s) {
-      std::printf(" %llu", static_cast<unsigned long long>(router->ShardMetrics(s).queries));
+                    static_cast<double>(metrics.queries));
+    for (const uint64_t count : executions) {
+      std::printf(" %llu", static_cast<unsigned long long>(count));
     }
     std::printf("\n");
     qps[shards == 1 ? 0 : 1] = best;

@@ -58,11 +58,6 @@ class QueryControl {
     armed_ = true;
   }
 
-  /// Arms a deadline `timeout_micros` from now on the real clock.
-  void SetTimeout(uint64_t timeout_micros) {
-    SetDeadline(std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_micros));
-  }
-
   /// Arms external cancellation: the query stops once `*cell` no longer
   /// holds `expected_epoch`. The cell must outlive the control; a raw
   /// relaxed load per check keeps the armed path cheap.

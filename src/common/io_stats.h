@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <utility>
-#include <vector>
 
 namespace nwc {
 
@@ -26,21 +25,20 @@ enum class IoPhase {
 /// every visit, including re-visits by successive window queries.
 ///
 /// ThreadSafety: NOT thread-safe. The service layer gives every in-flight
-/// query its own IoCounter and merges them with Add() under the metrics
-/// mutex; never share one counter across concurrent queries.
+/// query its own IoCounter; never share one counter across concurrent
+/// queries.
 class IoCounter {
  public:
   IoCounter() = default;
 
   /// Records one node access in the given phase as one read. `page` is
-  /// the accessed page/node id; it is stored only when tracing is enabled.
+  /// the accessed page/node id, handed to the read probe.
   void OnNodeAccess(IoPhase phase, uint32_t page = kUnknownPage) {
     if (phase == IoPhase::kTraversal) {
       ++traversal_reads_;
     } else {
       ++window_query_reads_;
     }
-    if (trace_enabled_) trace_.push_back(page);
     if (read_probe_) read_probe_(page);
   }
 
@@ -54,41 +52,29 @@ class IoCounter {
   /// Placeholder page id recorded when the caller did not supply one.
   static constexpr uint32_t kUnknownPage = 0xFFFFFFFFu;
 
-  /// Starts recording the sequence of accessed page ids.
-  void EnableTrace() { trace_enabled_ = true; }
-
-  /// The recorded access sequence (empty unless EnableTrace was called
-  /// before the accesses).
-  const std::vector<uint32_t>& trace() const { return trace_; }
-
   /// Node accesses across both phases (the paper's metric).
   uint64_t query_total() const { return traversal_reads_ + window_query_reads_; }
   uint64_t traversal_reads() const { return traversal_reads_; }
   uint64_t window_query_reads() const { return window_query_reads_; }
 
   /// Merges another counter's accumulated counts into this one (phase
-  /// reads add; the trace and read probe are unaffected — access order
-  /// across counters is meaningless). This is how the query service and
-  /// the benchmark drivers roll per-query counters up into an aggregate
-  /// without losing the per-phase breakdown.
+  /// reads add; the read probe is unaffected). This is how the benchmark
+  /// drivers roll per-query counters up into an aggregate without losing
+  /// the per-phase breakdown.
   void Add(const IoCounter& other) {
     traversal_reads_ += other.traversal_reads_;
     window_query_reads_ += other.window_query_reads_;
   }
 
-  /// Resets all counters and any recorded trace (tracing and the read
-  /// probe stay installed).
+  /// Resets both counters (the read probe stays installed).
   void Reset() {
     traversal_reads_ = 0;
     window_query_reads_ = 0;
-    trace_.clear();
   }
 
  private:
   uint64_t traversal_reads_ = 0;
   uint64_t window_query_reads_ = 0;
-  bool trace_enabled_ = false;
-  std::vector<uint32_t> trace_;
   std::function<void(uint32_t)> read_probe_;
 };
 

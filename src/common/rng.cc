@@ -91,6 +91,5 @@ bool Rng::NextBernoulli(double p) {
   return NextDouble() < p;
 }
 
-Rng Rng::Fork() { return Rng(NextUint64() ^ 0xA3C59AC2F1038E27ULL); }
 
 }  // namespace nwc

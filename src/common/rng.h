@@ -42,10 +42,6 @@ class Rng {
   /// Returns true with probability `p` (clamped to [0, 1]).
   bool NextBernoulli(double p);
 
-  /// Returns a derived generator whose stream is independent of this one;
-  /// useful for giving each dataset / experiment its own substream.
-  Rng Fork();
-
   /// Fisher-Yates shuffles `items` in place.
   template <typename T>
   void Shuffle(std::vector<T>& items) {

@@ -4,8 +4,6 @@ namespace nwc {
 
 Stopwatch::Stopwatch() : start_(std::chrono::steady_clock::now()) {}
 
-void Stopwatch::Restart() { start_ = std::chrono::steady_clock::now(); }
-
 uint64_t Stopwatch::ElapsedMicros() const {
   const auto delta = std::chrono::steady_clock::now() - start_;
   return static_cast<uint64_t>(

@@ -11,13 +11,10 @@ namespace nwc {
 /// wall-time columns the micro-benchmarks print alongside.)
 class Stopwatch {
  public:
-  /// Starts (or restarts) the stopwatch.
+  /// Starts the stopwatch.
   Stopwatch();
 
-  /// Restarts timing from zero.
-  void Restart();
-
-  /// Elapsed time since construction / last Restart, in microseconds.
+  /// Elapsed time since construction, in microseconds.
   uint64_t ElapsedMicros() const;
 
   /// Elapsed time in milliseconds (integer division of microseconds).

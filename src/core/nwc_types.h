@@ -71,18 +71,23 @@ struct NwcOptions {
 };
 
 /// Result of an NWC query. When `found` is false the dataset contains no
-/// qualified window (fewer than n objects fit any l x w window) and the
-/// other fields are meaningless.
+/// qualified window (fewer than n objects fit any l x w window), and
+/// `distance` is 0 and `objects` empty. `==` is exact equality: same
+/// distance bits and the same objects in the same order.
 struct NwcResult {
   bool found = false;
   double distance = 0.0;               ///< dist_best under the query's measure
   std::vector<DataObject> objects;     ///< the n best objects
+
+  friend bool operator==(const NwcResult&, const NwcResult&) = default;
 };
 
 /// One group of a kNWC result.
 struct NwcGroup {
   double distance = 0.0;
   std::vector<DataObject> objects;
+
+  friend bool operator==(const NwcGroup&, const NwcGroup&) = default;
 };
 
 /// Result of a kNWC query: up to k groups, ascending by distance. Fewer
@@ -90,6 +95,8 @@ struct NwcGroup {
 /// distinct groups.
 struct KnwcResult {
   std::vector<NwcGroup> groups;
+
+  friend bool operator==(const KnwcResult&, const KnwcResult&) = default;
 };
 
 }  // namespace nwc

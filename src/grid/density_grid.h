@@ -78,9 +78,6 @@ class DensityGrid {
   /// Number of cells per axis.
   size_t cells_per_axis() const { return cells_per_axis_; }
 
-  /// Configured cell side length.
-  double cell_size() const { return cell_size_; }
-
   /// Total objects counted.
   uint64_t total_count() const { return total_count_; }
 

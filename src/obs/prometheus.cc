@@ -66,7 +66,6 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot, const LatencyHisto
           snapshot.io_errors);
   Counter(out, "nwc_load_shed_total", "Requests shed at submit past the queue watermark.",
           snapshot.shed);
-  Counter(out, "nwc_query_retries_total", "Transient-fault retry attempts.", snapshot.retries);
   out +=
       "# HELP nwc_node_reads_total R*-tree node reads by query phase.\n"
       "# TYPE nwc_node_reads_total counter\n";

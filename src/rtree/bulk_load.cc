@@ -12,6 +12,21 @@ namespace nwc {
 
 namespace {
 
+// 32-bit Morton (Z-order) key of `p` within `bounds`, 16 bits per axis.
+// Degenerate axes (zero spread) collapse to cell 0.
+uint32_t LeafMortonKey(const Rect& bounds, const Point& p) {
+  const double spread_x = bounds.max_x - bounds.min_x;
+  const double spread_y = bounds.max_y - bounds.min_y;
+  const auto cell = [](double value, double lo, double spread) {
+    if (spread <= 0.0) return uint32_t{0};
+    const double t = (value - lo) / spread;
+    return static_cast<uint32_t>(std::min(65535.0, std::max(0.0, t * 65535.0)));
+  };
+  const uint32_t gx = cell(p.x, bounds.min_x, spread_x);
+  const uint32_t gy = cell(p.y, bounds.min_y, spread_y);
+  return MortonKey16(gx, gy);
+}
+
 // Sorts one leaf group along the Z-order (Morton) curve of its own bounding
 // box, quantized to 16 bits per axis. Intra-leaf order is invisible to
 // query results, but a space-filling order keeps spatially close points at
@@ -91,19 +106,6 @@ void FixUnderfullTail(std::vector<std::vector<Item>>& groups, size_t min_entries
 
 }  // namespace
 
-uint32_t LeafMortonKey(const Rect& bounds, const Point& p) {
-  const double spread_x = bounds.max_x - bounds.min_x;
-  const double spread_y = bounds.max_y - bounds.min_y;
-  const auto cell = [](double value, double lo, double spread) {
-    if (spread <= 0.0) return uint32_t{0};
-    const double t = (value - lo) / spread;
-    return static_cast<uint32_t>(std::min(65535.0, std::max(0.0, t * 65535.0)));
-  };
-  const uint32_t gx = cell(p.x, bounds.min_x, spread_x);
-  const uint32_t gy = cell(p.y, bounds.min_y, spread_y);
-  return MortonKey16(gx, gy);
-}
-
 RStarTree BulkLoadStr(const std::vector<DataObject>& objects, RTreeOptions tree_options,
                       BulkLoadOptions load_options) {
   CheckOk(tree_options.Validate(), "BulkLoadStr options");
@@ -132,7 +134,6 @@ RStarTree BulkLoadStr(const std::vector<DataObject>& objects, RTreeOptions tree_
     RTreeNode* leaf = allocate(/*level=*/0);
     SortLeafGroupZOrder(group);
     leaf->objects.Assign(group);
-    leaf->objects.MarkZOrderPacked();
     level_entries.push_back(ChildEntry{leaf->ComputeMbr(), leaf->id});
   }
 

@@ -28,12 +28,6 @@ struct BulkLoadOptions {
 RStarTree BulkLoadStr(const std::vector<DataObject>& objects, RTreeOptions tree_options,
                       BulkLoadOptions load_options = BulkLoadOptions());
 
-/// 32-bit Morton (Z-order) key of `p` within `bounds`, 16 bits per axis.
-/// This is the exact quantization the bulk loader sorts each leaf group by;
-/// exposed so ValidateTree can re-check a leaf's Z-order packing claim.
-/// Degenerate axes (zero spread) collapse to cell 0.
-uint32_t LeafMortonKey(const Rect& bounds, const Point& p);
-
 }  // namespace nwc
 
 #endif  // NWC_RTREE_BULK_LOAD_H_

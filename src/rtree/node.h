@@ -45,14 +45,12 @@ class LeafObjects {
     xs_.clear();
     ys_.clear();
     ids_.clear();
-    zorder_packed_ = false;
   }
 
   void push_back(const DataObject& obj) {
     xs_.push_back(obj.pos.x);
     ys_.push_back(obj.pos.y);
     ids_.push_back(obj.id);
-    zorder_packed_ = false;
   }
 
   DataObject operator[](size_t i) const { return DataObject{ids_[i], Point{xs_[i], ys_[i]}}; }
@@ -60,14 +58,10 @@ class LeafObjects {
   ObjectId id(size_t i) const { return ids_[i]; }
 
   /// Removes the object at index i, preserving the order of the rest.
-  /// Clears the packing claim: Z-order is defined relative to the leaf's
-  /// own bounding box, and an erase can shrink that box, re-quantizing the
-  /// survivors into a different (possibly unsorted) cell order.
   void EraseAt(size_t i) {
     xs_.erase(xs_.begin() + static_cast<ptrdiff_t>(i));
     ys_.erase(ys_.begin() + static_cast<ptrdiff_t>(i));
     ids_.erase(ids_.begin() + static_cast<ptrdiff_t>(i));
-    zorder_packed_ = false;
   }
 
   /// Replaces the contents with `objects`, in order.
@@ -96,14 +90,6 @@ class LeafObjects {
   size_t xs_size() const { return xs_.size(); }
   size_t ys_size() const { return ys_.size(); }
   size_t ids_size() const { return ids_.size(); }
-
-  /// Whether the current contents are sorted along the Z-order curve of
-  /// their own bounding box (the bulk loader's packing). Every mutating op
-  /// clears the claim; only the bulk loader re-asserts it. Purely a
-  /// locality hint for the SIMD kernels; ValidateTree checks the claim is
-  /// never a lie.
-  bool zorder_packed() const { return zorder_packed_; }
-  void MarkZOrderPacked() { zorder_packed_ = true; }
 
   /// Random-access const iterator yielding DataObject by value.
   class const_iterator {
@@ -171,21 +157,19 @@ class LeafObjects {
   std::vector<double> xs_;
   std::vector<double> ys_;
   std::vector<ObjectId> ids_;
-  bool zorder_packed_ = false;
 };
 
 /// Test-only backdoor for corrupting a LeafObjects to prove ValidateTree
-/// catches desynced arrays and false packing claims. Production code must
-/// never touch this.
+/// catches desynced arrays. Production code must never touch this.
 struct LeafObjectsTestAccess {
   static std::vector<double>& Xs(LeafObjects& objects) { return objects.xs_; }
   static std::vector<double>& Ys(LeafObjects& objects) { return objects.ys_; }
   static std::vector<ObjectId>& Ids(LeafObjects& objects) { return objects.ids_; }
-  static void SetPacked(LeafObjects& objects, bool packed) { objects.zorder_packed_ = packed; }
 };
 
 /// Identifier of an R*-tree node. A node occupies one simulated page, so
-/// node ids double as page ids for the buffer-pool ablation.
+/// node ids double as the page ids the read probe (and the fault drill)
+/// sees.
 using NodeId = PageId;
 
 /// Sentinel for "no node" (e.g., the root's parent).

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "rtree/bulk_load.h"
 #include "rtree/node.h"
 
 namespace nwc {
@@ -25,29 +24,6 @@ Status CheckLeafArrays(const RTreeNode& n) {
     return Status::Internal(StrFormat("leaf node %u SoA arrays desynced: xs=%zu ys=%zu ids=%zu",
                                       n.id, objects.xs_size(), objects.ys_size(),
                                       objects.ids_size()));
-  }
-  return Status::Ok();
-}
-
-// SoA leaf invariants: the arrays agree (CheckLeafArrays), and a Z-order
-// packing claim must be true — the entries sorted by (Morton key within
-// the leaf's own bounds, id), exactly the order the bulk loader produced.
-Status CheckLeafStorage(const RTreeNode& n) {
-  const Status arrays = CheckLeafArrays(n);
-  if (!arrays.ok()) return arrays;
-  const LeafObjects& objects = n.objects;
-  if (!objects.zorder_packed() || objects.size() < 2) return Status::Ok();
-  Rect bounds = Rect::Empty();
-  for (size_t i = 0; i < objects.size(); ++i) bounds.Expand(objects.position(i));
-  for (size_t i = 0; i + 1 < objects.size(); ++i) {
-    const uint32_t ka = LeafMortonKey(bounds, objects.position(i));
-    const uint32_t kb = LeafMortonKey(bounds, objects.position(i + 1));
-    if (ka > kb || (ka == kb && objects.id(i) >= objects.id(i + 1))) {
-      return Status::Internal(
-          StrFormat("leaf node %u claims Z-order packing but entries %zu and %zu are out of "
-                    "order",
-                    n.id, i, i + 1));
-    }
   }
   return Status::Ok();
 }
@@ -92,8 +68,8 @@ Status WalkSubtree(const RStarTree& tree, NodeId id, NodeId expected_parent, int
   }
 
   if (n.is_leaf()) {
-    const Status storage = CheckLeafStorage(n);
-    if (!storage.ok()) return storage;
+    const Status arrays = CheckLeafArrays(n);
+    if (!arrays.ok()) return arrays;
     state.objects += n.objects.size();
     return Status::Ok();
   }

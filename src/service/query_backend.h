@@ -54,6 +54,12 @@ struct QueryResponse {
 using NwcResponse = QueryResponse<NwcResult>;
 using KnwcResponse = QueryResponse<KnwcResult>;
 
+/// Whether `response` carries an answer: a qualified NWC window, or at
+/// least one kNWC group (what the metrics' `not_found` counts the absence
+/// of, among OK responses).
+inline bool HasAnswer(const NwcResponse& response) { return response.result.found; }
+inline bool HasAnswer(const KnwcResponse& response) { return !response.result.groups.empty(); }
+
 /// Outcome of one ApplyUpdate call. `epoch` is the epoch the mutations
 /// were published under (for a router, the max over the shards it
 /// touched). A NotFound status reports delete misses — the other mutations

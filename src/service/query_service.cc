@@ -1,9 +1,7 @@
 #include "service/query_service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -25,21 +23,9 @@ Status ServiceConfig::Validate() const {
   if (shed_queue_depth > queue_capacity) {
     return Status::InvalidArgument("shed_queue_depth cannot exceed queue_capacity");
   }
-  if (max_retries < 0) return Status::InvalidArgument("max_retries must be >= 0");
   const Status plan_ok = fault_plan.Validate();
   if (!plan_ok.ok()) return plan_ok;
   return Status::Ok();
-}
-
-uint64_t RetryBackoffMicros(uint64_t base_micros, int attempt) {
-  if (base_micros == 0) return 0;
-  if (base_micros >= kMaxRetryBackoffMicros) return kMaxRetryBackoffMicros;
-  if (attempt <= 0) return base_micros;
-  if (attempt >= 63) return kMaxRetryBackoffMicros;
-  // base * 2^attempt would pass the cap exactly when base > cap >> attempt;
-  // testing before shifting keeps the shift itself overflow-free.
-  if (base_micros > (kMaxRetryBackoffMicros >> attempt)) return kMaxRetryBackoffMicros;
-  return base_micros << attempt;
 }
 
 QueryService::QueryService(const Session& session, const ServiceConfig& config)
@@ -177,128 +163,81 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
   // the ones blocked on the full queue.
   metrics_.RecordQueueDepth(pool_.QueueDepth());
 
-  // Pin one epoch for the whole query (all retry attempts included):
-  // queries never observe a publish mid-flight.
+  // Pin one epoch for the whole query: queries never observe a publish
+  // mid-flight.
   const SnapshotStore::SnapshotRef snapshot = store_.Acquire();
   const Session& session = *snapshot.session;
 
   Response response;
-  IoCounter total_io;  // merged across attempts for metrics/response
+  Stopwatch timer;
+  IoCounter io;
+  const bool tracing = slow_traces_ != nullptr;
+  QueryTrace trace = tracing ? QueryTrace::Enabled() : QueryTrace();
+  QueryTrace* trace_ptr = tracing ? &trace : nullptr;
+  QueryControl control;
+  if (timing.has_deadline) control.SetDeadline(timing.deadline);
+  control.SetCancelCell(&cancel_epoch_, timing.epoch);
   FaultInjector* injector =
       worker_injectors_.empty() ? nullptr : worker_injectors_[worker_index].get();
-
-  Stopwatch timer;
-  bool found = false;
-  int attempt = 0;
-  while (true) {
-    // Per-attempt state: a fresh counter so a failed attempt's I/O still
-    // rolls up, a fresh control so a transient fault doesn't poison the
-    // retry, and a fresh trace so the retained trace describes the final
-    // attempt. The absolute deadline and cancel epoch from submit time
-    // carry across attempts — retries never extend the budget.
-    IoCounter io;
-    const bool tracing = slow_traces_ != nullptr;
-    QueryTrace trace = tracing ? QueryTrace::Enabled() : QueryTrace();
-    QueryTrace* trace_ptr = tracing ? &trace : nullptr;
-    QueryControl control;
-    if (timing.has_deadline) control.SetDeadline(timing.deadline);
-    control.SetCancelCell(&cancel_epoch_, timing.epoch);
-    if (injector != nullptr) {
-      QueryControl* ctl = &control;
-      QueryTrace& tr = trace;
-      io.SetReadProbe([injector, ctl, &tr](uint32_t page) {
-        Status fault = injector->OnRead(page);
-        if (!fault.ok()) {
-          tr.Count(TraceCounter::kFaultsInjected);
-          ctl->ReportFault(std::move(fault));
-        }
-      });
-    }
-
-    // Result-cache probe — strictly after the control is armed, so a
-    // request that is already past its deadline (or cancelled) takes the
-    // engine's early-stop path below instead of being served from cache:
-    // deadline accounting always wins over a hit. Probing only on the
-    // first attempt keeps the cache's miss counter one-per-query.
-    bool cache_hit = false;
-    if (attempt == 0 && result_cache_ != nullptr && !control.ShouldStop() &&
-        CacheLookup(*result_cache_, query, options, &response.result, snapshot.epoch)) {
-      cache_hit = true;
-      response.status = Status::Ok();
-      response.result_cache_hit = true;
-      if constexpr (std::is_same_v<Response, NwcResponse>) {
-        found = response.result.found;
-      } else {
-        found = !response.result.groups.empty();
+  if (injector != nullptr) {
+    io.SetReadProbe([injector, &control, &trace](uint32_t page) {
+      Status fault = injector->OnRead(page);
+      if (!fault.ok()) {
+        trace.Count(TraceCounter::kFaultsInjected);
+        control.ReportFault(std::move(fault));
       }
-      trace.Count(TraceCounter::kResultCacheHits);
-      // An (instant) root span keeps retained hit traces well-formed.
-      TraceSpanScope root_span(trace, SpanKind::kQuery, &io);
-    }
+    });
+  }
 
-    if (!cache_hit) {
-      if constexpr (std::is_same_v<Response, NwcResponse>) {
-        NwcEngine engine(session.tree(), session.iwp(), session.grid());
-        Result<NwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control);
-        response.status = result.status();
-        if (result.ok()) {
-          found = result->found;
-          response.result = std::move(result).value();
-        }
-      } else {
-        KnwcEngine engine(session.tree(), session.iwp(), session.grid());
-        Result<KnwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control);
-        response.status = result.status();
-        if (result.ok()) {
-          found = !result->groups.empty();
-          response.result = std::move(result).value();
-        }
-      }
-    }
-    total_io.Add(io);
+  // Result-cache probe — strictly after the control is armed, so a request
+  // that is already past its deadline (or cancelled) takes the engine's
+  // early-stop path below instead of being served from cache: deadline
+  // accounting always wins over a hit.
+  bool cache_hit = false;
+  if (result_cache_ != nullptr && !control.ShouldStop() &&
+      CacheLookup(*result_cache_, query, options, &response.result, snapshot.epoch)) {
+    cache_hit = true;
+    response.status = Status::Ok();
+    response.result_cache_hit = true;
+    trace.Count(TraceCounter::kResultCacheHits);
+    // An (instant) root span keeps retained hit traces well-formed.
+    TraceSpanScope root_span(trace, SpanKind::kQuery, &io);
+  }
 
-    // Bounded retry for transient I/O faults — never past the deadline.
-    const auto retry_now = std::chrono::steady_clock::now();
-    if (response.status.code() == StatusCode::kIoError && attempt < config_.max_retries &&
-        !(timing.has_deadline && retry_now >= timing.deadline)) {
-      metrics_.RecordRetry();
-      uint64_t backoff_micros = RetryBackoffMicros(config_.retry_backoff_micros, attempt);
-      if (timing.has_deadline) {
-        // Never sleep past the request's own deadline: a huge configured
-        // backoff must not turn a bounded request into an unbounded wait.
-        const auto remaining = std::chrono::duration_cast<std::chrono::microseconds>(
-                                   timing.deadline - retry_now)
-                                   .count();
-        backoff_micros = std::min(backoff_micros, static_cast<uint64_t>(remaining));
-      }
-      if (backoff_micros > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(backoff_micros));
-      }
-      ++attempt;
-      continue;
+  if (!cache_hit) {
+    if constexpr (std::is_same_v<Response, NwcResponse>) {
+      NwcEngine engine(session.tree(), session.iwp(), session.grid());
+      Result<NwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control);
+      response.status = result.status();
+      if (result.ok()) response.result = std::move(result).value();
+    } else {
+      KnwcEngine engine(session.tree(), session.iwp(), session.grid());
+      Result<KnwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control);
+      response.status = result.status();
+      if (result.ok()) response.result = std::move(result).value();
     }
-
     // Completed queries (and only they) populate the cache: a stopped or
     // faulted query would poison it with partial answers, and re-inserting
     // on a hit would churn the LRU for nothing.
-    if (result_cache_ != nullptr && !cache_hit && response.status.ok()) {
+    if (result_cache_ != nullptr && response.status.ok()) {
       CacheInsert(*result_cache_, query, options, response.result, snapshot.epoch);
     }
-
-    response.latency_micros = timer.ElapsedMicros();
-    response.traversal_reads = total_io.traversal_reads();
-    response.window_query_reads = total_io.window_query_reads();
-
-    metrics_.RecordQuery(response.latency_micros, total_io, response.status.code(), found);
-    if (slow_traces_ != nullptr && response.latency_micros >= config_.slow_trace_us) {
-      metrics_.RecordSlowQuery();
-      trace.set_label(StrFormat("%s latency_us=%llu", DescribeQuery(query, options).c_str(),
-                                static_cast<unsigned long long>(response.latency_micros)));
-      slow_traces_->Add(std::move(trace));
-    }
-    done(std::move(response));
-    return;
   }
+
+  response.latency_micros = timer.ElapsedMicros();
+  response.traversal_reads = io.traversal_reads();
+  response.window_query_reads = io.window_query_reads();
+
+  metrics_.RecordQuery(response.latency_micros, response.traversal_reads,
+                       response.window_query_reads, response.status.code(),
+                       HasAnswer(response));
+  if (slow_traces_ != nullptr && response.latency_micros >= config_.slow_trace_us) {
+    metrics_.RecordSlowQuery();
+    trace.set_label(StrFormat("%s latency_us=%llu", DescribeQuery(query, options).c_str(),
+                              static_cast<unsigned long long>(response.latency_micros)));
+    slow_traces_->Add(std::move(trace));
+  }
+  done(std::move(response));
 }
 
 namespace {

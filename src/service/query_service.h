@@ -29,19 +29,6 @@
 
 namespace nwc {
 
-/// Ceiling on a single retry-backoff sleep (1 s). Exponential backoff that
-/// doubles without a cap shifts past the value's width within 64 attempts
-/// and overflows into arbitrary (including zero or enormous) sleeps; every
-/// computed backoff saturates here instead.
-inline constexpr uint64_t kMaxRetryBackoffMicros = 1'000'000;
-
-/// The exponential retry backoff for `attempt` (0-based): base * 2^attempt,
-/// saturated at kMaxRetryBackoffMicros. Overflow-safe for any base and any
-/// attempt count — `base << attempt` is never evaluated when the shift
-/// would exceed the cap (the old unclamped shift was undefined behavior
-/// past 63 bits and wrapped to a bogus sleep well before that).
-uint64_t RetryBackoffMicros(uint64_t base_micros, int attempt);
-
 /// Sizing and defaults for a QueryService.
 struct ServiceConfig {
   size_t num_threads = 4;      ///< worker threads sharing the session
@@ -69,16 +56,11 @@ struct ServiceConfig {
   /// immediately with Unavailable instead of blocking; 0 disables
   /// shedding.
   size_t shed_queue_depth = 0;
-  /// Transient-fault handling: a query failing with IoError is re-executed
-  /// up to this many extra times (exponential backoff below) before the
-  /// error is surfaced. 0 disables retry.
-  int max_retries = 0;
-  /// Backoff before the first retry; doubles per attempt.
-  uint64_t retry_backoff_micros = 100;
   /// Deterministic fault-injection schedule (tests / resilience drills):
   /// each worker gets a private FaultInjector running this plan (Bernoulli
-  /// seeds are decorrelated per worker by adding the worker index). The
-  /// default (kNone) leaves the read path untouched.
+  /// seeds are decorrelated per worker by adding the worker index). An
+  /// injected fault fails the query it hits with IoError. The default
+  /// (kNone) leaves the read path untouched.
   FaultPlan fault_plan = FaultPlan::None();
 
   /// Byte budget of the sharded result cache serving exact repeat queries;
@@ -246,10 +228,10 @@ class QueryService : public QueryBackend {
   /// Runs one query on a worker: binds the per-worker fault injector (if
   /// any) to a fresh IoCounter, arms a QueryControl from `timing`, probes
   /// the result cache (deadline/cancel checked first, so an expired
-  /// request is never served from cache), executes on a miss —
-  /// retrying transient I/O faults per the config — and fills the response
-  /// fields common to both query kinds. Only OK responses populate the
-  /// cache. `done` receives the finished response exactly once (promise
+  /// request is never served from cache), executes on a miss and fills the
+  /// response fields common to both query kinds. The first stop (injected
+  /// fault, cancel or deadline) ends the query with its typed status. Only
+  /// OK responses populate the cache. `done` receives the finished response exactly once (promise
   /// fulfilment or the network layer's completion callback). Every query
   /// pins its own snapshot.
   template <typename Response, typename Query, typename Done>

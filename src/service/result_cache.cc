@@ -173,14 +173,4 @@ ResultCache::Stats ResultCache::GetStats() const {
   return stats;
 }
 
-void ResultCache::ResetStats() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->hits = 0;
-    shard->misses = 0;
-    shard->insertions = 0;
-    shard->evictions = 0;
-  }
-}
-
 }  // namespace nwc

@@ -87,7 +87,7 @@ struct ResultCacheKey {
 class ResultCache {
  public:
   /// Aggregated counters across all shards. hits/misses/insertions/
-  /// evictions are monotonic (until ResetStats); entries/bytes are
+  /// evictions are monotonic; entries/bytes are
   /// point-in-time gauges.
   struct Stats {
     uint64_t hits = 0;
@@ -124,9 +124,6 @@ class ResultCache {
 
   /// Aggregated counters + gauges across shards.
   Stats GetStats() const;
-
-  /// Zeroes hits/misses/insertions/evictions (entries stay cached).
-  void ResetStats();
 
   size_t capacity_bytes() const { return capacity_bytes_; }
 

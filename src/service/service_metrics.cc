@@ -14,11 +14,10 @@ std::string MetricsSnapshot::ToString() const {
                    static_cast<unsigned long long>(max_queue_depth),
                    static_cast<unsigned long long>(slow_queries));
   out += StrFormat(
-      "robustness: %llu cancelled, %llu deadline, %llu io errors, %llu shed, %llu retries\n",
+      "robustness: %llu cancelled, %llu deadline, %llu io errors, %llu shed\n",
       static_cast<unsigned long long>(cancelled),
       static_cast<unsigned long long>(deadline_exceeded),
-      static_cast<unsigned long long>(io_errors), static_cast<unsigned long long>(shed),
-      static_cast<unsigned long long>(retries));
+      static_cast<unsigned long long>(io_errors), static_cast<unsigned long long>(shed));
   out += StrFormat("wall:       %.3f s (%.1f queries/sec)\n", wall_seconds, Qps());
   out += StrFormat("latency:    p50 %llu us, p95 %llu us, p99 %llu us (min %llu, mean %.1f, max %llu)\n",
                    static_cast<unsigned long long>(latency_p50_us),
@@ -52,11 +51,10 @@ std::string MetricsSnapshot::ToJson() const {
                    static_cast<unsigned long long>(max_queue_depth));
   out += StrFormat(
       "\"cancelled\":%llu,\"deadline_exceeded\":%llu,\"io_errors\":%llu,"
-      "\"shed\":%llu,\"retries\":%llu,",
+      "\"shed\":%llu,",
       static_cast<unsigned long long>(cancelled),
       static_cast<unsigned long long>(deadline_exceeded),
-      static_cast<unsigned long long>(io_errors), static_cast<unsigned long long>(shed),
-      static_cast<unsigned long long>(retries));
+      static_cast<unsigned long long>(io_errors), static_cast<unsigned long long>(shed));
   out += StrFormat("\"wall_seconds\":%.6f,\"qps\":%.3f,", wall_seconds, Qps());
   out += StrFormat(
       "\"latency_us\":{\"p50\":%llu,\"p95\":%llu,\"p99\":%llu,"
@@ -81,11 +79,12 @@ std::string MetricsSnapshot::ToJson() const {
   return out;
 }
 
-void ServiceMetrics::RecordQuery(uint64_t latency_micros, const IoCounter& io, StatusCode code,
-                                 bool found) {
+void ServiceMetrics::RecordQuery(uint64_t latency_micros, uint64_t traversal_reads,
+                                 uint64_t window_query_reads, StatusCode code, bool found) {
   std::lock_guard<std::mutex> lock(mu_);
   latency_.Record(latency_micros);
-  io_.Add(io);
+  traversal_reads_ += traversal_reads;
+  window_query_reads_ += window_query_reads;
   ++queries_;
   if (code != StatusCode::kOk) {
     ++failures_;
@@ -112,11 +111,6 @@ void ServiceMetrics::RecordShed() {
   ++shed_;
 }
 
-void ServiceMetrics::RecordRetry() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++retries_;
-}
-
 void ServiceMetrics::RecordQueueDepth(size_t depth) {
   std::lock_guard<std::mutex> lock(mu_);
   if (depth > max_queue_depth_) max_queue_depth_ = depth;
@@ -138,7 +132,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snapshot.deadline_exceeded = deadline_exceeded_;
   snapshot.io_errors = io_errors_;
   snapshot.shed = shed_;
-  snapshot.retries = retries_;
   snapshot.max_queue_depth = max_queue_depth_;
   snapshot.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_).count();
@@ -148,8 +141,8 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snapshot.latency_min_us = latency_.min();
   snapshot.latency_max_us = latency_.max();
   snapshot.latency_mean_us = latency_.Mean();
-  snapshot.traversal_reads = io_.traversal_reads();
-  snapshot.window_query_reads = io_.window_query_reads();
+  snapshot.traversal_reads = traversal_reads_;
+  snapshot.window_query_reads = window_query_reads_;
   // result_cache_* stay zero here; QueryService::SnapshotMetrics overlays
   // them from the ResultCache (the cache is its own source of truth).
   return snapshot;
@@ -158,23 +151,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
 LatencyHistogram ServiceMetrics::LatencySnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return latency_;
-}
-
-void ServiceMetrics::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  latency_.Reset();
-  io_.Reset();
-  queries_ = 0;
-  failures_ = 0;
-  not_found_ = 0;
-  slow_queries_ = 0;
-  cancelled_ = 0;
-  deadline_exceeded_ = 0;
-  io_errors_ = 0;
-  shed_ = 0;
-  retries_ = 0;
-  max_queue_depth_ = 0;
-  epoch_ = std::chrono::steady_clock::now();
 }
 
 }  // namespace nwc

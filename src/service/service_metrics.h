@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string>
 
-#include "common/io_stats.h"
 #include "common/status.h"
 #include "service/latency_histogram.h"
 
@@ -28,16 +27,12 @@ struct MetricsSnapshot {
   /// Queries shed at submit time because the queue was past the
   /// shed watermark (these never ran).
   uint64_t shed = 0;
-  /// Transient-fault retry attempts (each retried execution adds one; the
-  /// query itself still counts once in `queries`).
-  uint64_t retries = 0;
   /// High-water mark, observed both when a request enters the queue and
   /// when a worker dequeues it (so bursts that arrive while every submit
   /// blocks still register).
   uint64_t max_queue_depth = 0;
 
-  /// Wall-clock seconds covered by this snapshot (since construction or
-  /// the last Reset).
+  /// Wall-clock seconds covered by this snapshot (since construction).
   double wall_seconds = 0.0;
 
   uint64_t latency_p50_us = 0;
@@ -47,7 +42,7 @@ struct MetricsSnapshot {
   uint64_t latency_max_us = 0;
   double latency_mean_us = 0.0;
 
-  /// Per-phase I/O totals merged from every completed query's IoCounter.
+  /// Per-phase node reads summed over every completed query.
   uint64_t traversal_reads = 0;
   uint64_t window_query_reads = 0;
 
@@ -67,10 +62,10 @@ struct MetricsSnapshot {
 
   /// Wall-clock throughput over the snapshot window. Guarded: a snapshot
   /// taken with no elapsed time (hand-built, or taken immediately after
-  /// Reset on a coarse clock) reports 0 instead of inf, and a non-finite
-  /// or negative wall_seconds also yields 0 rather than NaN — the ordered
-  /// comparison is false for NaN, so every emitter (ToString, ToJson,
-  /// Prometheus) prints a plain 0.
+  /// construction on a coarse clock) reports 0 instead of inf, and a
+  /// non-finite or negative wall_seconds also yields 0 rather than NaN —
+  /// the ordered comparison is false for NaN, so every emitter (ToString,
+  /// ToJson, Prometheus) prints a plain 0.
   double Qps() const {
     return wall_seconds > 0.0 ? static_cast<double>(queries) / wall_seconds : 0.0;
   }
@@ -84,9 +79,9 @@ struct MetricsSnapshot {
   std::string ToJson() const;
 };
 
-/// Aggregated observability for a QueryService: a latency histogram with
-/// p50/p95/p99, per-phase I/O roll-ups merged from the per-query
-/// IoCounters, queue-depth high-water mark, and rejection counts.
+/// Aggregated observability for a QueryBackend: a latency histogram with
+/// p50/p95/p99, per-phase node-read roll-ups, queue-depth high-water mark,
+/// and rejection counts.
 ///
 /// ThreadSafety: all members are safe to call concurrently; state is
 /// guarded by one mutex. Workers touch it once per completed query, so
@@ -95,19 +90,16 @@ class ServiceMetrics {
  public:
   ServiceMetrics() = default;
 
-  /// Records one completed query: its wall latency, its per-query I/O
-  /// counter (merged into the roll-up), and its outcome. `code` is the
-  /// final status code (after any retries); kCancelled /
-  /// kDeadlineExceeded / kIoError additionally bump the per-cause
-  /// breakdown. `found` is whether a result was produced (ignored for
-  /// non-OK codes).
-  void RecordQuery(uint64_t latency_micros, const IoCounter& io, StatusCode code, bool found);
+  /// Records one completed query: its wall latency, its node reads per
+  /// phase (added to the roll-up), and its outcome. `code` is the final
+  /// status code; kCancelled / kDeadlineExceeded / kIoError additionally
+  /// bump the per-cause breakdown. `found` is whether a result was
+  /// produced (ignored for non-OK codes).
+  void RecordQuery(uint64_t latency_micros, uint64_t traversal_reads,
+                   uint64_t window_query_reads, StatusCode code, bool found);
 
   /// Records one request shed at submit time (queue past the watermark).
   void RecordShed();
-
-  /// Records one transient-fault retry attempt.
-  void RecordRetry();
 
   /// Records an observed queue depth; keeps the high-water mark. Called at
   /// submit time *and* at dequeue time: sampling only at submit
@@ -124,13 +116,11 @@ class ServiceMetrics {
   /// Copy of the raw latency histogram (for bucket-level exporters).
   LatencyHistogram LatencySnapshot() const;
 
-  /// Zeroes every counter and the histogram; restarts the wall clock.
-  void Reset();
-
  private:
   mutable std::mutex mu_;
   LatencyHistogram latency_;
-  IoCounter io_;
+  uint64_t traversal_reads_ = 0;
+  uint64_t window_query_reads_ = 0;
   uint64_t queries_ = 0;
   uint64_t failures_ = 0;
   uint64_t not_found_ = 0;
@@ -139,9 +129,8 @@ class ServiceMetrics {
   uint64_t deadline_exceeded_ = 0;
   uint64_t io_errors_ = 0;
   uint64_t shed_ = 0;
-  uint64_t retries_ = 0;
   uint64_t max_queue_depth_ = 0;
-  std::chrono::steady_clock::time_point epoch_ = std::chrono::steady_clock::now();
+  const std::chrono::steady_clock::time_point epoch_ = std::chrono::steady_clock::now();
 };
 
 }  // namespace nwc

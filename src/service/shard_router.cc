@@ -274,10 +274,9 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(std::vector<DataObject> o
     }
 
     ServiceConfig service_config = config.service;
-    service_config.fault_plan =
-        (config.fault_shard < 0 || static_cast<size_t>(config.fault_shard) == s)
-            ? config.fault_plan
-            : FaultPlan::None();
+    if (config.fault_shard >= 0 && static_cast<size_t>(config.fault_shard) != s) {
+      service_config.fault_plan = FaultPlan::None();
+    }
 
     auto store = SnapshotStore::Open(std::move(trees[s]), {session_config});
     if (!store.ok()) return store.status();
@@ -333,6 +332,23 @@ bool ShardRouter::RemainingBudget(uint64_t deadline_micros, uint64_t elapsed_mic
   if (elapsed_micros >= deadline_micros) return false;
   *out = deadline_micros - elapsed_micros;
   return true;
+}
+
+NwcResponse ShardRouter::RouteNwc(const NwcRequest& request) {
+  return RouteAndRecord<NwcResponse>(request, cancel_epoch_.load(std::memory_order_relaxed));
+}
+
+KnwcResponse ShardRouter::RouteKnwc(const KnwcRequest& request) {
+  return RouteAndRecord<KnwcResponse>(request, cancel_epoch_.load(std::memory_order_relaxed));
+}
+
+template <typename Response, typename Request>
+Response ShardRouter::RouteAndRecord(const Request& request, uint64_t cancel_epoch) {
+  Response response = RouteInternal(request, cancel_epoch);
+  metrics_.RecordQuery(response.latency_micros, response.traversal_reads,
+                       response.window_query_reads, response.status.code(),
+                       HasAnswer(response));
+  return response;
 }
 
 NwcResponse ShardRouter::RouteInternal(const NwcRequest& request, uint64_t cancel_epoch) {
@@ -560,7 +576,7 @@ void ShardRouter::SubmitRouted(Request request, StampedDone<Response> done) {
   const bool accepted = router_pool_.Submit(
       [this, request = std::move(request), shared_done, enqueue_us, epoch](size_t) {
         AsyncTiming timing{enqueue_us, SteadyNowMicros(), 0};
-        Response response = RouteInternal(request, epoch);
+        Response response = RouteAndRecord<Response>(request, epoch);
         timing.finish_us = SteadyNowMicros();
         (*shared_done)(std::move(response), timing);
       });
@@ -637,43 +653,22 @@ UpdateResponse ShardRouter::ApplyUpdate(const MutationBatch& mutations) {
 }
 
 MetricsSnapshot ShardRouter::SnapshotMetrics() const {
-  MetricsSnapshot total;
-  LatencyHistogram merged;
+  MetricsSnapshot total = metrics_.Snapshot();
   for (const Shard& shard : shards_) {
     const MetricsSnapshot s = shard.service->SnapshotMetrics();
-    total.queries += s.queries;
-    total.failures += s.failures;
-    total.not_found += s.not_found;
-    total.slow_queries += s.slow_queries;
-    total.cancelled += s.cancelled;
-    total.deadline_exceeded += s.deadline_exceeded;
-    total.io_errors += s.io_errors;
     total.shed += s.shed;
-    total.retries += s.retries;
     total.max_queue_depth = std::max(total.max_queue_depth, s.max_queue_depth);
-    total.wall_seconds = std::max(total.wall_seconds, s.wall_seconds);
-    total.traversal_reads += s.traversal_reads;
-    total.window_query_reads += s.window_query_reads;
     total.result_cache_hits += s.result_cache_hits;
     total.result_cache_misses += s.result_cache_misses;
     total.result_cache_evictions += s.result_cache_evictions;
     total.result_cache_entries += s.result_cache_entries;
     total.result_cache_bytes += s.result_cache_bytes;
-    merged.Merge(shard.service->SnapshotLatencyHistogram());
   }
-  total.latency_p50_us = merged.Quantile(0.50);
-  total.latency_p95_us = merged.Quantile(0.95);
-  total.latency_p99_us = merged.Quantile(0.99);
-  total.latency_min_us = merged.min();
-  total.latency_max_us = merged.max();
-  total.latency_mean_us = merged.Mean();
   return total;
 }
 
 LatencyHistogram ShardRouter::SnapshotLatencyHistogram() const {
-  LatencyHistogram merged;
-  for (const Shard& shard : shards_) merged.Merge(shard.service->SnapshotLatencyHistogram());
-  return merged;
+  return metrics_.LatencySnapshot();
 }
 
 std::vector<std::shared_ptr<const QueryTrace>> ShardRouter::SlowTraces() const {

@@ -18,7 +18,6 @@
 #include "service/session.h"
 #include "service/snapshot.h"
 #include "service/thread_pool.h"
-#include "storage/fault_injector.h"
 
 namespace nwc {
 
@@ -70,18 +69,16 @@ struct ShardRouterConfig {
 
   PartialFailurePolicy partial_failure = PartialFailurePolicy::kFail;
 
-  /// Per-shard execution stack configuration. `service.fault_plan` is
-  /// overridden by the router-level plan below; `session.grid_space`, when
+  /// Per-shard execution stack configuration. `session.grid_space`, when
   /// empty, is widened to the global data space so every shard grids the
   /// same geometry.
   ServiceConfig service;
   SessionConfig session;
   RTreeOptions tree;
 
-  /// Fault plan installed into shard services for resilience drills:
-  /// `fault_shard` -1 installs it into every shard, >= 0 into exactly that
-  /// shard (the scoped form exercises partial-failure handling).
-  FaultPlan fault_plan = FaultPlan::None();
+  /// Scope of `service.fault_plan` in resilience drills: -1 installs it
+  /// into every shard, >= 0 into exactly that shard (the scoped form
+  /// exercises partial-failure handling).
   int fault_shard = -1;
 
   /// Router executor threads serving the async submits (each routed
@@ -152,12 +149,14 @@ std::vector<uint64_t> EqualCountKeyBoundaries(std::vector<uint64_t> keys, size_t
 /// observe it on some shards before others (each shard is individually
 /// MVCC-consistent); quiesce updates for cross-shard bit-exactness.
 ///
-/// **Metrics.** SnapshotMetrics()/SnapshotLatencyHistogram() aggregate
-/// over shards (counter sums / bucket-wise merge — `queries` counts
-/// per-shard executions, so one routed query may count more than once);
-/// AppendPrometheusText() adds per-shard `nwc_shard_*{shard="s"}` series
-/// under distinct family names so aggregate families are never
-/// double-counted.
+/// **Metrics.** The router records each routed request once, in its own
+/// ServiceMetrics: its latency, the shard reads its response carries, its
+/// final status and whether it found a result. SnapshotMetrics() and
+/// SnapshotLatencyHistogram() report those, with only the result-cache
+/// counters, `shed` and `max_queue_depth` taken from the shards.
+/// ShardMetrics(s) and the per-shard `nwc_shard_*{shard="s"}` series of
+/// AppendPrometheusText() count shard executions, so one routed request may
+/// count on several shards there.
 ///
 /// ThreadSafety: every public member may be called from any thread.
 class ShardRouter : public QueryBackend {
@@ -177,12 +176,8 @@ class ShardRouter : public QueryBackend {
   /// the router executor). Deadlines are measured from this call and span
   /// the whole shard chain. An invalid query fails InvalidArgument before
   /// any shard is touched.
-  NwcResponse RouteNwc(const NwcRequest& request) {
-    return RouteInternal(request, cancel_epoch_.load(std::memory_order_relaxed));
-  }
-  KnwcResponse RouteKnwc(const KnwcRequest& request) {
-    return RouteInternal(request, cancel_epoch_.load(std::memory_order_relaxed));
-  }
+  NwcResponse RouteNwc(const NwcRequest& request);
+  KnwcResponse RouteKnwc(const KnwcRequest& request);
 
   // QueryBackend interface. The stamped submits are the router's one
   // async path: `done` runs on the router executor (stamps bracket the
@@ -222,7 +217,8 @@ class ShardRouter : public QueryBackend {
   /// time, and the owned subset.
   size_t shard_resident_count(size_t s) const { return shards_[s].resident_count; }
   size_t shard_owned_count(size_t s) const { return shards_[s].owned_count; }
-  /// Per-shard metrics (the aggregate view is SnapshotMetrics()).
+  /// Per-shard metrics: shard executions (the request view is
+  /// SnapshotMetrics()).
   MetricsSnapshot ShardMetrics(size_t s) const { return shards_[s].service->SnapshotMetrics(); }
 
  private:
@@ -247,8 +243,13 @@ class ShardRouter : public QueryBackend {
   NwcResponse RouteInternal(const NwcRequest& request, uint64_t cancel_epoch);
   KnwcResponse RouteInternal(const KnwcRequest& request, uint64_t cancel_epoch);
 
+  /// RouteInternal plus the request's one record in metrics_: the path
+  /// behind RouteNwc/RouteKnwc and the async submits alike.
+  template <typename Response, typename Request>
+  Response RouteAndRecord(const Request& request, uint64_t cancel_epoch);
+
   /// The one async submit path behind both query kinds: hands
-  /// RouteInternal to the router executor, stamping around it.
+  /// RouteAndRecord to the router executor, stamping around it.
   template <typename Response, typename Request>
   void SubmitRouted(Request request, StampedDone<Response> done);
 
@@ -276,6 +277,7 @@ class ShardRouter : public QueryBackend {
   double halo_x_ = 0.0;
   double halo_y_ = 0.0;
   std::vector<Shard> shards_;
+  ServiceMetrics metrics_;  ///< one record per routed request
   std::atomic<uint64_t> cancel_epoch_{0};
   // Declared last so routed jobs drain (and stop touching shards_) before
   // the shard services are torn down.

@@ -65,8 +65,8 @@ Result<FaultPlan> ParseFaultPlan(const std::string& spec);
 /// Executes a FaultPlan against a stream of simulated page reads.
 ///
 /// The injector is bound to IoCounter::SetReadProbe, so it sees exactly the
-/// accesses the paper's metric counts as reads (buffer-pool hits are not
-/// reads and cannot fail). OnRead() returns the typed IoError to inject for
+/// accesses the paper's metric counts as reads: every node visit, re-visits
+/// included. OnRead() returns the typed IoError to inject for
 /// that read — the caller routes it into the query's QueryControl, whose
 /// checkpoints abort the search; nothing here throws or kills the process.
 ///

@@ -158,6 +158,8 @@ TEST_F(CliPipelineTest, ServeBatchThroughRouterReportsRequestsNotShardExecutions
               " --shards=4 --threads=1 --shard-max-l=400 --shard-max-w=400");
   ASSERT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("(13 requests, "), std::string::npos) << result.output;
+  // The metrics report counts the same 13 requests, not shard executions.
+  EXPECT_NE(result.output.find("queries:    13 "), std::string::npos) << result.output;
 }
 
 TEST_F(CliPipelineTest, ServeBatchMatchesSingleQueryDistance) {
@@ -431,6 +433,18 @@ TEST_F(CliPipelineTest, ServeBatchRejectsIwpStaleness) {
 TEST_F(CliPipelineTest, ServeRejectsIwpStalenessBeforeListening) {
   const CommandResult result = RunTool("serve --index=" + *tree_path_ + " --iwp-staleness=5");
   ExpectFlagError(result, "--iwp-staleness");
+  EXPECT_EQ(result.output.find("listening"), std::string::npos) << result.output;
+}
+
+// The retry policy is gone: an injected fault fails the query it hits.
+TEST_F(CliPipelineTest, ServeBatchRejectsRetries) {
+  ExpectFlagError(ServeBatchWith(*tree_path_, "--retries=2"), "--retries");
+}
+
+TEST_F(CliPipelineTest, ServeRejectsRetryBackoffBeforeListening) {
+  const CommandResult result =
+      RunTool("serve --index=" + *tree_path_ + " --retry-backoff-us=100");
+  ExpectFlagError(result, "--retry-backoff-us");
   EXPECT_EQ(result.output.find("listening"), std::string::npos) << result.output;
 }
 

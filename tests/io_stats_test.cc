@@ -10,8 +10,9 @@ namespace {
 
 TEST(IoCounterTest, StartsAtZero) {
   const IoCounter io;
+  EXPECT_EQ(io.traversal_reads(), 0u);
+  EXPECT_EQ(io.window_query_reads(), 0u);
   EXPECT_EQ(io.query_total(), 0u);
-  EXPECT_TRUE(io.trace().empty());
 }
 
 TEST(IoCounterTest, PhasesAccumulateSeparately) {
@@ -26,46 +27,20 @@ TEST(IoCounterTest, PhasesAccumulateSeparately) {
 
 TEST(IoCounterTest, ResetClearsEverything) {
   IoCounter io;
-  io.EnableTrace();
+  size_t probed = 0;
+  io.SetReadProbe([&probed](uint32_t) { ++probed; });
   io.OnNodeAccess(IoPhase::kTraversal, 7);
+  io.OnNodeAccess(IoPhase::kWindowQuery, 8);
   io.Reset();
-  EXPECT_EQ(io.query_total(), 0u);
-  EXPECT_TRUE(io.trace().empty());
-  // Tracing stays enabled across Reset.
+  EXPECT_EQ(io.traversal_reads(), 0u);
+  EXPECT_EQ(io.window_query_reads(), 0u);
+  // The read probe stays installed across Reset.
   io.OnNodeAccess(IoPhase::kWindowQuery, 9);
-  ASSERT_EQ(io.trace().size(), 1u);
-  EXPECT_EQ(io.trace()[0], 9u);
+  EXPECT_EQ(probed, 3u);
+  EXPECT_EQ(io.query_total(), 1u);
 }
 
-TEST(IoCounterTest, TraceDisabledByDefault) {
-  IoCounter io;
-  io.OnNodeAccess(IoPhase::kTraversal, 1);
-  io.OnNodeAccess(IoPhase::kWindowQuery, 2);
-  EXPECT_TRUE(io.trace().empty());
-  EXPECT_EQ(io.query_total(), 2u);
-}
-
-TEST(IoCounterTest, TraceRecordsAccessOrder) {
-  IoCounter io;
-  io.EnableTrace();
-  io.OnNodeAccess(IoPhase::kTraversal, 3);
-  io.OnNodeAccess(IoPhase::kWindowQuery, 1);
-  io.OnNodeAccess(IoPhase::kWindowQuery, 3);
-  ASSERT_EQ(io.trace().size(), 3u);
-  EXPECT_EQ(io.trace()[0], 3u);
-  EXPECT_EQ(io.trace()[1], 1u);
-  EXPECT_EQ(io.trace()[2], 3u);
-}
-
-TEST(IoCounterTest, UnknownPagePlaceholder) {
-  IoCounter io;
-  io.EnableTrace();
-  io.OnNodeAccess(IoPhase::kTraversal);
-  ASSERT_EQ(io.trace().size(), 1u);
-  EXPECT_EQ(io.trace()[0], IoCounter::kUnknownPage);
-}
-
-TEST(IoCounterTest, AddMergesPhaseCountsAndCacheHits) {
+TEST(IoCounterTest, AddMergesPhaseCounts) {
   IoCounter a;
   a.OnNodeAccess(IoPhase::kTraversal);
   a.OnNodeAccess(IoPhase::kWindowQuery);
@@ -92,17 +67,20 @@ TEST(IoCounterTest, AddOfEmptyCounterIsANoOp) {
 }
 
 TEST(IoCounterTest, AddDoesNotTouchTraceOrProbe) {
+  size_t probed_a = 0;
+  size_t probed_b = 0;
   IoCounter a;
-  a.EnableTrace();
+  a.SetReadProbe([&probed_a](uint32_t) { ++probed_a; });
   a.OnNodeAccess(IoPhase::kTraversal, 4);
 
   IoCounter b;
-  b.EnableTrace();
+  b.SetReadProbe([&probed_b](uint32_t) { ++probed_b; });
   b.OnNodeAccess(IoPhase::kWindowQuery, 9);
 
-  a.Add(b);
-  ASSERT_EQ(a.trace().size(), 1u);  // b's trace is not appended
-  EXPECT_EQ(a.trace()[0], 4u);
+  a.Add(b);  // merges counts only: neither probe fires for them
+  EXPECT_EQ(probed_a, 1u);
+  EXPECT_EQ(probed_b, 1u);
+  EXPECT_EQ(a.traversal_reads(), 1u);
   EXPECT_EQ(a.window_query_reads(), 1u);
 }
 

@@ -12,9 +12,9 @@ namespace {
 
 TEST(MpmcQueueTest, FifoOrderSingleThread) {
   MpmcQueue<int> queue(4);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_TRUE(queue.TryPush(3));
+  EXPECT_TRUE(queue.Push(1));
+  EXPECT_TRUE(queue.Push(2));
+  EXPECT_TRUE(queue.Push(3));
   int out = 0;
   EXPECT_TRUE(queue.Pop(out));
   EXPECT_EQ(out, 1);
@@ -25,21 +25,9 @@ TEST(MpmcQueueTest, FifoOrderSingleThread) {
   EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(MpmcQueueTest, TryPushRejectsWhenFull) {
-  MpmcQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));
-  int out = 0;
-  EXPECT_TRUE(queue.Pop(out));
-  EXPECT_TRUE(queue.TryPush(3));  // slot freed
-}
-
 TEST(MpmcQueueTest, ZeroCapacityClampsToOne) {
   MpmcQueue<int> queue(0);
   EXPECT_EQ(queue.capacity(), 1u);
-  EXPECT_TRUE(queue.TryPush(7));
-  EXPECT_FALSE(queue.TryPush(8));
 }
 
 TEST(MpmcQueueTest, CloseDrainsAcceptedItemsThenFailsPop) {
@@ -47,8 +35,7 @@ TEST(MpmcQueueTest, CloseDrainsAcceptedItemsThenFailsPop) {
   ASSERT_TRUE(queue.Push(1));
   ASSERT_TRUE(queue.Push(2));
   queue.Close();
-  EXPECT_FALSE(queue.TryPush(3));
-  EXPECT_FALSE(queue.Push(4));
+  EXPECT_FALSE(queue.Push(3));
   int out = 0;
   EXPECT_TRUE(queue.Pop(out));
   EXPECT_EQ(out, 1);

@@ -202,7 +202,7 @@ TEST(NetServer, DegradedRouterAnswersArriveFlaggedDegraded) {
   config.max_window_width = 400;
   config.service.num_threads = 2;
   config.partial_failure = PartialFailurePolicy::kDegrade;
-  config.fault_plan = FaultPlan::EveryNth(1);  // every read on the shard fails
+  config.service.fault_plan = FaultPlan::EveryNth(1);  // every read on the shard fails
   config.fault_shard = 2;
   Result<std::unique_ptr<ShardRouter>> router = ShardRouter::Open(dataset.objects, config);
   ASSERT_TRUE(router.ok()) << router.status();

@@ -7,10 +7,8 @@
 #include "service/query_service.h"
 
 #include <atomic>
-#include <chrono>
 #include <future>
 #include <iterator>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -354,66 +352,6 @@ TEST(QueryServiceTest, TracingConfigValidationRejectsZeroRing) {
   EXPECT_TRUE(config.Validate().ok());
 }
 
-TEST(QueryServiceTest, RetryBackoffSaturatesInsteadOfOverflowing) {
-  // The backoff used to be `base << attempt`, which is undefined behavior
-  // once the shift reaches 64 and wraps to bogus sleeps long before the
-  // retry limit. The clamped form saturates at the 1 s ceiling for any
-  // base/attempt combination.
-  EXPECT_EQ(RetryBackoffMicros(0, 0), 0u);
-  EXPECT_EQ(RetryBackoffMicros(0, 100), 0u);
-  EXPECT_EQ(RetryBackoffMicros(100, 0), 100u);
-  EXPECT_EQ(RetryBackoffMicros(100, -1), 100u) << "negative attempts behave like attempt 0";
-  EXPECT_EQ(RetryBackoffMicros(100, 1), 200u);
-  EXPECT_EQ(RetryBackoffMicros(100, 10), 102400u);
-  // Exact crossing: 100 * 2^14 = 1638400 > 1s cap; 2^13 = 819200 is under.
-  EXPECT_EQ(RetryBackoffMicros(100, 13), 819200u);
-  EXPECT_EQ(RetryBackoffMicros(100, 14), kMaxRetryBackoffMicros);
-  // The old code's failure modes: shift counts at and past the bit width,
-  // and bases that overflow on the first doubling.
-  EXPECT_EQ(RetryBackoffMicros(100, 63), kMaxRetryBackoffMicros);
-  EXPECT_EQ(RetryBackoffMicros(100, 64), kMaxRetryBackoffMicros);
-  EXPECT_EQ(RetryBackoffMicros(100, std::numeric_limits<int>::max()), kMaxRetryBackoffMicros);
-  EXPECT_EQ(RetryBackoffMicros(std::numeric_limits<uint64_t>::max(), 0),
-            kMaxRetryBackoffMicros);
-  EXPECT_EQ(RetryBackoffMicros(std::numeric_limits<uint64_t>::max(), 1),
-            kMaxRetryBackoffMicros);
-  EXPECT_EQ(RetryBackoffMicros(kMaxRetryBackoffMicros, 0), kMaxRetryBackoffMicros);
-  EXPECT_EQ(RetryBackoffMicros(kMaxRetryBackoffMicros - 1, 0), kMaxRetryBackoffMicros - 1);
-}
-
-TEST(QueryServiceTest, MaxIntBackoffConfigFailsWithinTheDeadline) {
-  // Regression for the overflow bug's service-level symptom: with a
-  // max-int backoff config the old shifted value wrapped arbitrarily; the
-  // fixed path clamps each sleep to the cap AND to the remaining
-  // deadline, so a faulty query surfaces its error within the deadline
-  // instead of sleeping minutes.
-  const Session session = OpenTestSession(500);
-  ServiceConfig config;
-  config.num_threads = 1;
-  config.max_retries = 2;
-  config.retry_backoff_micros = std::numeric_limits<uint64_t>::max();
-  config.fault_plan = FaultPlan::EveryNth(1);  // every read fails
-  config.default_deadline_micros = 5000;       // 5 ms budget for all retries
-  QueryService service(session, config);
-
-  NwcRequest request;
-  request.query = NwcQuery{Point{5000, 5000}, 300, 300, 4};
-  const auto start = std::chrono::steady_clock::now();
-  const NwcResponse response = service.SubmitNwc(request).get();
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-
-  // The fault surfaces as IoError; if the clamped backoff sleep consumed
-  // the whole budget first, the retry attempt reports DeadlineExceeded.
-  // Either way the query fails — it must never succeed or hang.
-  EXPECT_TRUE(response.status.code() == StatusCode::kIoError ||
-              response.status.code() == StatusCode::kDeadlineExceeded)
-      << response.status;
-  // Generous bound: the budget is 5 ms; the old wrapped sleep could be
-  // anything up to centuries. One second catches the regression without
-  // being load-sensitive.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1000);
-}
-
 TEST(QueryServiceTest, ConcurrentClientsWithCacheStayExact) {
   // TSan-facing stress: several client threads submit overlapping query
   // streams through a cached service — the shared result cache and the
@@ -462,10 +400,6 @@ TEST(QueryServiceTest, ConcurrentClientsWithCacheStayExact) {
   EXPECT_GT(metrics.result_cache_hits, 0u) << "repeated queries must hit the shared cache";
 }
 
-bool SameNwcResult(const NwcResult& a, const NwcResult& b) {
-  return a.found == b.found && a.distance == b.distance && a.objects == b.objects;
-}
-
 TEST(QueryServiceTest, SubmittersRacingTheFirstUpdateSeeEpochOneOrEpochTwo) {
   // A Session-built service builds its store's writer on the first
   // ApplyUpdate. Four submitters query throughout: every `done` must fire
@@ -503,7 +437,7 @@ TEST(QueryServiceTest, SubmittersRacingTheFirstUpdateSeeEpochOneOrEpochTwo) {
     NwcEngine two(oracle_two->tree(), oracle_two->iwp(), oracle_two->grid());
     epoch_one.push_back(*one.Execute(probe, NwcOptions::Star(), nullptr));
     epoch_two.push_back(*two.Execute(probe, NwcOptions::Star(), nullptr));
-    if (!SameNwcResult(epoch_one.back(), epoch_two.back())) ++changed;
+    if (epoch_one.back() != epoch_two.back()) ++changed;
   }
   ASSERT_GE(changed, 4u) << "the update must change the answers it races";
 
@@ -546,8 +480,7 @@ TEST(QueryServiceTest, SubmittersRacingTheFirstUpdateSeeEpochOneOrEpochTwo) {
     const NwcResponse& response = responses[slot];
     ASSERT_TRUE(response.status.ok()) << "slot " << slot << ": " << response.status;
     const size_t p = (slot % per_thread) % probes.size();
-    EXPECT_TRUE(SameNwcResult(response.result, epoch_one[p]) ||
-                SameNwcResult(response.result, epoch_two[p]))
+    EXPECT_TRUE(response.result == epoch_one[p] || response.result == epoch_two[p])
         << "slot " << slot << " probe " << p;
   }
   // The caller's Session still holds epoch 1.

@@ -220,21 +220,6 @@ TEST(ResultCacheTest, EntryLargerThanAShardIsNotAdmitted) {
   EXPECT_EQ(stats.bytes, 0u);
 }
 
-TEST(ResultCacheTest, ResetStatsZeroesCountersButKeepsEntries) {
-  ResultCache cache(1 << 20);
-  cache.InsertNwc(MakeQuery(1, 1), NwcOptions::Plain(), MakeResult(1, 1));
-  NwcResult out;
-  ASSERT_TRUE(cache.LookupNwc(MakeQuery(1, 1), NwcOptions::Plain(), &out));
-
-  cache.ResetStats();
-  const ResultCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.insertions, 0u);
-  EXPECT_EQ(stats.entries, 1u);  // gauge, not a counter: entry survives
-  EXPECT_TRUE(cache.LookupNwc(MakeQuery(1, 1), NwcOptions::Plain(), &out));
-}
-
 // ---------------------------------------------------------------------------
 // Service-level differential gate.
 

@@ -102,17 +102,6 @@ TEST(RngTest, BernoulliProbabilities) {
   EXPECT_NEAR(heads, 0.3 * kSamples, kSamples / 50);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(12);
-  Rng child = parent.Fork();
-  // The child stream should not simply replay the parent.
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.NextUint64() == child.NextUint64()) ++equal;
-  }
-  EXPECT_LT(equal, 4);
-}
-
 TEST(RngTest, ShufflePreservesElements) {
   Rng rng(13);
   std::vector<int> items{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};

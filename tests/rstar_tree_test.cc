@@ -232,64 +232,5 @@ TEST(ValidateTreeTest, CatchesDesyncedLeafArrays) {
   EXPECT_NE(status.message().find("SoA arrays desynced"), std::string::npos) << status.ToString();
 }
 
-TEST(ValidateTreeTest, CatchesFalseZOrderPackingClaim) {
-  RStarTree tree = BulkLoadStr(RandomObjects(200, 9), SmallNodeOptions());
-  // Find a leaf with enough spread that reversing its entries breaks the
-  // Morton order, then claim it is still packed.
-  NodeId victim = kInvalidNodeId;
-  for (NodeId id = 0; id < tree.node_slot_count(); ++id) {
-    if (!tree.IsLive(id) || !tree.node(id).is_leaf()) continue;
-    const LeafObjects& candidate = tree.node(id).objects;
-    if (candidate.size() < 4 || !candidate.zorder_packed()) continue;
-    // Reversal only violates the claim when the leaf spans >1 Morton cell.
-    const Rect bounds = tree.node(id).ComputeMbr();
-    if (LeafMortonKey(bounds, candidate.position(0)) !=
-        LeafMortonKey(bounds, candidate.position(candidate.size() - 1))) {
-      victim = id;
-      break;
-    }
-  }
-  ASSERT_NE(victim, kInvalidNodeId);
-  auto& leaf = const_cast<RTreeNode&>(tree.node(victim));
-  std::reverse(LeafObjectsTestAccess::Xs(leaf.objects).begin(),
-               LeafObjectsTestAccess::Xs(leaf.objects).end());
-  std::reverse(LeafObjectsTestAccess::Ys(leaf.objects).begin(),
-               LeafObjectsTestAccess::Ys(leaf.objects).end());
-  std::reverse(LeafObjectsTestAccess::Ids(leaf.objects).begin(),
-               LeafObjectsTestAccess::Ids(leaf.objects).end());
-  LeafObjectsTestAccess::SetPacked(leaf.objects, true);
-  EXPECT_FALSE(ValidateTree(tree).ok())
-      << "reversed entries under a packed claim must fail validation";
-}
-
-TEST(RStarTreeTest, MutationsClearTheZOrderPackedClaim) {
-  // Bulk loading marks leaves packed; any in-place mutation must drop the
-  // claim (Z-order is relative to the leaf's own bounds, which move).
-  RStarTree tree = BulkLoadStr(RandomObjects(200, 10), SmallNodeOptions());
-  bool any_packed = false;
-  for (NodeId id = 0; id < tree.node_slot_count(); ++id) {
-    if (tree.IsLive(id) && tree.node(id).is_leaf() && tree.node(id).objects.zorder_packed()) {
-      any_packed = true;
-    }
-  }
-  EXPECT_TRUE(any_packed) << "bulk load should mark multi-entry leaves packed";
-
-  LeafObjects objects;
-  objects.push_back(DataObject{1, Point{0, 0}});
-  objects.push_back(DataObject{2, Point{1, 1}});
-  objects.MarkZOrderPacked();
-  ASSERT_TRUE(objects.zorder_packed());
-  objects.push_back(DataObject{3, Point{2, 2}});
-  EXPECT_FALSE(objects.zorder_packed()) << "push_back must clear the claim";
-
-  objects.MarkZOrderPacked();
-  objects.EraseAt(0);
-  EXPECT_FALSE(objects.zorder_packed()) << "EraseAt must clear the claim";
-
-  objects.MarkZOrderPacked();
-  objects.clear();
-  EXPECT_FALSE(objects.zorder_packed()) << "clear must clear the claim";
-}
-
 }  // namespace
 }  // namespace nwc

@@ -5,25 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include "common/io_stats.h"
-
 namespace nwc {
 namespace {
 
-// noinline sidesteps a GCC aggressive-loop-optimization false positive
-// when the constant trip counts are propagated into the inlined body.
-__attribute__((noinline)) IoCounter CounterWith(size_t traversal, size_t window) {
-  IoCounter io;
-  for (size_t i = 0; i < traversal; ++i) io.OnNodeAccess(IoPhase::kTraversal);
-  for (size_t i = 0; i < window; ++i) io.OnNodeAccess(IoPhase::kWindowQuery);
-  return io;
-}
-
 TEST(ServiceMetricsTest, RollsUpPhaseCountsAcrossQueries) {
   ServiceMetrics metrics;
-  metrics.RecordQuery(100, CounterWith(3, 5), StatusCode::kOk, /*found=*/true);
-  metrics.RecordQuery(200, CounterWith(2, 7), StatusCode::kOk, /*found=*/false);
-  metrics.RecordQuery(300, CounterWith(1, 1), StatusCode::kInternal, /*found=*/false);
+  metrics.RecordQuery(100, 3, 5, StatusCode::kOk, /*found=*/true);
+  metrics.RecordQuery(200, 2, 7, StatusCode::kOk, /*found=*/false);
+  metrics.RecordQuery(300, 1, 1, StatusCode::kInternal, /*found=*/false);
 
   const MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.queries, 3u);
@@ -47,25 +36,10 @@ TEST(ServiceMetricsTest, TracksQueueHighWaterMark) {
   EXPECT_EQ(snapshot.max_queue_depth, 9u);
 }
 
-TEST(ServiceMetricsTest, ResetZeroesEverything) {
-  ServiceMetrics metrics;
-  metrics.RecordQuery(123, CounterWith(4, 4), StatusCode::kOk, true);
-  metrics.RecordShed();
-  metrics.RecordQueueDepth(7);
-  metrics.Reset();
-
-  const MetricsSnapshot snapshot = metrics.Snapshot();
-  EXPECT_EQ(snapshot.queries, 0u);
-  EXPECT_EQ(snapshot.shed, 0u);
-  EXPECT_EQ(snapshot.max_queue_depth, 0u);
-  EXPECT_EQ(snapshot.total_reads(), 0u);
-  EXPECT_EQ(snapshot.latency_p99_us, 0u);
-}
-
 TEST(ServiceMetricsTest, QuantilesComeFromTheHistogram) {
   ServiceMetrics metrics;
-  for (int i = 0; i < 99; ++i) metrics.RecordQuery(10, CounterWith(0, 0), StatusCode::kOk, true);
-  metrics.RecordQuery(100000, CounterWith(0, 0), StatusCode::kOk, true);
+  for (int i = 0; i < 99; ++i) metrics.RecordQuery(10, 0, 0, StatusCode::kOk, true);
+  metrics.RecordQuery(100000, 0, 0, StatusCode::kOk, true);
   const MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.latency_p50_us, 10u);
   EXPECT_EQ(snapshot.latency_p95_us, 10u);
@@ -81,7 +55,7 @@ TEST(ServiceMetricsTest, ConcurrentRecordingLosesNothing) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        metrics.RecordQuery(50, CounterWith(1, 2), StatusCode::kOk, true);
+        metrics.RecordQuery(50, 1, 2, StatusCode::kOk, true);
         metrics.RecordQueueDepth(static_cast<size_t>(i % 17));
       }
     });
@@ -97,7 +71,7 @@ TEST(ServiceMetricsTest, ConcurrentRecordingLosesNothing) {
 
 TEST(ServiceMetricsTest, ToStringMentionsEverySection) {
   ServiceMetrics metrics;
-  metrics.RecordQuery(42, CounterWith(2, 3), StatusCode::kOk, true);
+  metrics.RecordQuery(42, 2, 3, StatusCode::kOk, true);
   const std::string report = metrics.Snapshot().ToString();
   EXPECT_NE(report.find("queries:"), std::string::npos);
   EXPECT_NE(report.find("latency:"), std::string::npos);
@@ -112,13 +86,11 @@ TEST(ServiceMetricsTest, SlowQueriesCountAndResetWithEverythingElse) {
   metrics.RecordSlowQuery();
   metrics.RecordSlowQuery();
   EXPECT_EQ(metrics.Snapshot().slow_queries, 2u);
-  metrics.Reset();
-  EXPECT_EQ(metrics.Snapshot().slow_queries, 0u);
 }
 
 TEST(ServiceMetricsTest, SnapshotCarriesWallClockAndQps) {
   ServiceMetrics metrics;
-  metrics.RecordQuery(10, CounterWith(0, 0), StatusCode::kOk, true);
+  metrics.RecordQuery(10, 0, 0, StatusCode::kOk, true);
   const MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_GT(snapshot.wall_seconds, 0.0);
   EXPECT_GT(snapshot.Qps(), 0.0);
@@ -174,8 +146,8 @@ TEST(ServiceMetricsTest, CachingSectionRendersInTextAndJson) {
 
 TEST(ServiceMetricsTest, LatencySnapshotMatchesAggregates) {
   ServiceMetrics metrics;
-  metrics.RecordQuery(10, CounterWith(0, 0), StatusCode::kOk, true);
-  metrics.RecordQuery(30, CounterWith(0, 0), StatusCode::kOk, true);
+  metrics.RecordQuery(10, 0, 0, StatusCode::kOk, true);
+  metrics.RecordQuery(30, 0, 0, StatusCode::kOk, true);
   const LatencyHistogram latency = metrics.LatencySnapshot();
   EXPECT_EQ(latency.count(), 2u);
   EXPECT_EQ(latency.sum(), 40u);
@@ -185,15 +157,12 @@ TEST(ServiceMetricsTest, LatencySnapshotMatchesAggregates) {
 
 TEST(ServiceMetricsTest, RobustnessBreakdownCountsByFinalStatus) {
   ServiceMetrics metrics;
-  metrics.RecordQuery(10, CounterWith(1, 0), StatusCode::kOk, /*found=*/true);
-  metrics.RecordQuery(10, CounterWith(1, 0), StatusCode::kCancelled, /*found=*/false);
-  metrics.RecordQuery(10, CounterWith(1, 0), StatusCode::kCancelled, /*found=*/false);
-  metrics.RecordQuery(10, CounterWith(1, 0), StatusCode::kDeadlineExceeded, /*found=*/false);
-  metrics.RecordQuery(10, CounterWith(1, 0), StatusCode::kIoError, /*found=*/false);
+  metrics.RecordQuery(10, 1, 0, StatusCode::kOk, /*found=*/true);
+  metrics.RecordQuery(10, 1, 0, StatusCode::kCancelled, /*found=*/false);
+  metrics.RecordQuery(10, 1, 0, StatusCode::kCancelled, /*found=*/false);
+  metrics.RecordQuery(10, 1, 0, StatusCode::kDeadlineExceeded, /*found=*/false);
+  metrics.RecordQuery(10, 1, 0, StatusCode::kIoError, /*found=*/false);
   metrics.RecordShed();
-  metrics.RecordRetry();
-  metrics.RecordRetry();
-  metrics.RecordRetry();
 
   const MetricsSnapshot snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.queries, 5u);
@@ -204,26 +173,17 @@ TEST(ServiceMetricsTest, RobustnessBreakdownCountsByFinalStatus) {
   EXPECT_EQ(snapshot.failures, snapshot.cancelled + snapshot.deadline_exceeded +
                                    snapshot.io_errors);
   EXPECT_EQ(snapshot.shed, 1u);
-  EXPECT_EQ(snapshot.retries, 3u);
   // Shed requests never execute, so they are outside the query count.
   EXPECT_EQ(snapshot.ok() + snapshot.failures, snapshot.queries);
 
   const std::string report = snapshot.ToString();
   EXPECT_NE(report.find("robustness:"), std::string::npos) << report;
-
-  metrics.Reset();
-  const MetricsSnapshot zero = metrics.Snapshot();
-  EXPECT_EQ(zero.cancelled, 0u);
-  EXPECT_EQ(zero.deadline_exceeded, 0u);
-  EXPECT_EQ(zero.io_errors, 0u);
-  EXPECT_EQ(zero.shed, 0u);
-  EXPECT_EQ(zero.retries, 0u);
 }
 
 TEST(ServiceMetricsTest, ToJsonRendersEverySectionAsValidKeyValues) {
   ServiceMetrics metrics;
-  metrics.RecordQuery(100, CounterWith(3, 5), StatusCode::kOk, /*found=*/true);
-  metrics.RecordQuery(200, CounterWith(2, 7), StatusCode::kOk, /*found=*/false);
+  metrics.RecordQuery(100, 3, 5, StatusCode::kOk, /*found=*/true);
+  metrics.RecordQuery(200, 2, 7, StatusCode::kOk, /*found=*/false);
   metrics.RecordSlowQuery();
   metrics.RecordQueueDepth(4);
   const std::string json = metrics.Snapshot().ToJson();
@@ -239,7 +199,6 @@ TEST(ServiceMetricsTest, ToJsonRendersEverySectionAsValidKeyValues) {
   EXPECT_NE(json.find("\"deadline_exceeded\":0"), std::string::npos) << json;
   EXPECT_NE(json.find("\"io_errors\":0"), std::string::npos) << json;
   EXPECT_NE(json.find("\"shed\":0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"retries\":0"), std::string::npos) << json;
   EXPECT_NE(json.find("\"wall_seconds\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"qps\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"traversal\":5"), std::string::npos) << json;

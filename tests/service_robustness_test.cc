@@ -5,8 +5,8 @@
 // typed statuses, and the metrics breakdown must account for every
 // submitted query exactly: ok + cancelled + deadline + io_error == queries.
 //
-// Plus deterministic single-knob tests: retry recovering a transient
-// once-at fault, load shedding at the queue watermark, CancelAll reaching
+// Plus deterministic single-knob tests: a transient once-at fault failing
+// exactly the query it hits, load shedding at the queue watermark, CancelAll reaching
 // queued work, and config validation of the robustness knobs.
 
 #include "service/query_service.h"
@@ -118,37 +118,38 @@ TEST(QueryServiceRobustnessTest, StressDrainsEveryRequestAndCountersSumExactly) 
   EXPECT_EQ(metrics.failures, cancelled + deadline + io_error);
   EXPECT_EQ(metrics.ok() + metrics.failures, metrics.queries);
   EXPECT_EQ(metrics.shed, 0u);
-  EXPECT_EQ(metrics.retries, 0u);
 }
 
-TEST(QueryServiceRobustnessTest, RetryRecoversTransientOnceAtFault) {
+TEST(QueryServiceRobustnessTest, TransientFaultFailsOnlyTheQueryItHits) {
   const Session session = OpenTestSession(1000);
   ServiceConfig config;
   config.num_threads = 1;  // one worker, one injector: deterministic
   config.fault_plan = FaultPlan::OnceAt(10);  // transient: fires once, ever
-  config.max_retries = 1;
-  config.retry_backoff_micros = 0;
   QueryService service(session, config);
 
-  const NwcResponse response = service.SubmitNwc(HeavyRequest()).get();
-  EXPECT_TRUE(response.status.ok())
-      << "one retry must absorb a once-only fault: " << response.status;
-  EXPECT_TRUE(response.result.found);
+  const NwcResponse failed = service.SubmitNwc(HeavyRequest()).get();
+  EXPECT_EQ(failed.status.code(), StatusCode::kIoError)
+      << "the fault ends the query it hits: " << failed.status;
+  const MetricsSnapshot after_fault = service.SnapshotMetrics();
+  EXPECT_EQ(after_fault.queries, 1u);
+  EXPECT_EQ(after_fault.failures, 1u);
+  EXPECT_EQ(after_fault.io_errors, 1u);
 
+  const NwcResponse next = service.SubmitNwc(HeavyRequest()).get();
+  EXPECT_TRUE(next.status.ok()) << "a once-only fault leaves later queries alone: "
+                                << next.status;
+  EXPECT_TRUE(next.result.found);
   const MetricsSnapshot metrics = service.SnapshotMetrics();
-  EXPECT_EQ(metrics.queries, 1u);
-  EXPECT_EQ(metrics.failures, 0u);
-  EXPECT_EQ(metrics.io_errors, 0u) << "recovered faults are not final io errors";
-  EXPECT_EQ(metrics.retries, 1u);
+  EXPECT_EQ(metrics.queries, 2u);
+  EXPECT_EQ(metrics.failures, 1u);
+  EXPECT_EQ(metrics.io_errors, 1u);
 }
 
 TEST(QueryServiceRobustnessTest, PersistentFaultExhaustsRetriesAndSurfacesIoError) {
   const Session session = OpenTestSession(1000);
   ServiceConfig config;
   config.num_threads = 1;
-  config.fault_plan = FaultPlan::EveryNth(5);  // persistent: every attempt faults
-  config.max_retries = 2;
-  config.retry_backoff_micros = 0;
+  config.fault_plan = FaultPlan::EveryNth(5);  // persistent: every query faults
   QueryService service(session, config);
 
   const NwcResponse response = service.SubmitNwc(HeavyRequest()).get();
@@ -158,7 +159,6 @@ TEST(QueryServiceRobustnessTest, PersistentFaultExhaustsRetriesAndSurfacesIoErro
   EXPECT_EQ(metrics.queries, 1u);
   EXPECT_EQ(metrics.failures, 1u);
   EXPECT_EQ(metrics.io_errors, 1u);
-  EXPECT_EQ(metrics.retries, 2u) << "both extra attempts were spent";
 }
 
 TEST(QueryServiceRobustnessTest, BlockingSubmitShedsLoadAtWatermark) {
@@ -278,11 +278,6 @@ TEST(QueryServiceRobustnessTest, ConfigValidationCoversRobustnessKnobs) {
   config.shed_queue_depth = config.queue_capacity + 1;
   EXPECT_FALSE(config.Validate().ok()) << "watermark beyond capacity can never shed";
   config.shed_queue_depth = config.queue_capacity;
-  EXPECT_TRUE(config.Validate().ok());
-
-  config.max_retries = -1;
-  EXPECT_FALSE(config.Validate().ok());
-  config.max_retries = 3;
   EXPECT_TRUE(config.Validate().ok());
 
   config.fault_plan = FaultPlan::EveryNth(0);

@@ -391,7 +391,7 @@ class ShardFaultDifferential : public ::testing::Test {
   std::unique_ptr<ShardRouter> OpenFaulty(PartialFailurePolicy policy) {
     ShardRouterConfig config = RouterConfig(4);
     config.partial_failure = policy;
-    config.fault_plan = FaultPlan::EveryNth(1);  // every read on the shard fails
+    config.service.fault_plan = FaultPlan::EveryNth(1);  // every read on the shard fails
     config.fault_shard = 2;
     Result<std::unique_ptr<ShardRouter>> router =
         ShardRouter::Open(dataset_.objects, config);

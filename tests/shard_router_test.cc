@@ -319,18 +319,60 @@ TEST(ShardRouter, AsyncSubmitsResolveAndAggregateMetrics) {
   EXPECT_TRUE(nwc.status.ok()) << nwc.status;
   EXPECT_TRUE(knwc.status.ok()) << knwc.status;
 
-  // The aggregate view sums per-shard executions (the kNWC scatter runs
-  // on all four shards, the NWC chain on at least one).
+  // The router counts the two requests; the shards count executions (the
+  // kNWC scatter runs on all four shards, the NWC chain on at least one).
   uint64_t per_shard_total = 0;
   for (size_t s = 0; s < router->num_shards(); ++s) {
     per_shard_total += router->ShardMetrics(s).queries;
   }
   const MetricsSnapshot aggregate = router->SnapshotMetrics();
-  EXPECT_EQ(aggregate.queries, per_shard_total);
-  EXPECT_GE(aggregate.queries, 5u) << "kNWC alone touches all 4 shards";
+  EXPECT_EQ(aggregate.queries, 2u);
+  EXPECT_GE(per_shard_total, 5u) << "kNWC alone touches all 4 shards";
   EXPECT_EQ(aggregate.failures, 0u);
-  EXPECT_EQ(static_cast<uint64_t>(router->SnapshotLatencyHistogram().count()),
-            per_shard_total);
+  EXPECT_EQ(aggregate.total_reads(), nwc.traversal_reads + nwc.window_query_reads +
+                                         knwc.traversal_reads + knwc.window_query_reads);
+  EXPECT_EQ(static_cast<uint64_t>(router->SnapshotLatencyHistogram().count()), 2u);
+}
+
+TEST(ShardRouter, MetricsCountEachRoutedRequestOnce) {
+  const auto router = OpenRouter(FourShardConfig());
+  Rng rng(kSeed);
+  constexpr size_t kNwc = 12;
+  constexpr size_t kKnwc = 4;
+  uint64_t reads = 0;
+  uint64_t not_found = 0;
+  for (size_t i = 0; i < kNwc; ++i) {
+    const Point q{rng.NextDouble(0.0, 10000.0), rng.NextDouble(0.0, 10000.0)};
+    const NwcResponse response = router->RouteNwc(NwcRequest{NwcQuery{q, 300, 300, 4}, {}, 0});
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    reads += response.traversal_reads + response.window_query_reads;
+    if (!response.result.found) ++not_found;
+  }
+  for (size_t i = 0; i < kKnwc; ++i) {
+    const Point q{rng.NextDouble(0.0, 10000.0), rng.NextDouble(0.0, 10000.0)};
+    const KnwcResponse response =
+        router->RouteKnwc(KnwcRequest{KnwcQuery{NwcQuery{q, 300, 300, 4}, 2, 1}, {}, 0});
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    reads += response.traversal_reads + response.window_query_reads;
+    if (response.result.groups.empty()) ++not_found;
+  }
+  // A window past the sharded bound fails at the router, before any shard.
+  const NwcResponse rejected =
+      router->RouteNwc(NwcRequest{NwcQuery{Point{5000, 5000}, 900, 300, 4}, {}, 0});
+  EXPECT_EQ(rejected.status.code(), StatusCode::kFailedPrecondition);
+
+  const MetricsSnapshot metrics = router->SnapshotMetrics();
+  EXPECT_EQ(metrics.queries, kNwc + kKnwc + 1);
+  EXPECT_EQ(metrics.failures, 1u);
+  EXPECT_EQ(metrics.not_found, not_found);
+  EXPECT_EQ(metrics.total_reads(), reads);
+  EXPECT_EQ(static_cast<uint64_t>(router->SnapshotLatencyHistogram().count()), metrics.queries);
+  uint64_t executions = 0;
+  for (size_t s = 0; s < router->num_shards(); ++s) {
+    executions += router->ShardMetrics(s).queries;
+  }
+  EXPECT_GE(executions, kNwc + router->num_shards() * kKnwc)
+      << "every NWC runs on at least one shard and every kNWC on all of them";
 }
 
 TEST(ShardRouter, CancelAllCancelsQueuedWorkButNotLaterSubmits) {
@@ -339,7 +381,7 @@ TEST(ShardRouter, CancelAllCancelsQueuedWorkButNotLaterSubmits) {
   config.service.num_threads = 1;
   // Slow every shard read so the first routed query pins the executor
   // while the rest sit in the router queue where CancelAll must reach.
-  config.fault_plan = FaultPlan::LatencySpike(1, 200);
+  config.service.fault_plan = FaultPlan::LatencySpike(1, 200);
   const auto router = OpenRouter(config, 1000);
 
   constexpr size_t kInFlight = 8;

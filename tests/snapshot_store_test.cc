@@ -46,17 +46,6 @@ NwcResult RunQuery(const Session& session, const NwcQuery& query, const NwcOptio
   return *result;
 }
 
-bool SameResult(const NwcResult& a, const NwcResult& b) {
-  if (a.found != b.found || a.distance != b.distance ||
-      a.objects.size() != b.objects.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.objects.size(); ++i) {
-    if (!(a.objects[i] == b.objects[i])) return false;
-  }
-  return true;
-}
-
 std::vector<NwcQuery> ProbeQueries() {
   std::vector<NwcQuery> queries;
   for (int i = 0; i < 12; ++i) {
@@ -124,7 +113,7 @@ TEST(SnapshotStoreTest, ReaderHoldingOldEpochGetsBitExactOldAnswers) {
 
   // The pinned epoch-1 session answers exactly as before the churn...
   const NwcResult after = RunQuery(*old_ref.session, query, NwcOptions::Star());
-  EXPECT_TRUE(SameResult(before, after));
+  EXPECT_TRUE(before == after);
   // ...while the current epoch sees the new, denser data.
   const NwcResult fresh = RunQuery(*store->Acquire().session, query, NwcOptions::Star());
   ASSERT_TRUE(fresh.found);
@@ -204,8 +193,8 @@ TEST(SnapshotStoreTest, EpochOneStaysPinnedAndBitExactAfterTheFirstPublish) {
   ASSERT_TRUE(oracle.ok());
   for (size_t i = 0; i < probes.size(); ++i) {
     const NwcResult pinned = RunQuery(*epoch_one.session, probes[i], NwcOptions::Star());
-    EXPECT_TRUE(SameResult(pinned, before[i])) << "probe " << i;
-    EXPECT_TRUE(SameResult(pinned, RunQuery(*oracle, probes[i], NwcOptions::Star())))
+    EXPECT_TRUE(pinned == before[i]) << "probe " << i;
+    EXPECT_TRUE(pinned == RunQuery(*oracle, probes[i], NwcOptions::Star()))
         << "probe " << i;
   }
 }
@@ -270,7 +259,7 @@ TEST(DynamicServiceTest, SessionBuiltServiceAcceptsUpdatesAndLeavesTheSessionAlo
   for (size_t i = 0; i < probes.size(); ++i) {
     const NwcResponse served = service.SubmitNwc(NwcRequest{probes[i], {}}).get();
     ASSERT_TRUE(served.status.ok()) << served.status.ToString();
-    EXPECT_TRUE(SameResult(served.result, RunQuery(*oracle, probes[i], NwcOptions::Star())))
+    EXPECT_TRUE(served.result == RunQuery(*oracle, probes[i], NwcOptions::Star()))
         << "probe " << i;
   }
 
@@ -278,7 +267,7 @@ TEST(DynamicServiceTest, SessionBuiltServiceAcceptsUpdatesAndLeavesTheSessionAlo
   EXPECT_EQ(session->tree().size(), objects.size());
   EXPECT_TRUE(ValidateTree(session->tree()).ok());
   for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_TRUE(SameResult(RunQuery(*session, probes[i], NwcOptions::Star()), direct_before[i]))
+    EXPECT_TRUE(RunQuery(*session, probes[i], NwcOptions::Star()) == direct_before[i])
         << "probe " << i;
   }
 }
@@ -330,7 +319,7 @@ TEST(DynamicServiceTest, CachedAnswersNeverSurviveAPublish) {
   NwcResponse again = service.SubmitNwc(NwcRequest{probe, {}}).get();
   ASSERT_TRUE(again.status.ok());
   EXPECT_TRUE(again.result_cache_hit);
-  EXPECT_TRUE(SameResult(after.result, again.result));
+  EXPECT_TRUE(after.result == again.result);
 }
 
 TEST(DynamicServiceTest, PositiveCachedAnswerTracksMutations) {
@@ -366,7 +355,7 @@ TEST(DynamicServiceTest, PositiveCachedAnswerTracksMutations) {
   Result<Session> oracle = Session::Open(BulkLoadStr(
       CollectTreeObjects(store->Acquire().session->tree()), RTreeOptions{}));
   ASSERT_TRUE(oracle.ok());
-  EXPECT_TRUE(SameResult(after.result, RunQuery(*oracle, probe, NwcOptions::Star())));
+  EXPECT_TRUE(after.result == RunQuery(*oracle, probe, NwcOptions::Star()));
 }
 
 }  // namespace

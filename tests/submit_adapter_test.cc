@@ -159,7 +159,6 @@ class SubmitAdapterTest : public ::testing::TestWithParam<AdapterCase> {
     ShardRouterConfig config;
     config.num_shards = 1;
     config.service = service_config;
-    config.fault_plan = service_config.fault_plan;  // the router installs it per shard
     config.session.build_iwp = build_iwp;
     // Three executors keep more routed requests outstanding at the shard
     // than one worker plus a watermark of one queued job can admit.
@@ -307,8 +306,16 @@ TEST_P(SubmitAdapterTest, ShedWatermarkConservesEveryRequest) {
   EXPECT_GT(shed, 0u) << "a slow single worker behind a watermark of 1 must shed";
   EXPECT_GT(ok, 0u);
   EXPECT_EQ(metrics.shed, shed);
-  EXPECT_EQ(metrics.queries, ok);
-  EXPECT_EQ(metrics.queries + metrics.shed, kSubmitted);
+  if (is_service()) {
+    // Shed requests never ran, so they are outside the query count.
+    EXPECT_EQ(metrics.queries, ok);
+    EXPECT_EQ(metrics.queries + metrics.shed, kSubmitted);
+  } else {
+    // The router counts every routed request once, a shard-shed one as a
+    // failed request.
+    EXPECT_EQ(metrics.queries, kSubmitted);
+    EXPECT_EQ(metrics.failures, shed);
+  }
 }
 
 TEST_P(SubmitAdapterTest, SubmitAfterShutdownDeliversOnceWithEqualStamps) {

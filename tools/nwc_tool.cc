@@ -138,9 +138,6 @@ constexpr Flag kServiceFlags[] = {
     {"queue", kCount, "256", "job queue slots (per shard)"},
     {"deadline-us", kCount, "0", "per-query deadline from submit; 0 = none"},
     {"shed-watermark", kCount, "0", "shed blocking submits past this queue depth; 0 = never"},
-    {.name = "retries", .type = kCount, .fallback = "0", .help = "retries of a transient I/O fault",
-     .max = INT_MAX},
-    {"retry-backoff-us", kCount, "100", "first retry backoff, doubled per attempt"},
     {.name = "cache-mb", .type = kCount, .fallback = "0",
      .help = "result cache size in MiB; 0 = no cache", .max = SIZE_MAX >> 20},
     {"inject-faults", kText, nullptr,
@@ -387,8 +384,6 @@ Result<ServiceConfig> ServiceConfigFromFlags(const Flags& flags) {
   config.trace_ring_capacity = flags.count("trace-ring");
   config.default_deadline_micros = flags.count("deadline-us");
   config.shed_queue_depth = flags.count("shed-watermark");
-  config.max_retries = static_cast<int>(flags.count("retries"));
-  config.retry_backoff_micros = flags.count("retry-backoff-us");
   config.result_cache_bytes = flags.count("cache-mb") << 20;
   if (flags.has("inject-faults")) {
     Result<FaultPlan> plan = ParseFaultPlan(flags.text("inject-faults"));
@@ -437,7 +432,6 @@ Result<Backend> OpenBackend(const Flags& flags, bool build_iwp, bool build_grid)
     config.partial_failure = kPolicies[flags.choice("shard-partial")];
     config.service = *service_config;
     config.session = session_config;
-    config.fault_plan = service_config->fault_plan;
     config.fault_shard =
         flags.has("fault-shard") ? static_cast<int>(flags.count("fault-shard")) : -1;
     // Router dispatch parallelism defaults to the per-shard worker count:
