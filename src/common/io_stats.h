@@ -66,12 +66,6 @@ class IoCounter {
     window_query_reads_ += other.window_query_reads_;
   }
 
-  /// Resets both counters (the read probe stays installed).
-  void Reset() {
-    traversal_reads_ = 0;
-    window_query_reads_ = 0;
-  }
-
  private:
   uint64_t traversal_reads_ = 0;
   uint64_t window_query_reads_ = 0;

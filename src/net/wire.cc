@@ -228,8 +228,6 @@ bool ReadObjects(ByteReader* reader, std::vector<DataObject>* out, Status* error
 
 // Bits of the response flags byte; any other bit is a decode error.
 constexpr uint8_t kResponseFlagCacheHit = 0x01;
-constexpr uint8_t kResponseFlagDegraded = 0x02;
-constexpr uint8_t kResponseKnownFlags = kResponseFlagCacheHit | kResponseFlagDegraded;
 
 // The response fields shared by both kinds (everything but the result).
 template <typename Response>
@@ -238,8 +236,7 @@ void PutResponseCommon(std::string* out, const Response& response) {
   PutU64(out, response.latency_micros);
   PutU64(out, response.traversal_reads);
   PutU64(out, response.window_query_reads);
-  PutU8(out, (response.result_cache_hit ? kResponseFlagCacheHit : 0) |
-                 (response.degraded ? kResponseFlagDegraded : 0));
+  PutU8(out, response.result_cache_hit ? kResponseFlagCacheHit : 0);
 }
 
 template <typename Response>
@@ -251,12 +248,11 @@ bool ReadResponseCommon(ByteReader* reader, Response* out, Status* error) {
     *error = Truncated("response");
     return false;
   }
-  if ((flags & ~kResponseKnownFlags) != 0) {
+  if ((flags & ~kResponseFlagCacheHit) != 0) {
     *error = Status::InvalidArgument(StrFormat("wire: unknown response flag bits 0x%02x", flags));
     return false;
   }
   out->result_cache_hit = (flags & kResponseFlagCacheHit) != 0;
-  out->degraded = (flags & kResponseFlagDegraded) != 0;
   return true;
 }
 

@@ -71,12 +71,4 @@ double LatencyHistogram::Mean() const {
   return static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
-void LatencyHistogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
-}
-
 }  // namespace nwc

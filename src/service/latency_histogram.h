@@ -62,9 +62,6 @@ class LatencyHistogram {
   /// distribution instead of settling for three pre-picked quantiles.
   Bucket bucket(size_t i) const { return Bucket{BucketUpperBound(i), buckets_[i]}; }
 
-  /// Clears every bucket and the summary stats.
-  void Reset();
-
  private:
   static size_t BucketIndex(uint64_t value);
   static uint64_t BucketUpperBound(size_t index);

@@ -45,11 +45,6 @@ struct QueryResponse {
   /// True when the response was served from the result cache (all read
   /// counters are then 0 — a hit performs no tree I/O).
   bool result_cache_hit = false;
-  /// True when a sharded backend answered from a subset of its shards
-  /// under the degrade partial-failure policy (see ShardRouter): the
-  /// result is the best over the shards that answered, which may miss the
-  /// true optimum. Always false from a single-instance QueryService.
-  bool degraded = false;
 };
 using NwcResponse = QueryResponse<NwcResult>;
 using KnwcResponse = QueryResponse<KnwcResult>;

@@ -119,12 +119,6 @@ Status ShardRouterConfig::Validate() const {
           "sharded serving requires positive max_window_length/max_window_width (the halo "
           "basis)");
     }
-    if (!(halo_factor >= 1.0)) {
-      return Status::InvalidArgument("halo_factor must be >= 1 for exact single-group answers");
-    }
-  }
-  if (fault_shard >= 0 && static_cast<size_t>(fault_shard) >= num_shards) {
-    return Status::InvalidArgument("fault_shard out of range");
   }
   if (router_threads == 0) return Status::InvalidArgument("router_threads must be >= 1");
   if (router_queue_capacity == 0) {
@@ -199,8 +193,8 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(std::vector<DataObject> o
   router->space_ = space;
 
   const size_t num_shards = config.num_shards;
-  router->halo_x_ = num_shards > 1 ? config.halo_factor * config.max_window_length : 0.0;
-  router->halo_y_ = num_shards > 1 ? config.halo_factor * config.max_window_width : 0.0;
+  router->halo_x_ = num_shards > 1 ? kHaloFactor * config.max_window_length : 0.0;
+  router->halo_y_ = num_shards > 1 ? kHaloFactor * config.max_window_width : 0.0;
 
   std::vector<uint64_t> keys;
   keys.reserve(objects.size());
@@ -273,15 +267,10 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Open(std::vector<DataObject> o
       session_config.grid_space = space;
     }
 
-    ServiceConfig service_config = config.service;
-    if (config.fault_shard >= 0 && static_cast<size_t>(config.fault_shard) != s) {
-      service_config.fault_plan = FaultPlan::None();
-    }
-
     auto store = SnapshotStore::Open(std::move(trees[s]), {session_config});
     if (!store.ok()) return store.status();
     shard.store = std::move(store).value();
-    shard.service = std::make_unique<QueryService>(*shard.store, service_config);
+    shard.service = std::make_unique<QueryService>(*shard.store, config.service);
   }
 
   return router;
@@ -348,6 +337,10 @@ Response ShardRouter::RouteAndRecord(const Request& request, uint64_t cancel_epo
   metrics_.RecordQuery(response.latency_micros, response.traversal_reads,
                        response.window_query_reads, response.status.code(),
                        HasAnswer(response));
+  if (config_.service.trace_slow_queries &&
+      response.latency_micros >= config_.service.slow_trace_us) {
+    metrics_.RecordSlowQuery();
+  }
   return response;
 }
 
@@ -355,7 +348,7 @@ NwcResponse ShardRouter::RouteInternal(const NwcRequest& request, uint64_t cance
   Stopwatch timer;
   NwcResponse best;
   // Validated once, up front: an invalid query is the caller's error, not
-  // a per-shard failure to count (or degrade past) on every shard.
+  // a per-shard failure to count on every shard.
   best.status = request.query.Validate();
   if (!best.status.ok()) return best;
 
@@ -383,15 +376,12 @@ NwcResponse ShardRouter::RouteInternal(const NwcRequest& request, uint64_t cance
   }
   std::sort(order.begin(), order.end());
 
-  bool have_answer = false;
-  bool any_failure = false;
-  Status last_failure;
   std::vector<ObjectId> best_ids;
   size_t queried = 0;
   size_t result_cache_hits = 0;
 
   for (const auto& [lb, s] : order) {
-    if (have_answer && best.result.found && lb > best.result.distance) break;
+    if (best.result.found && lb > best.result.distance) break;
     if (Cancelled(cancel_epoch)) {
       best.status = Status::Cancelled("request cancelled");
       best.result = NwcResult{};
@@ -411,44 +401,29 @@ NwcResponse ShardRouter::RouteInternal(const NwcRequest& request, uint64_t cance
     shard_request.deadline_micros = budget;
     NwcResponse response = shards_[s].service->SubmitNwc(std::move(shard_request)).get();
     ++queried;
-
-    if (!response.status.ok()) {
-      if (config_.partial_failure == PartialFailurePolicy::kFail) {
-        response.latency_micros = timer.ElapsedMicros();
-        return response;
-      }
-      any_failure = true;
-      last_failure = response.status;
-      continue;
-    }
-
     best.traversal_reads += response.traversal_reads;
     best.window_query_reads += response.window_query_reads;
+
+    if (!response.status.ok()) {
+      best.status = response.status;
+      best.result = NwcResult{};
+      best.latency_micros = timer.ElapsedMicros();
+      return best;
+    }
     if (response.result_cache_hit) ++result_cache_hits;
 
     if (response.result.found) {
       std::vector<ObjectId> ids = SortedIds(response.result.objects);
       const bool better =
-          !have_answer || !best.result.found ||
-          response.result.distance < best.result.distance ||
+          !best.result.found || response.result.distance < best.result.distance ||
           (response.result.distance == best.result.distance && ids < best_ids);
       if (better) {
         best.result = std::move(response.result);
         best_ids = std::move(ids);
       }
     }
-    have_answer = true;
   }
 
-  if (!have_answer) {
-    if (any_failure) {
-      best.status = last_failure;
-      best.degraded = true;
-    }
-    // No failure and nothing found: a clean not-found answer.
-  } else if (any_failure) {
-    best.degraded = true;
-  }
   best.result_cache_hit = queried > 0 && result_cache_hits == queried;
   best.latency_micros = timer.ElapsedMicros();
   return best;
@@ -495,27 +470,20 @@ KnwcResponse ShardRouter::RouteInternal(const KnwcRequest& request, uint64_t can
     std::vector<ObjectId> ids;
   };
   std::vector<Candidate> candidates;
-  bool any_failure = false;
-  bool any_ok = false;
-  Status last_failure;
   size_t result_cache_hits = 0;
-  size_t queried = 0;
-  Status fail_fast;  // first failure under the kFail policy
 
+  // Every future is drained, so no shard job outlives the request and
+  // every shard's reads are counted; the first failure in shard order
+  // becomes the request's status.
   for (std::future<KnwcResponse>& future : futures) {
     KnwcResponse response = future.get();
-    ++queried;
-    if (!response.status.ok()) {
-      any_failure = true;
-      last_failure = response.status;
-      if (config_.partial_failure == PartialFailurePolicy::kFail && fail_fast.ok()) {
-        fail_fast = response.status;
-      }
-      continue;
-    }
-    any_ok = true;
     merged.traversal_reads += response.traversal_reads;
     merged.window_query_reads += response.window_query_reads;
+    if (!merged.status.ok()) continue;
+    if (!response.status.ok()) {
+      merged.status = response.status;
+      continue;
+    }
     if (response.result_cache_hit) ++result_cache_hits;
     for (NwcGroup& group : response.result.groups) {
       Candidate candidate;
@@ -525,17 +493,7 @@ KnwcResponse ShardRouter::RouteInternal(const KnwcRequest& request, uint64_t can
     }
   }
 
-  if (!fail_fast.ok()) {
-    merged.status = fail_fast;
-    merged.result = KnwcResult{};
-    merged.latency_micros = timer.ElapsedMicros();
-    return merged;
-  }
-  if (!any_ok) {
-    if (any_failure) {
-      merged.status = last_failure;
-      merged.degraded = true;
-    }
+  if (!merged.status.ok()) {
     merged.latency_micros = timer.ElapsedMicros();
     return merged;
   }
@@ -562,8 +520,7 @@ KnwcResponse ShardRouter::RouteInternal(const KnwcRequest& request, uint64_t can
   merged.result.groups.reserve(selected.size());
   for (const Candidate* chosen : selected) merged.result.groups.push_back(chosen->group);
 
-  merged.degraded = any_failure;
-  merged.result_cache_hit = queried > 0 && result_cache_hits == queried;
+  merged.result_cache_hit = result_cache_hits == futures.size();
   merged.latency_micros = timer.ElapsedMicros();
   return merged;
 }

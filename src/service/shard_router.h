@@ -33,17 +33,13 @@ uint64_t ZOrderKey(const Point& q, const Rect& space);
 /// coordinates, so every key is < 2^32.
 inline constexpr uint64_t kZOrderKeyEnd = 1ull << 32;
 
-/// What a routed query does when one of its shards fails (injected fault,
-/// shed, deadline) while others can still answer.
-enum class PartialFailurePolicy {
-  /// Surface the shard's typed error as the response status (default —
-  /// never silently narrows the search).
-  kFail,
-  /// Skip the failed shard and answer from the rest, setting
-  /// `degraded = true` on the response. The answer is the optimum over the
-  /// shards that replied, which may miss the true optimum.
-  kDegrade,
-};
+/// Halo width in units of the max window: each shard's tree replicates
+/// every object within (kHaloFactor * max_window_length,
+/// kHaloFactor * max_window_width) of its owned region. Factor 1 makes
+/// single-group answers exact (a group anchored at an owned object fits
+/// inside one window); 3 additionally keeps kNWC greedy blocking chains of
+/// depth <= 2 locally visible (see RouteKnwc).
+inline constexpr double kHaloFactor = 3.0;
 
 /// Sizing and semantics for a ShardRouter.
 struct ShardRouterConfig {
@@ -59,27 +55,13 @@ struct ShardRouterConfig {
   double max_window_length = 0.0;
   double max_window_width = 0.0;
 
-  /// Halo width in units of the max window: each shard's tree replicates
-  /// every object within (halo_factor * max_window_length,
-  /// halo_factor * max_window_width) of its owned region. Factor 1 makes
-  /// single-group answers exact (a group anchored at an owned object fits
-  /// inside one window); the default 3 additionally keeps kNWC greedy
-  /// blocking chains of depth <= 2 locally visible (see RouteKnwc). >= 1.
-  double halo_factor = 3.0;
-
-  PartialFailurePolicy partial_failure = PartialFailurePolicy::kFail;
-
-  /// Per-shard execution stack configuration. `session.grid_space`, when
-  /// empty, is widened to the global data space so every shard grids the
-  /// same geometry.
+  /// Per-shard execution stack configuration, the same for every shard
+  /// (`service.fault_plan` included). `session.grid_space`, when empty, is
+  /// widened to the global data space so every shard grids the same
+  /// geometry.
   ServiceConfig service;
   SessionConfig session;
   RTreeOptions tree;
-
-  /// Scope of `service.fault_plan` in resilience drills: -1 installs it
-  /// into every shard, >= 0 into exactly that shard (the scoped form
-  /// exercises partial-failure handling).
-  int fault_shard = -1;
 
   /// Router executor threads serving the async submits (each routed
   /// request occupies one while it waits on shard futures; shard services
@@ -136,9 +118,15 @@ std::vector<uint64_t> EqualCountKeyBoundaries(std::vector<uint64_t> keys, size_t
 /// candidate groups are re-run through the greedy selection ascending by
 /// (distance, member ids), which drops cross-shard duplicates (overlap of
 /// a group with itself is n > m). Exact whenever the greedy rejection
-/// chains stay within the halo (depth <= halo_factor - 1 windows); deeper
+/// chains stay within the halo (depth <= kHaloFactor - 1 windows); deeper
 /// chains are the same adversarial tie-like structures the single-tree
 /// engine already documents as approximate.
+///
+/// **Failures.** A routed request answers exactly or fails: when a shard
+/// execution it needs fails (injected fault, shed, deadline, cancel), the
+/// request fails with that shard's typed status, the first in shard order
+/// for a kNWC scatter. The response still carries every node read its
+/// shard executions made.
 ///
 /// **Updates.** Each mutation is applied to its owner shard and to every
 /// shard whose halo contains the position — the same deterministic rule
@@ -151,7 +139,8 @@ std::vector<uint64_t> EqualCountKeyBoundaries(std::vector<uint64_t> keys, size_t
 ///
 /// **Metrics.** The router records each routed request once, in its own
 /// ServiceMetrics: its latency, the shard reads its response carries, its
-/// final status and whether it found a result. SnapshotMetrics() and
+/// final status, whether it found a result and, under the service's
+/// slow-trace rule, whether it was slow. SnapshotMetrics() and
 /// SnapshotLatencyHistogram() report those, with only the result-cache
 /// counters, `shed` and `max_queue_depth` taken from the shards.
 /// ShardMetrics(s) and the per-shard `nwc_shard_*{shard="s"}` series of

@@ -135,11 +135,4 @@ Status FaultInjector::OnRead(uint32_t page) {
                                    static_cast<unsigned long long>(reads_), page));
 }
 
-void FaultInjector::Reset() {
-  reads_ = 0;
-  faults_ = 0;
-  fired_ = false;
-  rng_ = Rng(plan_.seed);
-}
-
 }  // namespace nwc

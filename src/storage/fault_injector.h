@@ -84,11 +84,8 @@ class FaultInjector {
   /// kLatencySpike sleeps here (and still returns OK).
   Status OnRead(uint32_t page);
 
-  /// Restarts the schedule (read counter, once-fired latch, RNG stream).
-  void Reset();
-
   const FaultPlan& plan() const { return plan_; }
-  /// Reads observed so far (monotonic until Reset).
+  /// Reads observed so far.
   uint64_t reads() const { return reads_; }
   /// Faults returned so far.
   uint64_t faults_injected() const { return faults_; }

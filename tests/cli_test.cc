@@ -448,6 +448,15 @@ TEST_F(CliPipelineTest, ServeRejectsRetryBackoffBeforeListening) {
   EXPECT_EQ(result.output.find("listening"), std::string::npos) << result.output;
 }
 
+// The router answers exactly or fails: there is no partial-answer policy,
+// no single-shard fault scope and no halo knob to set.
+TEST_F(CliPipelineTest, ServeBatchRejectsDeletedRouterFlags) {
+  for (const std::string flag : {"--shard-partial", "--fault-shard", "--shard-halo"}) {
+    SCOPED_TRACE(flag);
+    ExpectFlagError(ServeBatchWith(*tree_path_, "--shards=4 " + flag + "=1"), flag);
+  }
+}
+
 // serve keeps its slow-query traces in memory for /debug/slow and writes
 // none, so --trace-dir is a flag of serve-batch only. (No --index here: a
 // serve that took the flag would otherwise start listening.)

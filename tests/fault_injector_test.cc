@@ -78,20 +78,6 @@ TEST(FaultInjectorTest, LatencySpikeNeverReturnsFaults) {
   EXPECT_EQ(injector.faults_injected(), 0u);
 }
 
-TEST(FaultInjectorTest, ResetRestartsScheduleAndRngStream) {
-  FaultInjector injector(FaultPlan::Bernoulli(0.3, 7));
-  const std::vector<uint64_t> first = FaultIndices(injector, 200);
-  injector.Reset();
-  EXPECT_EQ(injector.reads(), 0u);
-  EXPECT_EQ(injector.faults_injected(), 0u);
-  EXPECT_EQ(FaultIndices(injector, 200), first) << "Reset replays the identical stream";
-
-  FaultInjector once(FaultPlan::OnceAt(3));
-  EXPECT_EQ(FaultIndices(once, 10), std::vector<uint64_t>{3});
-  once.Reset();
-  EXPECT_EQ(FaultIndices(once, 10), std::vector<uint64_t>{3}) << "once-latch rearmed";
-}
-
 TEST(FaultPlanTest, ValidateRejectsDegeneratePlans) {
   EXPECT_TRUE(FaultPlan::None().Validate().ok());
   EXPECT_TRUE(FaultPlan::EveryNth(1).Validate().ok());

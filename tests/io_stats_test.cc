@@ -25,21 +25,6 @@ TEST(IoCounterTest, PhasesAccumulateSeparately) {
   EXPECT_EQ(io.query_total(), 3u);
 }
 
-TEST(IoCounterTest, ResetClearsEverything) {
-  IoCounter io;
-  size_t probed = 0;
-  io.SetReadProbe([&probed](uint32_t) { ++probed; });
-  io.OnNodeAccess(IoPhase::kTraversal, 7);
-  io.OnNodeAccess(IoPhase::kWindowQuery, 8);
-  io.Reset();
-  EXPECT_EQ(io.traversal_reads(), 0u);
-  EXPECT_EQ(io.window_query_reads(), 0u);
-  // The read probe stays installed across Reset.
-  io.OnNodeAccess(IoPhase::kWindowQuery, 9);
-  EXPECT_EQ(probed, 3u);
-  EXPECT_EQ(io.query_total(), 1u);
-}
-
 TEST(IoCounterTest, AddMergesPhaseCounts) {
   IoCounter a;
   a.OnNodeAccess(IoPhase::kTraversal);

@@ -111,18 +111,6 @@ TEST(LatencyHistogramTest, MergeWithEmptyKeepsStats) {
   EXPECT_EQ(empty.min(), 42u);
 }
 
-TEST(LatencyHistogramTest, ResetClearsEverything) {
-  LatencyHistogram hist;
-  hist.Record(5);
-  hist.Record(500000);
-  hist.Reset();
-  EXPECT_EQ(hist.count(), 0u);
-  EXPECT_EQ(hist.max(), 0u);
-  EXPECT_EQ(hist.Quantile(0.99), 0u);
-  hist.Record(7);
-  EXPECT_EQ(hist.Quantile(1.0), 7u);
-}
-
 TEST(LatencyHistogramTest, BucketIterationCoversEveryRecordedValue) {
   LatencyHistogram hist;
   Rng rng(0xB0C4E7);
@@ -148,9 +136,9 @@ TEST(LatencyHistogramTest, BucketIterationCoversEveryRecordedValue) {
 }
 
 TEST(LatencyHistogramTest, BucketBoundsContainTheirValues) {
-  LatencyHistogram hist;
   // One value per regime: exact range, first log-linear range, far out.
   for (const uint64_t value : {7ull, 100ull, 1000000ull}) {
+    LatencyHistogram hist;
     hist.Record(value);
     uint64_t lower = 0;
     bool found = false;
@@ -160,11 +148,10 @@ TEST(LatencyHistogramTest, BucketBoundsContainTheirValues) {
       lower = bucket.upper_bound;
     }
     EXPECT_TRUE(found) << "value " << value << " not inside its bucket's bounds";
-    hist.Reset();
   }
 }
 
-TEST(LatencyHistogramTest, SumSurvivesMergeAndReset) {
+TEST(LatencyHistogramTest, SumSurvivesMerge) {
   LatencyHistogram a;
   LatencyHistogram b;
   a.Record(10);
@@ -173,8 +160,6 @@ TEST(LatencyHistogramTest, SumSurvivesMergeAndReset) {
   a.Merge(b);
   EXPECT_EQ(a.sum(), 35u);
   EXPECT_EQ(a.count(), 3u);
-  a.Reset();
-  EXPECT_EQ(a.sum(), 0u);
 }
 
 TEST(LatencyHistogramTest, ZeroAndSubMicrosecondSamplesLandInBucketZero) {
@@ -202,17 +187,17 @@ TEST(LatencyHistogramTest, EveryBucketEdgeLandsInItsOwnBucket) {
   // half-open bucket convention at every edge of the log-linear layout,
   // where off-by-one index math would go wrong first.
   LatencyHistogram bounds;  // only used to read the bucket layout
-  LatencyHistogram hist;
   for (size_t i = 0; i < bounds.num_buckets(); ++i) {
     const uint64_t upper = bounds.bucket(i).upper_bound;
-    hist.Record(upper);
-    ASSERT_EQ(hist.bucket(i).count, 1u) << "upper bound " << upper << " missed bucket " << i;
-    hist.Reset();
+    LatencyHistogram at_upper;
+    at_upper.Record(upper);
+    ASSERT_EQ(at_upper.bucket(i).count, 1u) << "upper bound " << upper << " missed bucket " << i;
 
     const uint64_t lowest = i == 0 ? 0 : bounds.bucket(i - 1).upper_bound + 1;
-    hist.Record(lowest);
-    ASSERT_EQ(hist.bucket(i).count, 1u) << "lowest value " << lowest << " missed bucket " << i;
-    hist.Reset();
+    LatencyHistogram at_lowest;
+    at_lowest.Record(lowest);
+    ASSERT_EQ(at_lowest.bucket(i).count, 1u)
+        << "lowest value " << lowest << " missed bucket " << i;
   }
 }
 

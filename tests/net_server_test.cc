@@ -23,7 +23,6 @@
 #include "net/wire.h"
 #include "rtree/bulk_load.h"
 #include "service/query_service.h"
-#include "service/shard_router.h"
 
 namespace nwc {
 namespace {
@@ -188,42 +187,6 @@ TEST(NetServer, ShedRequestsArriveAsTypedUnavailable) {
   EXPECT_EQ(ok + shed, kBurst);
   EXPECT_GT(shed, 0u);
   EXPECT_GT(ok, 0u);
-}
-
-// A sharded backend's partial answer must stay marked partial on the
-// wire: with one shard dark under kDegrade, every kNWC scatter misses it,
-// and the TCP client has to see degraded == true, not an exact-looking
-// answer.
-TEST(NetServer, DegradedRouterAnswersArriveFlaggedDegraded) {
-  const Dataset dataset = MakeCaLike(kSeed, 3000);
-  ShardRouterConfig config;
-  config.num_shards = 4;
-  config.max_window_length = 400;
-  config.max_window_width = 400;
-  config.service.num_threads = 2;
-  config.partial_failure = PartialFailurePolicy::kDegrade;
-  config.service.fault_plan = FaultPlan::EveryNth(1);  // every read on the shard fails
-  config.fault_shard = 2;
-  Result<std::unique_ptr<ShardRouter>> router = ShardRouter::Open(dataset.objects, config);
-  ASSERT_TRUE(router.ok()) << router.status();
-  Result<std::unique_ptr<NetServer>> server = NetServer::Start(**router, NetServerConfig());
-  ASSERT_TRUE(server.ok()) << server.status();
-  NetClient client = ConnectTo(**server);
-
-  const KnwcRequest request{KnwcQuery{NwcQuery{Point{5000, 5000}, 300, 300, 4}, 2, 1}, {}, 0};
-  const KnwcResponse direct = (*router)->RouteKnwc(request);
-  ASSERT_TRUE(direct.status.ok()) << direct.status;
-  ASSERT_TRUE(direct.degraded);
-  for (const bool traced : {false, true}) {
-    ASSERT_TRUE(client.SendKnwc(1, request, traced).ok());
-    NetReply reply;
-    ASSERT_TRUE(client.Receive(&reply).ok());
-    ASSERT_EQ(reply.type, MsgType::kKnwcResponse);
-    EXPECT_EQ(reply.traced, traced);
-    EXPECT_TRUE(reply.knwc.status.ok()) << reply.knwc.status;
-    EXPECT_TRUE(reply.knwc.degraded) << "traced=" << traced;
-    ExpectSameKnwc(reply.knwc, direct, traced ? 1 : 0);
-  }
 }
 
 TEST(NetServer, CorruptStreamYieldsTypedErrorAndClose) {

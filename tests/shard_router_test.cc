@@ -1,9 +1,10 @@
 // ShardRouter unit tests: the Z-order partition machinery (ZOrderKey,
 // equal-count boundaries, Morton range -> rect cover), ownership/halo
 // routing of points and mutations, the sharded-serving guard rails (window
-// cap, config validation), cancel semantics, update routing with authoritative
-// owner counts, the per-shard Prometheus series, and the parallel shard
-// build's byte-identity with a serial one.
+// cap, config validation), per-request metrics (reads under faults, slow
+// queries), cancel semantics, update routing with authoritative owner
+// counts, the per-shard Prometheus series, and the parallel shard build's
+// byte-identity with a serial one.
 
 #include "service/shard_router.h"
 
@@ -186,15 +187,6 @@ TEST(ShardRouterConfigValidate, EnforcesShardedServingParameters) {
   config.max_window_width = 400;
   EXPECT_TRUE(config.Validate().ok());
 
-  config.halo_factor = 0.5;
-  EXPECT_FALSE(config.Validate().ok()) << "halo factor below 1 breaks exactness";
-  config.halo_factor = 3.0;
-
-  config.fault_shard = 4;
-  EXPECT_FALSE(config.Validate().ok()) << "fault shard must index a shard";
-  config.fault_shard = 3;
-  EXPECT_TRUE(config.Validate().ok());
-
   config.num_shards = 0;
   EXPECT_FALSE(config.Validate().ok());
 }
@@ -266,42 +258,29 @@ TEST(ShardRouter, SingleShardPassesOversizedWindowsThrough) {
   EXPECT_TRUE(router->RouteNwc(request).status.ok());
 }
 
-// An invalid query is the caller's error, not a partial failure: it fails
-// InvalidArgument before any shard runs, under either policy, and is never
-// reported as a degraded answer.
-TEST(ShardRouter, InvalidQueryFailsBeforeAnyShardUnderBothPolicies) {
-  for (const PartialFailurePolicy policy :
-       {PartialFailurePolicy::kFail, PartialFailurePolicy::kDegrade}) {
-    ShardRouterConfig config = FourShardConfig();
-    config.partial_failure = policy;
-    const auto router = OpenRouter(config, 1000);
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    const double inf = std::numeric_limits<double>::infinity();
-    for (const NwcQuery& bad : {NwcQuery{Point{5000, 5000}, 300, 300, 0},   // n == 0
-                                NwcQuery{Point{5000, 5000}, 0, 300, 4},     // l <= 0
-                                NwcQuery{Point{5000, 5000}, nan, 300, 4},   // NaN l
-                                NwcQuery{Point{inf, 5000}, 300, 300, 4}}) {  // infinite q.x
-      NwcRequest nwc;
-      nwc.query = bad;
-      KnwcRequest knwc;
-      knwc.query = KnwcQuery{bad, 2, 1};
+// An invalid query is the caller's error, not a shard failure: it fails
+// InvalidArgument before any shard runs.
+TEST(ShardRouter, InvalidQueryFailsBeforeAnyShard) {
+  const auto router = OpenRouter(FourShardConfig(), 1000);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const NwcQuery& bad : {NwcQuery{Point{5000, 5000}, 300, 300, 0},   // n == 0
+                              NwcQuery{Point{5000, 5000}, 0, 300, 4},     // l <= 0
+                              NwcQuery{Point{5000, 5000}, nan, 300, 4},   // NaN l
+                              NwcQuery{Point{inf, 5000}, 300, 300, 4}}) {  // infinite q.x
+    NwcRequest nwc;
+    nwc.query = bad;
+    KnwcRequest knwc;
+    knwc.query = KnwcQuery{bad, 2, 1};
 
-      const NwcResponse routed_nwc = router->RouteNwc(nwc);
-      const KnwcResponse routed_knwc = router->RouteKnwc(knwc);
-      const NwcResponse async_nwc = router->SubmitNwc(nwc).get();
-      const KnwcResponse async_knwc = router->SubmitKnwc(knwc).get();
-      for (const auto& [status, degraded] :
-           {std::pair{routed_nwc.status, routed_nwc.degraded},
-            std::pair{routed_knwc.status, routed_knwc.degraded},
-            std::pair{async_nwc.status, async_nwc.degraded},
-            std::pair{async_knwc.status, async_knwc.degraded}}) {
-        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
-        EXPECT_FALSE(degraded);
-      }
+    for (const Status& status :
+         {router->RouteNwc(nwc).status, router->RouteKnwc(knwc).status,
+          router->SubmitNwc(nwc).get().status, router->SubmitKnwc(knwc).get().status}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
     }
-    for (size_t s = 0; s < router->num_shards(); ++s) {
-      EXPECT_EQ(router->ShardMetrics(s).queries, 0u) << "shard " << s;
-    }
+  }
+  for (size_t s = 0; s < router->num_shards(); ++s) {
+    EXPECT_EQ(router->ShardMetrics(s).queries, 0u) << "shard " << s;
   }
 }
 
@@ -373,6 +352,60 @@ TEST(ShardRouter, MetricsCountEachRoutedRequestOnce) {
   }
   EXPECT_GE(executions, kNwc + router->num_shards() * kKnwc)
       << "every NWC runs on at least one shard and every kNWC on all of them";
+}
+
+// Under random read faults on every shard, a routed request that fails
+// still reports every read its shard executions made: the router's read
+// count equals the sum of the shards' own.
+TEST(ShardRouter, RoutedReadsEqualShardReadsUnderFaults) {
+  ShardRouterConfig config = FourShardConfig();
+  config.service.fault_plan = FaultPlan::Bernoulli(0.004, kSeed);
+  const auto router = OpenRouter(config);
+  Rng rng(kSeed ^ 0xFA);
+  size_t ok = 0;
+  size_t io_errors = 0;
+  const auto tally = [&](const Status& status) {
+    if (status.ok()) ++ok;
+    if (status.code() == StatusCode::kIoError) ++io_errors;
+  };
+  for (size_t i = 0; i < 48; ++i) {
+    const Point q{rng.NextDouble(0.0, 10000.0), rng.NextDouble(0.0, 10000.0)};
+    const NwcQuery query{q, 300, 300, 4};
+    if (i % 4 == 3) {
+      tally(router->RouteKnwc(KnwcRequest{KnwcQuery{query, 2, 1}, {}, 0}).status);
+    } else {
+      tally(router->RouteNwc(NwcRequest{query, {}, 0}).status);
+    }
+  }
+  EXPECT_GT(ok, 0u) << "the fault rate must let some requests through";
+  EXPECT_GT(io_errors, 0u) << "the fault rate must fail some requests";
+
+  uint64_t shard_reads = 0;
+  for (size_t s = 0; s < router->num_shards(); ++s) {
+    shard_reads += router->ShardMetrics(s).total_reads();
+  }
+  EXPECT_EQ(router->SnapshotMetrics().total_reads(), shard_reads);
+}
+
+// The router applies the service's slow-query rule once per routed
+// request: with a threshold of 0 every request is slow.
+TEST(ShardRouter, SlowQueriesCountRoutedRequests) {
+  ShardRouterConfig config = FourShardConfig();
+  config.service.trace_slow_queries = true;
+  config.service.slow_trace_us = 0;
+  const auto router = OpenRouter(config, 1000);
+  constexpr size_t kRequests = 6;
+  for (size_t i = 0; i < kRequests; ++i) {
+    const NwcQuery query{Point{5000, 5000}, 300, 300, 4};
+    if (i % 2 == 0) {
+      ASSERT_TRUE(router->RouteNwc(NwcRequest{query, {}, 0}).status.ok());
+    } else {
+      ASSERT_TRUE(router->RouteKnwc(KnwcRequest{KnwcQuery{query, 2, 1}, {}, 0}).status.ok());
+    }
+  }
+  const MetricsSnapshot metrics = router->SnapshotMetrics();
+  EXPECT_EQ(metrics.queries, kRequests);
+  EXPECT_EQ(metrics.slow_queries, kRequests);
 }
 
 TEST(ShardRouter, CancelAllCancelsQueuedWorkButNotLaterSubmits) {

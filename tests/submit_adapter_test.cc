@@ -205,7 +205,6 @@ TEST_P(SubmitAdapterTest, ResponsesMatchDirectEngine) {
     ASSERT_TRUE(want_nwc.ok());
     const NwcResponse& got_nwc = nwc->Wait();
     ASSERT_TRUE(got_nwc.status.ok()) << "query " << i << ": " << got_nwc.status;
-    EXPECT_FALSE(got_nwc.degraded);
     EXPECT_EQ(got_nwc.result.found, want_nwc->found) << "query " << i;
     EXPECT_EQ(got_nwc.result.distance, want_nwc->distance) << "query " << i;
     EXPECT_EQ(got_nwc.result.objects, want_nwc->objects) << "query " << i;
@@ -237,8 +236,6 @@ TEST_P(SubmitAdapterTest, InvalidQueryDeliversOnceWithOrderedStamps) {
   auto knwc_delivery = SubmitThrough(backend(), adapter(), knwc);
   EXPECT_EQ(nwc_delivery->Wait().status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(knwc_delivery->Wait().status.code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(nwc_delivery->response.degraded);
-  EXPECT_FALSE(knwc_delivery->response.degraded);
   // Both backends run the request (the engine or the router validates it).
   ExpectOrderedStamps(*nwc_delivery);
   ExpectOrderedStamps(*knwc_delivery);

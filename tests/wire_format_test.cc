@@ -69,7 +69,6 @@ void ExpectSameNwcResponse(const NwcResponse& a, const NwcResponse& b) {
   EXPECT_EQ(a.traversal_reads, b.traversal_reads);
   EXPECT_EQ(a.window_query_reads, b.window_query_reads);
   EXPECT_EQ(a.result_cache_hit, b.result_cache_hit);
-  EXPECT_EQ(a.degraded, b.degraded);
 }
 
 // Pulls the single frame out of a fully buffered encoding.
@@ -128,47 +127,42 @@ TEST(WireFormat, NwcResponseRoundtrip) {
   ExpectSameNwcResponse(decoded, response);
 }
 
-// The response flags byte carries both result_cache_hit (bit 0) and
-// degraded (bit 1), so a sharded server's partial answer stays marked as
-// partial on the wire; any other bit fails like an unknown envelope flag.
+// The response flags byte carries result_cache_hit in bit 0; any other bit
+// fails like an unknown envelope flag.
 TEST(WireFormat, ResponseFlagsRoundtripDegradedAndRejectUnknownBits) {
   for (const bool cache_hit : {false, true}) {
-    for (const bool degraded : {false, true}) {
-      NwcResponse response = MakeNwcResponse();
-      response.result_cache_hit = cache_hit;
-      response.degraded = degraded;
-      NwcResponse decoded;
-      ASSERT_TRUE(
-          DecodeNwcResponse(MustDecodeFrame(EncodeNwcResponseFrame(3, response)).body, &decoded)
-              .ok());
-      ExpectSameNwcResponse(decoded, response);
+    NwcResponse response = MakeNwcResponse();
+    response.result_cache_hit = cache_hit;
+    NwcResponse decoded;
+    ASSERT_TRUE(
+        DecodeNwcResponse(MustDecodeFrame(EncodeNwcResponseFrame(3, response)).body, &decoded)
+            .ok());
+    ExpectSameNwcResponse(decoded, response);
 
-      KnwcResponse knwc = MakeKnwcResponse();
-      knwc.result_cache_hit = cache_hit;
-      knwc.degraded = degraded;
-      KnwcResponse knwc_decoded;
-      ASSERT_TRUE(
-          DecodeKnwcResponse(MustDecodeFrame(EncodeKnwcResponseFrame(4, knwc)).body, &knwc_decoded)
-              .ok());
-      EXPECT_EQ(knwc_decoded.result_cache_hit, cache_hit);
-      EXPECT_EQ(knwc_decoded.degraded, degraded);
-    }
+    KnwcResponse knwc = MakeKnwcResponse();
+    knwc.result_cache_hit = cache_hit;
+    KnwcResponse knwc_decoded;
+    ASSERT_TRUE(
+        DecodeKnwcResponse(MustDecodeFrame(EncodeKnwcResponseFrame(4, knwc)).body, &knwc_decoded)
+            .ok());
+    EXPECT_EQ(knwc_decoded.result_cache_hit, cache_hit);
   }
 
   // The flags byte follows the status (code u8 + u32 length + message)
   // and three u64 counters; the encoding's size is unchanged by the flags.
   NwcResponse response = MakeNwcResponse();
+  response.result_cache_hit = false;
   std::string body;
   EncodeNwcResponse(response, &body);
-  response.degraded = true;
-  std::string degraded_body;
-  EncodeNwcResponse(response, &degraded_body);
-  EXPECT_EQ(body.size(), degraded_body.size());
+  response.result_cache_hit = true;
+  std::string hit_body;
+  EncodeNwcResponse(response, &hit_body);
+  EXPECT_EQ(body.size(), hit_body.size());
   const size_t flags_at = 1 + 4 + response.status.message().size() + 3 * 8;
-  EXPECT_EQ(static_cast<uint8_t>(degraded_body[flags_at]), 0x03);
+  EXPECT_EQ(static_cast<uint8_t>(hit_body[flags_at]), 0x01);
   NwcResponse decoded;
-  for (const uint8_t bad : {0x04, 0x80, 0xFF}) {
-    std::string corrupt = degraded_body;
+  for (const uint8_t bad : {0x02, 0x04, 0x80, 0xFF}) {
+    std::string corrupt = hit_body;
     corrupt[flags_at] = static_cast<char>(bad);
     EXPECT_EQ(DecodeNwcResponse(corrupt, &decoded).code(), StatusCode::kInvalidArgument)
         << "flags byte " << static_cast<int>(bad);

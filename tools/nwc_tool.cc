@@ -149,11 +149,6 @@ constexpr Flag kServiceFlags[] = {
     {"shards", kCount, "1", "Z-order range shards behind a ShardRouter (1 = no router)"},
     {"shard-max-l", kDouble, "0", "largest routed window length (needed with --shards > 1)"},
     {"shard-max-w", kDouble, "0", "largest routed window width (needed with --shards > 1)"},
-    {"shard-halo", kDouble, "3", "halo replication band, in maximum window extents"},
-    {.name = "shard-partial", .type = kEnum, .fallback = "fail",
-     .help = "answer when a shard fails: fail the query or degrade", .choices = "fail|degrade"},
-    {.name = "fault-shard", .type = kCount,
-     .help = "scope --inject-faults to this shard (default: every shard)", .max = INT_MAX},
     {"router-threads", kCount, nullptr, "router dispatch threads (default: --threads)"},
     {"router-queue", kCount, nullptr, "router queue slots (default: --queue)"},
 };
@@ -422,18 +417,12 @@ Result<Backend> OpenBackend(const Flags& flags, bool build_iwp, bool build_grid)
                                      .grid_cell_size = flags.number("grid-cell")};
   Backend backend;
   if (flags.count("shards") > 1) {
-    constexpr PartialFailurePolicy kPolicies[] = {PartialFailurePolicy::kFail,
-                                                  PartialFailurePolicy::kDegrade};  // in order
     ShardRouterConfig config;
     config.num_shards = flags.count("shards");
     config.max_window_length = flags.number("shard-max-l");
     config.max_window_width = flags.number("shard-max-w");
-    config.halo_factor = flags.number("shard-halo");
-    config.partial_failure = kPolicies[flags.choice("shard-partial")];
     config.service = *service_config;
     config.session = session_config;
-    config.fault_shard =
-        flags.has("fault-shard") ? static_cast<int>(flags.count("fault-shard")) : -1;
     // Router dispatch parallelism defaults to the per-shard worker count:
     // NWC routing holds a router thread across its (mostly sequential)
     // shard visits, so fewer router threads than workers would idle the
