@@ -74,8 +74,7 @@ int RunSmoke() {
   Dataset dataset = MakeCaLike(kDatasetSeed, ScaledCardinality(20000));
   Result<Session> session =
       Session::Open(BulkLoadStr(dataset.objects, RTreeOptions{}),
-                    SessionConfig{.build_iwp = true, .build_grid = true,
-                                  .grid_cell_size = 25.0, .grid_space = dataset.space});
+                    SessionConfig{.grid_cell_size = 25.0, .grid_space = dataset.space});
   CheckOk(session.status(), "Session::Open");
 
   const std::vector<Point> points = SampleQueryPoints(dataset, 256, kQuerySeed);
@@ -144,8 +143,7 @@ int main(int argc, char** argv) {
   Progress("building %s (%zu objects)", dataset.name.c_str(), dataset.size());
   Result<Session> session =
       Session::Open(BulkLoadStr(dataset.objects, RTreeOptions{}),
-                    SessionConfig{.build_iwp = true, .build_grid = true,
-                                  .grid_cell_size = 25.0, .grid_space = dataset.space});
+                    SessionConfig{.grid_cell_size = 25.0, .grid_space = dataset.space});
   CheckOk(session.status(), "Session::Open");
 
   const std::vector<Point> points = SampleQueryPoints(dataset, query_count, kQuerySeed);

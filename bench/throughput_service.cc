@@ -90,8 +90,7 @@ int RunSmoke() {
   Dataset dataset = MakeCaLike(kDatasetSeed, 20000);
   Result<Session> session =
       Session::Open(BulkLoadStr(dataset.objects, RTreeOptions{}),
-                    SessionConfig{.build_iwp = true, .build_grid = true,
-                                  .grid_cell_size = 25.0, .grid_space = dataset.space});
+                    SessionConfig{.grid_cell_size = 25.0, .grid_space = dataset.space});
   CheckOk(session.status(), "Session::Open");
 
   // 200 distinct queries: through a cache every one is a probe + miss +
@@ -153,8 +152,7 @@ int main(int argc, char** argv) {
 
   Result<Session> session =
       Session::Open(BulkLoadStr(dataset.objects, RTreeOptions{}),
-                    SessionConfig{.build_iwp = true, .build_grid = true,
-                                  .grid_cell_size = 25.0, .grid_space = space});
+                    SessionConfig{.grid_cell_size = 25.0, .grid_space = space});
   CheckOk(session.status(), "Session::Open");
 
   std::vector<NwcRequest> requests;

@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -67,6 +68,11 @@ std::string Trim(const std::string& text) {
   while (begin < end && std::isspace(static_cast<unsigned char>(text[begin])) != 0) ++begin;
   while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1])) != 0) --end;
   return text.substr(begin, end - begin);
+}
+
+std::optional<double> ParseFinite(std::string_view text) {
+  const std::optional<double> value = ParseNumber<double>(text);
+  return value && std::isfinite(*value) ? value : std::nullopt;
 }
 
 }  // namespace nwc

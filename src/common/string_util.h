@@ -1,8 +1,12 @@
 #ifndef NWC_COMMON_STRING_UTIL_H_
 #define NWC_COMMON_STRING_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace nwc {
@@ -21,6 +25,19 @@ std::vector<std::string> Split(const std::string& text, char sep);
 
 /// Removes leading and trailing ASCII whitespace.
 std::string Trim(const std::string& text);
+
+/// Parses `text` whole: no sign on an unsigned type, no surrounding
+/// blanks, no trailing text, no overflow.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) return std::nullopt;
+  return value;
+}
+
+/// ParseNumber<double> that also rejects NaN and the infinities.
+std::optional<double> ParseFinite(std::string_view text);
 
 }  // namespace nwc
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -68,19 +68,25 @@ Result<Dataset> LoadDatasetCsv(const std::string& path, const std::string& name)
     }
     const std::string trimmed = Trim(line);
     if (trimmed.empty()) continue;
-    DataObject obj;
-    char* cursor = nullptr;
-    obj.id = static_cast<ObjectId>(std::strtoul(trimmed.c_str(), &cursor, 10));
-    if (cursor == nullptr || *cursor != ',') {
-      std::fclose(file);
-      return Status::IoError(StrFormat("%s:%zu: malformed row", path.c_str(), line_number));
+    // "id,x,y", each field parsed whole: the id an unsigned 32-bit
+    // integer, the coordinates finite numbers.
+    const std::vector<std::string> fields = Split(trimmed, ',');
+    std::optional<ObjectId> id;
+    std::optional<double> x;
+    std::optional<double> y;
+    if (fields.size() == 3) {
+      id = ParseNumber<ObjectId>(Trim(fields[0]));
+      x = ParseFinite(Trim(fields[1]));
+      y = ParseFinite(Trim(fields[2]));
     }
-    obj.pos.x = std::strtod(cursor + 1, &cursor);
-    if (cursor == nullptr || *cursor != ',') {
+    if (!id || !x || !y) {
       std::fclose(file);
-      return Status::IoError(StrFormat("%s:%zu: malformed row", path.c_str(), line_number));
+      return Status::IoError(StrFormat(
+          "%s:%zu: malformed row '%s' (expected an id in [0, 4294967295] and two finite "
+          "coordinates)",
+          path.c_str(), line_number, trimmed.c_str()));
     }
-    obj.pos.y = std::strtod(cursor + 1, nullptr);
+    const DataObject obj{*id, Point{*x, *y}};
     dataset.objects.push_back(obj);
   }
   std::fclose(file);

@@ -6,6 +6,17 @@
 
 namespace nwc {
 
+namespace {
+
+// The cell index floor(offset) clamped to [0, n - 1], for offset >= 0 or
+// NaN. The clamp happens in double: a far-out coordinate's offset can
+// exceed every size_t, and casting it would be undefined.
+size_t ClampedCell(double offset, size_t n) {
+  return offset < static_cast<double>(n - 1) ? static_cast<size_t>(offset) : n - 1;
+}
+
+}  // namespace
+
 DensityGrid::DensityGrid(const Rect& space, double cell_size,
                          const std::vector<DataObject>& objects)
     : space_(space), cell_size_(cell_size) {
@@ -69,9 +80,7 @@ void DensityGrid::OnRemove(const Point& p) {
 size_t DensityGrid::CellIndexFor(double coord, double space_min) const {
   const double offset = (coord - space_min) / cell_size_;
   if (offset <= 0.0) return 0;
-  size_t index = static_cast<size_t>(offset);
-  if (index >= cells_per_axis_) index = cells_per_axis_ - 1;
-  return index;
+  return ClampedCell(offset, cells_per_axis_);
 }
 
 uint64_t DensityGrid::CountUpperBound(const Rect& rect) const {
@@ -87,16 +96,12 @@ uint64_t DensityGrid::CountUpperBound(const Rect& rect) const {
     if (offset <= 0.0) return 0;
     // Largest c with (c+1)*s >= lo-min, i.e. c >= offset-1; boundary-
     // touching cells count (closed intersection).
-    double c = std::ceil(offset - 1.0);
-    if (c < 0.0) c = 0.0;
-    const size_t idx = static_cast<size_t>(c);
-    return std::min(idx, n - 1);
+    return ClampedCell(std::max(0.0, std::ceil(offset - 1.0)), n);
   };
   const auto last_cell = [&](double hi, double space_min) -> size_t {
     const double offset = (hi - space_min) / cell_size_;
     if (offset < 0.0) return 0;
-    const size_t idx = static_cast<size_t>(std::floor(offset));
-    return std::min(idx, n - 1);
+    return ClampedCell(offset, n);
   };
 
   const size_t x0 = first_cell(rect.min_x, space_.min_x);

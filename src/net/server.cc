@@ -467,8 +467,9 @@ class NetServer::Impl {
         // through the worker pool would only add queueing without
         // parallelism. Queries already in flight keep serving their
         // acquired snapshots; responses after this frame see the new
-        // epoch. A failed update (NotFound for a missed delete) is a
-        // typed response, not a protocol error.
+        // epoch. A failed update (NotFound for a missed delete,
+        // InvalidArgument for a non-finite position) is a typed response,
+        // not a protocol error.
         const UpdateResponse response = service_.ApplyUpdate(batch);
         metrics_.OnFrameSent();
         SendBytes(conn, EncodeUpdateResponseFrame(frame.request_id, response));

@@ -58,7 +58,9 @@ inline bool HasAnswer(const KnwcResponse& response) { return !response.result.gr
 /// Outcome of one ApplyUpdate call. `epoch` is the epoch the mutations
 /// were published under (for a router, the max over the shards it
 /// touched). A NotFound status reports delete misses — the other mutations
-/// in the batch were still applied and published.
+/// in the batch were still applied and published. An InvalidArgument
+/// status reports a batch CheckMutationBatch rejected: nothing of it was
+/// applied and no epoch was published.
 struct UpdateResponse {
   Status status;
   uint64_t epoch = 0;
@@ -71,8 +73,8 @@ struct UpdateResponse {
 /// Worker-side timestamps for one request on the stamped submit path:
 /// absolute microseconds on the steady clock (SteadyNowMicros()), so a
 /// caller on the same host subtracts them from its own marks directly. On
-/// the synchronous failure paths (unsupported scheme, shed, shutdown) all
-/// three carry the same instant — the request never reached the queue.
+/// the synchronous failure paths (shed, shutdown) all three carry the same
+/// instant — the request never reached the queue.
 struct AsyncTiming {
   uint64_t enqueue_us = 0;  ///< accepted into the pool queue
   uint64_t dequeue_us = 0;  ///< a worker picked the job up
@@ -115,8 +117,7 @@ class QueryBackend {
   }
 
   /// Future adapters: the future is always valid, and a backend-level
-  /// failure (shutdown, shed, unsupported scheme) surfaces as a non-OK
-  /// response status.
+  /// failure (shutdown, shed) surfaces as a non-OK response status.
   std::future<NwcResponse> SubmitNwc(NwcRequest request) {
     auto promise = std::make_shared<std::promise<NwcResponse>>();
     SubmitNwcAsyncTraced(std::move(request), FulfillPromise(promise));
@@ -130,7 +131,7 @@ class QueryBackend {
 
   /// Applies a mutation batch and publishes the next epoch (synchronous).
   /// Every backend accepts updates; a NotFound status reports delete
-  /// misses (see UpdateResponse).
+  /// misses, an InvalidArgument one a rejected batch (see UpdateResponse).
   virtual UpdateResponse ApplyUpdate(const MutationBatch& mutations) = 0;
 
   /// Aggregated service metrics (a sharded backend sums its shards).

@@ -61,16 +61,6 @@ QueryService::~QueryService() { Shutdown(); }
 
 void QueryService::Shutdown() { pool_.Shutdown(); }
 
-Status QueryService::CheckRequest(const std::optional<NwcOptions>& override_options,
-                                  NwcOptions* effective) const {
-  *effective = override_options.value_or(config_.default_options);
-  if (!store_.Supports(*effective)) {
-    return Status::FailedPrecondition(
-        "session lacks the IWP index / density grid required by the requested scheme");
-  }
-  return Status::Ok();
-}
-
 UpdateResponse QueryService::ApplyUpdate(const MutationBatch& mutations) {
   UpdateResponse response;
   Stopwatch timer;
@@ -254,19 +244,17 @@ Response FailedResponse(Status status) {
 
 template <typename Response, typename Request>
 void QueryService::Submit(Request request, StampedDone<Response> done) {
-  NwcOptions options;
-  Status status = CheckRequest(request.options, &options);
   // Load shedding: past the watermark, failing fast beats blocking the
   // caller on a queue that is already drowning. AdmitJob decides and
   // reserves the slot in one atomic step.
-  if (status.ok() && !AdmitJob()) {
-    status = Status::Unavailable("request shed: queue past the shed watermark");
-  }
-  if (!status.ok()) {
+  if (!AdmitJob()) {
     const uint64_t now = SteadyNowMicros();
-    done(FailedResponse<Response>(std::move(status)), AsyncTiming{now, now, now});
+    done(FailedResponse<Response>(
+             Status::Unavailable("request shed: queue past the shed watermark")),
+         AsyncTiming{now, now, now});
     return;
   }
+  const NwcOptions options = request.options.value_or(config_.default_options);
   const RequestTiming timing = MakeTiming(request.deadline_micros);
   // shared_ptr keeps the callback alive for the copyable ThreadPool::Job
   // and for the shutdown path below.

@@ -90,9 +90,9 @@ struct ServiceConfig {
 /// (IoCounter, engine locals), so execution is concurrency-correct by
 /// construction.
 ///
-/// Every single request takes one path, Submit<Response>: CheckRequest,
-/// shed admission, deadline capture, the enqueue stamp, the pool hand-off,
-/// then the dequeue and finish stamps around Execute. The stamped
+/// Every single request takes one path, Submit<Response>: shed admission,
+/// option resolution, deadline capture, the enqueue stamp, the pool
+/// hand-off, then the dequeue and finish stamps around Execute. The stamped
 /// Submit*AsyncTraced overrides forward to it; the future (SubmitNwc) and
 /// plain callback (SubmitNwcAsync) submits are QueryBackend adapters over
 /// those, and RunNwcBatch/RunKnwcBatch are loops over the futures. Sheds
@@ -120,11 +120,11 @@ class QueryService : public QueryBackend {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// The stamped submit (QueryBackend): CheckRequest, shed admission and
-  /// the enqueue are all synchronous, so an unsupported scheme, a request
-  /// shed past the watermark, or a shut-down service calls `done` inside
-  /// this call with a typed FailedPrecondition / Unavailable status and
-  /// three equal stamps. Otherwise `done` runs once on a worker thread.
+  /// The stamped submit (QueryBackend): shed admission and the enqueue
+  /// are synchronous, so a request shed past the watermark or submitted to
+  /// a shut-down service calls `done` inside this call with a typed
+  /// Unavailable / FailedPrecondition status and three equal stamps.
+  /// Otherwise `done` runs once on a worker thread.
   /// The stamps are three SteadyNowMicros() reads — deliberately NOT a
   /// full QueryTrace, whose per-span recording costs real throughput; deep
   /// span traces remain the slow-query machinery's job
@@ -195,10 +195,6 @@ class QueryService : public QueryBackend {
 
   /// The Session constructor's path: serves `*owned_store` and keeps it.
   QueryService(std::unique_ptr<SnapshotStore> owned_store, const ServiceConfig& config);
-
-  /// Resolves the effective options and checks the store supports them.
-  Status CheckRequest(const std::optional<NwcOptions>& override_options,
-                      NwcOptions* effective) const;
 
   /// Captures the request's absolute deadline (request override or service
   /// default) and the current cancel epoch.

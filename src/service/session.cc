@@ -1,5 +1,6 @@
 #include "service/session.h"
 
+#include <cassert>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -10,7 +11,7 @@
 namespace nwc {
 
 Status SessionConfig::Validate() const {
-  if (build_grid && !(grid_cell_size > 0.0)) {
+  if (!(grid_cell_size > 0.0)) {
     return Status::InvalidArgument("grid_cell_size must be positive");
   }
   return Status::Ok();
@@ -37,36 +38,31 @@ Result<Session> Session::Open(RStarTree tree, const SessionConfig& config) {
   if (!valid.ok()) return valid;
 
   Rect space = config.grid_space;
-  if (config.build_grid) {
-    if (space.IsEmpty()) space = tree.bounds();
-    if (space.IsEmpty()) {
-      // Empty tree: a 1-cell grid with zero counts keeps DEP sound (it
-      // prunes everything, which is the right answer for no data; in a
-      // SnapshotStore, later inserts clamp into the single cell).
-      space = Rect{0.0, 0.0, config.grid_cell_size, config.grid_cell_size};
-    }
-    const double cells = DensityGrid::CellsPerAxis(space, config.grid_cell_size);
-    if (cells * cells > static_cast<double>(kMaxGridCells)) {
-      return Status::InvalidArgument(StrFormat(
-          "grid_cell_size %g needs %.0f x %.0f density-grid cells; at most %zu are allowed",
-          config.grid_cell_size, cells, cells, kMaxGridCells));
-    }
+  if (space.IsEmpty()) space = tree.bounds();
+  if (space.IsEmpty()) {
+    // Empty tree: a 1-cell grid with zero counts keeps DEP sound (it
+    // prunes everything, which is the right answer for no data; in a
+    // SnapshotStore, later inserts clamp into the single cell).
+    space = Rect{0.0, 0.0, config.grid_cell_size, config.grid_cell_size};
+  }
+  const double cells = DensityGrid::CellsPerAxis(space, config.grid_cell_size);
+  if (cells * cells > static_cast<double>(kMaxGridCells)) {
+    return Status::InvalidArgument(StrFormat(
+        "grid_cell_size %g needs %.0f x %.0f density-grid cells; at most %zu are allowed",
+        config.grid_cell_size, cells, cells, kMaxGridCells));
   }
 
   Session session;
   session.tree_ = std::make_unique<RStarTree>(std::move(tree));
-  if (config.build_iwp) {
-    session.iwp_ = std::make_unique<IwpIndex>(IwpIndex::Build(*session.tree_));
-  }
-  if (config.build_grid) {
-    session.grid_ = std::make_unique<DensityGrid>(space, config.grid_cell_size,
-                                                  CollectTreeObjects(*session.tree_));
-  }
+  session.iwp_ = std::make_unique<IwpIndex>(IwpIndex::Build(*session.tree_));
+  session.grid_ = std::make_unique<DensityGrid>(space, config.grid_cell_size,
+                                                CollectTreeObjects(*session.tree_));
   return session;
 }
 
 Session Session::FromParts(std::unique_ptr<RStarTree> tree, std::unique_ptr<IwpIndex> iwp,
                            std::unique_ptr<DensityGrid> grid) {
+  assert(tree != nullptr && iwp != nullptr && grid != nullptr);
   Session session;
   session.tree_ = std::move(tree);
   session.iwp_ = std::move(iwp);

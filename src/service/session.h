@@ -12,12 +12,9 @@
 
 namespace nwc {
 
-/// What auxiliary structures a Session builds next to the tree. The
-/// defaults cover NWC* (every optimization available); disable structures
-/// the deployed option presets never use to save build time and memory.
+/// The density grid's geometry; a Session always builds the IWP index and
+/// the grid next to the tree.
 struct SessionConfig {
-  bool build_iwp = true;      ///< IWP pointer tables (needed by use_iwp)
-  bool build_grid = true;     ///< density grid (needed by use_dep)
   double grid_cell_size = 25.0;  ///< cell side for the density grid
   /// Grid data space; an empty rect means "the tree's bounds". Pass the
   /// normalized space when queries may fall outside the data bounds.
@@ -27,7 +24,8 @@ struct SessionConfig {
 };
 
 /// An immutable, shareable snapshot of the index stack: the R*-tree plus
-/// the optional IWP augmentation and density grid built over it.
+/// the IWP augmentation and density grid built over it. Every stack
+/// carries all three, so every scheme runs on every Session.
 ///
 /// A Session is the unit the service shares across worker threads: after
 /// Open() (or FromParts()) returns, nothing in it ever mutates, so any
@@ -38,17 +36,16 @@ struct SessionConfig {
 /// and publishes immutable Sessions from it.
 class Session {
  public:
-  /// Takes ownership of `tree` and builds the configured auxiliary
-  /// structures (grid objects are collected from the tree's own leaves, so
-  /// no separate dataset is needed). Returns InvalidArgument for a bad
-  /// config.
+  /// Takes ownership of `tree` and builds the IWP index and density grid
+  /// over it (grid objects are collected from the tree's own leaves, so no
+  /// separate dataset is needed). Returns InvalidArgument for a bad config.
   static Result<Session> Open(RStarTree tree, const SessionConfig& config = SessionConfig());
 
   /// Builder hook for the snapshot layer: adopts an already-built stack.
-  /// `iwp` and `grid` may be null (the session then rejects schemes that
-  /// need them); when present they must have been built over / maintained
-  /// in lockstep with `tree`, and `grid` must be frozen (prefix sums
-  /// clean). Performs no validation beyond null checks.
+  /// All three parts must be non-null; `iwp` and `grid` must have been
+  /// built over / maintained in lockstep with `tree`, and `grid` must be
+  /// frozen (prefix sums clean). Asserts the null checks; validates nothing
+  /// else.
   static Session FromParts(std::unique_ptr<RStarTree> tree, std::unique_ptr<IwpIndex> iwp,
                            std::unique_ptr<DensityGrid> grid);
 
@@ -58,15 +55,9 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   const RStarTree& tree() const { return *tree_; }
-  /// nullptr when the session was opened without IWP.
+  /// Never null; pointers because the engines take the structures that way.
   const IwpIndex* iwp() const { return iwp_.get(); }
-  /// nullptr when the session was opened without the grid.
   const DensityGrid* grid() const { return grid_.get(); }
-
-  /// True when every structure the preset's techniques need is present.
-  bool Supports(const NwcOptions& options) const {
-    return (!options.use_iwp || iwp_ != nullptr) && (!options.use_dep || grid_ != nullptr);
-  }
 
  private:
   Session() = default;

@@ -566,6 +566,12 @@ void ShardRouter::CancelAll() {
 UpdateResponse ShardRouter::ApplyUpdate(const MutationBatch& mutations) {
   UpdateResponse response;
   Stopwatch timer;
+  // Checked whole before the split: no shard applies part of a bad batch.
+  response.status = CheckMutationBatch(mutations);
+  if (!response.status.ok()) {
+    response.latency_micros = timer.ElapsedMicros();
+    return response;
+  }
 
   // Split the batch: owned mutations carry the authoritative counts;
   // replica mutations keep halo copies in lockstep (same deterministic
@@ -581,7 +587,6 @@ UpdateResponse ShardRouter::ApplyUpdate(const MutationBatch& mutations) {
     }
   }
 
-  response.status = Status::Ok();
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (owned[s].empty() && replicas[s].empty()) continue;
     // Replicas go to the writer stack unpublished; the owned batch's

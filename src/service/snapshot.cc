@@ -1,5 +1,6 @@
 #include "service/snapshot.h"
 
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -8,31 +9,29 @@
 
 namespace nwc {
 
+Status CheckMutationBatch(const MutationBatch& batch) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const Point& pos = batch[i].object.pos;
+    if (!std::isfinite(pos.x) || !std::isfinite(pos.y)) {
+      return Status::InvalidArgument(
+          StrFormat("mutation %zu of %zu (object %u) has a non-finite position (%g, %g)", i + 1,
+                    batch.size(), batch[i].object.id, pos.x, pos.y));
+    }
+  }
+  return Status::Ok();
+}
+
 Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(RStarTree tree, const Config& config) {
   Result<Session> session = Session::Open(std::move(tree), config.session);
   if (!session.ok()) return session.status();
-  return std::unique_ptr<SnapshotStore>(new SnapshotStore(
-      config, std::make_shared<const Session>(std::move(session).value())));
+  return std::unique_ptr<SnapshotStore>(
+      new SnapshotStore(std::make_shared<const Session>(std::move(session).value())));
 }
-
-namespace {
-
-// The store reads only which structures its epochs carry; the writer grid
-// is a copy of the session's, so its geometry needs no config.
-SnapshotStore::Config ConfigOf(const Session& session) {
-  SnapshotStore::Config config;
-  config.session.build_iwp = session.iwp() != nullptr;
-  config.session.build_grid = session.grid() != nullptr;
-  return config;
-}
-
-}  // namespace
 
 // The aliasing constructor with an empty owner yields a non-owning pointer:
 // the caller keeps the Session alive, and copies of it cost no refcount.
 SnapshotStore::SnapshotStore(const Session& session)
-    : SnapshotStore(ConfigOf(session), std::shared_ptr<const Session>(
-                                           std::shared_ptr<const Session>(), &session)) {}
+    : SnapshotStore(std::shared_ptr<const Session>(std::shared_ptr<const Session>(), &session)) {}
 
 SnapshotStore::SnapshotRef SnapshotStore::Acquire() const {
   std::lock_guard<std::mutex> lock(publish_mu_);
@@ -63,12 +62,15 @@ Status SnapshotStore::ApplyAndPublish(const MutationBatch& batch, ApplyStats* st
                                       SnapshotRef* out) {
   std::lock_guard<std::mutex> lock(writer_mu_);
   const Status status = ApplyLocked(batch, stats);
-  const SnapshotRef ref = PublishLocked();
+  const SnapshotRef ref =
+      status.code() == StatusCode::kInvalidArgument ? Acquire() : PublishLocked();
   if (out != nullptr) *out = ref;
   return status;
 }
 
 Status SnapshotStore::ApplyLocked(const MutationBatch& batch, ApplyStats* stats) {
+  const Status valid = CheckMutationBatch(batch);
+  if (!valid.ok()) return valid;
   if (writer_tree_ == nullptr) {
     // First write: the writer stack starts as a copy of the published
     // snapshot (epoch 1, as nothing has been published since), which
@@ -76,22 +78,20 @@ Status SnapshotStore::ApplyLocked(const MutationBatch& batch, ApplyStats* stats)
     const SnapshotRef current = Acquire();
     const Session& published = *current.session;
     writer_tree_ = std::make_unique<RStarTree>(published.tree().Clone());
-    if (published.grid() != nullptr) {
-      writer_grid_ = std::make_unique<DensityGrid>(*published.grid());
-    }
+    writer_grid_ = std::make_unique<DensityGrid>(*published.grid());
   }
   ApplyStats local;
   for (const Mutation& m : batch) {
     if (m.kind == Mutation::Kind::kInsert) {
       writer_tree_->Insert(m.object);
-      if (writer_grid_ != nullptr) writer_grid_->OnInsert(m.object.pos);
+      writer_grid_->OnInsert(m.object.pos);
       ++local.inserts;
     } else {
       // A miss leaves both tree and grid untouched; the rest of the batch
       // still applies (each mutation is atomic, the batch is not).
       const Status deleted = writer_tree_->Delete(m.object);
       if (deleted.ok()) {
-        if (writer_grid_ != nullptr) writer_grid_->OnRemove(m.object.pos);
+        writer_grid_->OnRemove(m.object.pos);
         ++local.deletes;
       } else {
         ++local.delete_misses;
@@ -116,16 +116,12 @@ SnapshotStore::SnapshotRef SnapshotStore::PublishLocked() {
   auto tree = std::make_unique<RStarTree>(writer_tree_->Clone());
 
   // Built over the clone — the exact tree this snapshot serves.
-  std::unique_ptr<IwpIndex> iwp;
-  if (config_.session.build_iwp) iwp = std::make_unique<IwpIndex>(IwpIndex::Build(*tree));
+  auto iwp = std::make_unique<IwpIndex>(IwpIndex::Build(*tree));
 
-  std::unique_ptr<DensityGrid> grid;
-  if (writer_grid_ != nullptr) {
-    // Freeze first so the copy carries clean prefix sums — a published
-    // grid must never rebuild lazily under concurrent readers.
-    writer_grid_->Freeze();
-    grid = std::make_unique<DensityGrid>(*writer_grid_);
-  }
+  // Freeze first so the copy carries clean prefix sums — a published grid
+  // must never rebuild lazily under concurrent readers.
+  writer_grid_->Freeze();
+  auto grid = std::make_unique<DensityGrid>(*writer_grid_);
 
   auto session = std::make_shared<const Session>(
       Session::FromParts(std::move(tree), std::move(iwp), std::move(grid)));

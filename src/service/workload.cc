@@ -3,9 +3,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <utility>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 
 namespace nwc {
 
@@ -154,25 +157,30 @@ Result<std::vector<MutationBatch>> LoadMutationFile(const std::string& path) {
       current.clear();
       continue;
     }
-    double x, y;
-    unsigned long id;
-    int consumed = 0;
-    Mutation mutation;
-    if (std::sscanf(text, "insert %lu %lf %lf%n", &id, &x, &y, &consumed) == 3) {
-      mutation = Mutation::Insert(DataObject{static_cast<ObjectId>(id), Point{x, y}});
-    } else if (std::sscanf(text, "delete %lu %lf %lf%n", &id, &x, &y, &consumed) == 3) {
-      mutation = Mutation::Delete(DataObject{static_cast<ObjectId>(id), Point{x, y}});
-    } else {
+    // "insert|delete ID X Y", each field parsed whole: the id an unsigned
+    // 32-bit integer, the coordinates finite numbers.
+    const auto reject = [&](const std::string& what) {
       return Status::InvalidArgument("mutation file " + path + " line " +
-                                     std::to_string(line_no) +
-                                     ": expected 'insert ID X Y', 'delete ID X Y' or '---'");
+                                     std::to_string(line_no) + ": " + what);
+    };
+    std::istringstream fields(text);
+    std::string verb, id_text, x_text, y_text, rest;
+    fields >> verb >> id_text >> x_text >> y_text;
+    std::getline(fields >> std::ws, rest);
+    if ((verb != "insert" && verb != "delete") || y_text.empty()) {
+      return reject("expected 'insert ID X Y', 'delete ID X Y' or '---'");
     }
-    const std::string rest(text + consumed);
-    if (rest.find_first_not_of(" \t\r") != std::string::npos) {
-      return Status::InvalidArgument("mutation file " + path + " line " +
-                                     std::to_string(line_no) + ": unexpected trailing '" +
-                                     rest.substr(rest.find_first_not_of(" \t\r")) + "'");
+    if (!rest.empty()) return reject("unexpected trailing '" + rest + "'");
+    const std::optional<ObjectId> id = ParseNumber<ObjectId>(id_text);
+    if (!id) return reject("id '" + id_text + "' is not an integer in [0, 4294967295]");
+    const std::optional<double> x = ParseFinite(x_text);
+    const std::optional<double> y = ParseFinite(y_text);
+    if (!x || !y) {
+      return reject("coordinate '" + (x ? y_text : x_text) + "' is not a finite number");
     }
+    const DataObject object{*id, Point{*x, *y}};
+    const Mutation mutation =
+        verb == "insert" ? Mutation::Insert(object) : Mutation::Delete(object);
     current.push_back(mutation);
     ++total;
   }

@@ -480,5 +480,39 @@ TEST_F(CliPipelineTest, ServeRejectsOutOfRangePortBeforeListening) {
   EXPECT_EQ(result.output.find("listening"), std::string::npos) << result.output;
 }
 
+// A non-finite mutation is rejected before anything is served or applied,
+// with the line that holds it: the replay exits 1 instead of publishing an
+// epoch whose tree no query can answer from.
+TEST_F(CliPipelineTest, ServeBatchRejectsNonFiniteMutation) {
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(bad);
+    const std::string mutations_path = TempPath("cli_nonfinite_mutations.txt");
+    std::FILE* file = std::fopen(mutations_path.c_str(), "w");
+    ASSERT_NE(file, nullptr);
+    std::fprintf(file, "insert 900001 5000 5000\ninsert 900002 %s 5000\n", bad.c_str());
+    std::fclose(file);
+    const CommandResult result =
+        RunTool("serve-batch --index=" + *tree_path_ + " --queries=" +
+                WriteReplayFile("cli_nonfinite_queries.txt") + " --mutations=" + mutations_path +
+                " --mutate-every=2 --threads=1");
+    EXPECT_EQ(result.exit_code, 1) << result.output;
+    EXPECT_NE(result.output.find("error: InvalidArgument"), std::string::npos) << result.output;
+    EXPECT_NE(result.output.find("line 2"), std::string::npos) << result.output;
+    EXPECT_EQ(result.output.find("serving"), std::string::npos) << result.output;
+  }
+}
+
+// The grid is built for every scheme, so --grid-cell is validated for a
+// scheme that never reads the grid too.
+TEST_F(CliPipelineTest, QueryValidatesGridCellForEveryScheme) {
+  for (const std::string scheme : {"plain", "srr", "iwp"}) {
+    SCOPED_TRACE(scheme);
+    ExpectFlagError(RunTool("query --index=" + *tree_path_ +
+                            " --q=5000,5000 --l=400 --w=400 --n=3 --grid-cell=4.7 --scheme=" +
+                            scheme),
+                    "grid_cell_size");
+  }
+}
+
 }  // namespace
 }  // namespace nwc

@@ -73,6 +73,38 @@ TEST(DatasetTest, LoadMalformedCsvFails) {
   EXPECT_FALSE(LoadDatasetCsv(path, "bad").ok());
 }
 
+// Each field of a row parses whole: trailing text, a non-numeric or
+// non-finite coordinate and an id that is signed or past UINT32_MAX all
+// reject the file, naming the line, instead of loading a wrong value.
+TEST(DatasetTest, LoadRejectsUnrepresentableFields) {
+  const std::string path = TempPath("unrepresentable.csv");
+  for (const char* row : {"2,11,abc", "5,14,15junk", "3,12,nan", "4,inf,13", "6,1,-inf",
+                          "-5,1,2", "4294967297,1,2", "7,1,2,3", "8,,2"}) {
+    SCOPED_TRACE(row);
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "id,x,y\n1,10,0\n%s\n", row);
+    std::fclose(f);
+    const Result<Dataset> loaded = LoadDatasetCsv(path, "bad");
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().ToString().find(":3:"), std::string::npos) << loaded.status();
+  }
+}
+
+// What the parser accepted before it parsed each field whole, it still
+// accepts: blanks after a comma, CRLF line ends and the largest id.
+TEST(DatasetTest, LoadAcceptsSpacedFieldsAndTheLargestId) {
+  const std::string path = TempPath("spaced.csv");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("id,x,y\n4294967295, 1.5,\t-2e3\r\n", f);
+  std::fclose(f);
+  const Result<Dataset> loaded = LoadDatasetCsv(path, "ok");
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ(loaded->objects[0], (DataObject{4294967295u, Point{1.5, -2000.0}}));
+}
+
 TEST(DatasetTest, StatsOnSinglePoint) {
   Dataset d;
   d.space = NormalizedSpace();

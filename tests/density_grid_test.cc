@@ -89,6 +89,26 @@ TEST(DensityGridTest, ObjectsOutsideSpaceClampToEdgeCells) {
   EXPECT_EQ(grid.CountUpperBound(Rect{-10, 0, 110, 100}), 2u);
 }
 
+// A finite far-out coordinate's cell offset exceeds every size_t: it must
+// clamp to the edge cell rather than overflow the index cast (an abort
+// under -fsanitize=float-cast-overflow).
+TEST(DensityGridTest, FarOutPointsAndRegionsClampToEdgeCells) {
+  DensityGrid grid(Rect{0, 0, 10000, 10000}, 100.0, {DataObject{0, Point{1e300, 50}}});
+  grid.OnInsert(Point{50, 1e300});
+  grid.OnInsert(Point{-1e300, -1e300});
+  EXPECT_EQ(grid.total_count(), 3u);
+  EXPECT_EQ(grid.CellCount(Point{9999, 50}), 1u);
+  EXPECT_EQ(grid.CellCount(Point{50, 9999}), 1u);
+  EXPECT_EQ(grid.CellCount(Point{0, 0}), 1u);
+  EXPECT_EQ(grid.CellCount(Point{1e300, 1e300}), 0u);
+  EXPECT_EQ(grid.CountUpperBound(Rect{1e300, 1e300, 2e300, 2e300}), 0u);
+  EXPECT_EQ(grid.CountUpperBound(Rect{1e300, 0, 2e300, 100}), 1u);
+  EXPECT_EQ(grid.CountUpperBound(Rect{-2e300, -2e300, 2e300, 2e300}), 3u);
+  grid.OnRemove(Point{1e300, 50});
+  EXPECT_EQ(grid.CountUpperBound(Rect{1e300, 0, 2e300, 100}), 0u);
+  EXPECT_EQ(grid.total_count(), 2u);
+}
+
 TEST(DensityGridTest, DisjointRectGivesZero) {
   std::vector<DataObject> objects = {DataObject{0, Point{50, 50}}};
   const DensityGrid grid(Rect{0, 0, 100, 100}, 10.0, objects);

@@ -182,6 +182,32 @@ TEST(MutationFileTest, TrailingJunkRejected) {
   EXPECT_FALSE(LoadMutationFile(file.path()).ok());
 }
 
+// A non-finite coordinate and an id that is signed or past UINT32_MAX used
+// to load as a wrapped id or a NaN position; each now rejects the file
+// with the line that holds it.
+TEST(MutationFileTest, UnrepresentableFieldsRejectedWithTheLine) {
+  for (const char* line : {"insert 900001 nan 5000", "insert 900002 inf 5000",
+                           "delete 3 5000 -inf", "insert 4294967297 1 2", "insert -5 1 2",
+                           "insert 7 1 2junk", "insert 1.5 1 2", "delete 7 1"}) {
+    SCOPED_TRACE(line);
+    TempFile file("mutation_unrepresentable.txt");
+    file.WriteText(std::string("insert 1 2.0 3.0\n---\n") + line + "\n");
+    const Result<std::vector<MutationBatch>> loaded = LoadMutationFile(file.path());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().ToString().find("line 3"), std::string::npos) << loaded.status();
+  }
+}
+
+TEST(MutationFileTest, LargestIdLoads) {
+  TempFile file("mutation_max_id.txt");
+  file.WriteText("delete 4294967295 -1e3 2\r\n");
+  const Result<std::vector<MutationBatch>> loaded = LoadMutationFile(file.path());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ((*loaded)[0][0], Mutation::Delete(DataObject{4294967295u, Point{-1000.0, 2.0}}));
+}
+
 TEST(MutationFileTest, UnknownVerbRejected) {
   TempFile file("mutation_verb.txt");
   file.WriteText("upsert 1 2.0 3.0\n");

@@ -563,5 +563,45 @@ TEST(NetServer, SessionBuiltServerAppliesUpdateFrames) {
   EXPECT_TRUE(reply.nwc.status.ok()) << reply.nwc.status;
 }
 
+// An update frame carrying a non-finite position decodes fine but is
+// rejected whole by the store: a typed InvalidArgument update response,
+// no publish, and the connection answers the next query exactly as before.
+TEST(NetServer, NonFiniteUpdateIsRejectedAndKeepsTheConnection) {
+  const Session session = OpenTestSession(500);
+  QueryService service(session, ServiceConfig{});
+  const auto server = StartServer(service);
+  NetClient client = ConnectTo(*server);
+
+  const NwcRequest probe{NwcQuery{Point{5000, 5000}, 300, 300, 4}, {}, 0};
+  NetReply reply;
+  ASSERT_TRUE(client.SendNwc(1, probe).ok());
+  ASSERT_TRUE(client.Receive(&reply).ok());
+  ASSERT_EQ(reply.type, MsgType::kNwcResponse);
+  ASSERT_TRUE(reply.nwc.status.ok()) << reply.nwc.status;
+  const NwcResponse before = reply.nwc;
+
+  uint64_t id = 2;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const MutationBatch batch{Mutation::Insert(DataObject{900001, Point{5000, 5000}}),
+                              Mutation::Insert(DataObject{900002, Point{bad, 5000}})};
+    ASSERT_TRUE(client.SendUpdate(id, batch).ok());
+    ASSERT_TRUE(client.Receive(&reply).ok());
+    ASSERT_EQ(reply.type, MsgType::kUpdateResponse);
+    EXPECT_EQ(reply.request_id, id);
+    EXPECT_EQ(reply.update.status.code(), StatusCode::kInvalidArgument) << reply.update.status;
+    EXPECT_EQ(reply.update.epoch, 1u);
+    EXPECT_EQ(reply.update.applied_inserts, 0u);
+    ++id;
+
+    ASSERT_TRUE(client.SendNwc(id, probe).ok());
+    ASSERT_TRUE(client.Receive(&reply).ok());
+    ASSERT_EQ(reply.type, MsgType::kNwcResponse);
+    EXPECT_EQ(reply.request_id, id);
+    ExpectSameNwc(reply.nwc, before, id);
+    ++id;
+  }
+}
+
 }  // namespace
 }  // namespace nwc

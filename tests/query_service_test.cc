@@ -143,31 +143,6 @@ TEST(QueryServiceDifferentialTest, FourWorkerBatchMatchesSequentialEngines) {
   EXPECT_LE(metrics.latency_p99_us, metrics.latency_max_us);
 }
 
-TEST(QueryServiceTest, UnsupportedSchemeFailsFastWithoutIndexStructures) {
-  Dataset dataset = MakeCaLike(kSeed, 500);
-  SessionConfig bare;
-  bare.build_iwp = false;
-  bare.build_grid = false;
-  Result<Session> session = Session::Open(BulkLoadStr(dataset.objects, RTreeOptions{}), bare);
-  ASSERT_TRUE(session.ok());
-  EXPECT_FALSE(session->Supports(NwcOptions::Star()));
-  EXPECT_TRUE(session->Supports(NwcOptions::Plus()));
-
-  ServiceConfig config;
-  config.num_threads = 2;
-  config.default_options = NwcOptions::Star();  // needs IWP + grid
-  QueryService service(*session, config);
-
-  NwcRequest request;
-  request.query = NwcQuery{Point{5000, 5000}, 200, 200, 4};
-  NwcResponse response = service.SubmitNwc(request).get();
-  EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
-
-  request.options = NwcOptions::Plus();  // supported override
-  response = service.SubmitNwc(request).get();
-  EXPECT_TRUE(response.status.ok()) << response.status;
-}
-
 TEST(QueryServiceTest, InvalidQueryYieldsInvalidArgumentResponse) {
   const Session session = OpenTestSession(500);
   QueryService service(session, ServiceConfig{.num_threads = 2});

@@ -551,6 +551,29 @@ TEST(ShardRouter, OwnedAndHaloMutationsPublishAShardOnce) {
   EXPECT_EQ(applied.epoch, 2u);
 }
 
+// A batch holding a non-finite position is rejected before the split, so
+// no shard applies or publishes any part of it.
+TEST(ShardRouter, NonFiniteUpdateIsRejectedBeforeAnyShard) {
+  const auto router = OpenRouter(FourShardConfig());
+  const NwcQuery probe{Point{5000, 5000}, 120, 120, 4};
+  const NwcResponse before = router->RouteNwc(NwcRequest{probe, {}, 0});
+  ASSERT_TRUE(before.status.ok()) << before.status;
+
+  const UpdateResponse rejected = router->ApplyUpdate(MutationBatch{
+      Mutation::Insert(DataObject{720000, Point{5001, 5001}}),
+      Mutation::Insert(DataObject{720001, Point{std::numeric_limits<double>::quiet_NaN(), 5001}})});
+  EXPECT_EQ(rejected.status.code(), StatusCode::kInvalidArgument) << rejected.status;
+  EXPECT_EQ(rejected.applied_inserts, 0u);
+  for (size_t s = 0; s < router->num_shards(); ++s) {
+    EXPECT_EQ(ShardEpoch(*router, s), 1u) << "shard " << s;
+  }
+  const NwcResponse after = router->RouteNwc(NwcRequest{probe, {}, 0});
+  ASSERT_TRUE(after.status.ok()) << after.status;
+  EXPECT_EQ(after.result.found, before.result.found);
+  EXPECT_EQ(after.result.distance, before.result.distance);
+  EXPECT_EQ(after.result.objects, before.result.objects);
+}
+
 /// The tree's SaveTree bytes.
 std::string TreeBytes(const RStarTree& tree, const std::string& name) {
   const std::string path = testing::TempDir() + "shard_router_test_" + name + ".nwctree";

@@ -1,11 +1,13 @@
 // SnapshotStore semantics: epoch-based copy-on-write publishing, snapshot
-// lifetime pinned by readers, lazy IWP rebuild behind the staleness bound,
-// and the service-level guarantees built on top — epoch-keyed result-cache
-// correctness under real mutations (positive and negative entries), and a
-// service built over a plain Session taking updates through a store of its
-// own without touching the caller's Session.
+// lifetime pinned by readers, every epoch carrying the whole index stack,
+// the rejection of non-finite mutations, and the service-level guarantees
+// built on top — epoch-keyed result-cache correctness under real mutations
+// (positive and negative entries), and a service built over a plain
+// Session taking updates through a store of its own without touching the
+// caller's Session.
 
 #include <future>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -199,18 +201,72 @@ TEST(SnapshotStoreTest, EpochOneStaysPinnedAndBitExactAfterTheFirstPublish) {
   }
 }
 
-// Every publish of an IWP-configured store carries an IWP, so the store's
-// configuration and each of its epochs agree on what they serve.
-TEST(SnapshotStoreTest, ConfigSupportsIsEpochIndependent) {
-  auto store = OpenStore(UniformObjects(50, 8));
-  ASSERT_TRUE(store->ApplyAndPublish(MutationBatch{Mutation::Insert(DataObject{1, Point{2, 2}})},
-                                     nullptr, nullptr)
+// Every stack carries the tree, the IWP index and the density grid: an
+// opened Session, a store's borrowed epoch 1 and every publish.
+TEST(SnapshotStoreTest, EveryEpochCarriesTheWholeStack) {
+  const std::vector<DataObject> objects = UniformObjects(50, 8);
+  Result<Session> session = Session::Open(BulkLoadStr(objects, RTreeOptions{}));
+  ASSERT_TRUE(session.ok());
+  EXPECT_NE(session->iwp(), nullptr);
+  EXPECT_NE(session->grid(), nullptr);
+
+  SnapshotStore store(*session);
+  const SnapshotStore::SnapshotRef borrowed = store.Acquire();
+  EXPECT_EQ(borrowed.session.get(), &*session);
+  EXPECT_NE(borrowed.session->iwp(), nullptr);
+  EXPECT_NE(borrowed.session->grid(), nullptr);
+
+  ASSERT_TRUE(store.ApplyAndPublish(MutationBatch{Mutation::Insert(DataObject{50, Point{2, 2}})},
+                                    nullptr, nullptr)
                   .ok());
-  const SnapshotStore::SnapshotRef published = store->Acquire();
+  const SnapshotStore::SnapshotRef published = store.Acquire();
   ASSERT_EQ(published.epoch, 2u);
   EXPECT_NE(published.session->iwp(), nullptr);
-  EXPECT_TRUE(store->Supports(NwcOptions::Star()));
-  EXPECT_TRUE(published.session->Supports(NwcOptions::Star()));
+  ASSERT_NE(published.session->grid(), nullptr);
+  EXPECT_EQ(published.session->grid()->total_count(), objects.size() + 1);
+}
+
+// A batch holding a non-finite position is rejected whole, through Apply
+// and ApplyAndPublish alike: none of its mutations reaches the writer, no
+// epoch is published (not even one carrying earlier unpublished work), and
+// every answer stays the same.
+TEST(SnapshotStoreTest, NonFiniteMutationRejectsTheWholeBatch) {
+  const std::vector<DataObject> objects = UniformObjects(200, 10);
+  auto store = OpenStore(objects);
+  const std::vector<NwcQuery> probes = ProbeQueries();
+  std::vector<NwcResult> before;
+  for (const NwcQuery& probe : probes) {
+    before.push_back(RunQuery(*store->Acquire().session, probe, NwcOptions::Star()));
+  }
+  const DataObject pending{1000, Point{50, 50}};
+  ASSERT_TRUE(store->Apply(MutationBatch{Mutation::Insert(pending)}).ok());
+
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Point bad : {Point{kNan, 5}, Point{5, kNan}, Point{kInf, 5}, Point{5, -kInf}}) {
+    SCOPED_TRACE(testing::Message() << "(" << bad.x << ", " << bad.y << ")");
+    const MutationBatch batch{Mutation::Insert(DataObject{1001, Point{40, 40}}),
+                              Mutation::Insert(DataObject{1002, bad}),
+                              Mutation::Delete(objects[0])};
+    SnapshotStore::ApplyStats stats;
+    SnapshotStore::SnapshotRef out;
+    const Status published = store->ApplyAndPublish(batch, &stats, &out);
+    EXPECT_EQ(published.code(), StatusCode::kInvalidArgument) << published;
+    EXPECT_EQ(stats.inserts + stats.deletes + stats.delete_misses, 0u);
+    EXPECT_EQ(out.epoch, 1u);
+    EXPECT_EQ(store->Apply(batch).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(store->epoch(), 1u);
+    EXPECT_EQ(store->writer_object_count(), objects.size() + 1);
+  }
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_TRUE(RunQuery(*store->Acquire().session, probes[i], NwcOptions::Star()) == before[i])
+        << "probe " << i;
+  }
+  // The earlier unpublished insert is still the writer's, and publishes.
+  const SnapshotStore::SnapshotRef next = store->Publish();
+  EXPECT_EQ(next.epoch, 2u);
+  EXPECT_EQ(next.session->tree().size(), objects.size() + 1);
+  EXPECT_TRUE(ValidateTree(next.session->tree()).ok());
 }
 
 // ---- service-level guarantees -------------------------------------------

@@ -137,7 +137,7 @@ void ExpectEqualStamps(const Delivery<Response>& delivery) {
 /// way and both backends answer over identical trees.
 class SubmitAdapterTest : public ::testing::TestWithParam<AdapterCase> {
  protected:
-  void Open(ServiceConfig service_config, bool build_iwp = true) {
+  void Open(ServiceConfig service_config) {
     const Dataset dataset = MakeCaLike(kSeed, 2000);
     Rect space = Rect::Empty();
     RStarTree tree(RTreeOptions{});
@@ -145,10 +145,7 @@ class SubmitAdapterTest : public ::testing::TestWithParam<AdapterCase> {
       space.Expand(object.pos);
       tree.Insert(object);
     }
-    SessionConfig session_config;
-    session_config.build_iwp = build_iwp;
-    session_config.grid_space = space;
-    Result<Session> session = Session::Open(std::move(tree), session_config);
+    Result<Session> session = Session::Open(std::move(tree), {.grid_space = space});
     ASSERT_TRUE(session.ok()) << session.status();
     session_ = std::make_unique<Session>(std::move(session).value());
 
@@ -159,7 +156,6 @@ class SubmitAdapterTest : public ::testing::TestWithParam<AdapterCase> {
     ShardRouterConfig config;
     config.num_shards = 1;
     config.service = service_config;
-    config.session.build_iwp = build_iwp;
     // Three executors keep more routed requests outstanding at the shard
     // than one worker plus a watermark of one queued job can admit.
     config.router_threads = 3;
@@ -242,25 +238,6 @@ TEST_P(SubmitAdapterTest, InvalidQueryDeliversOnceWithOrderedStamps) {
   Shutdown();
   EXPECT_EQ(nwc_delivery->calls.load(), 1);
   EXPECT_EQ(knwc_delivery->calls.load(), 1);
-}
-
-TEST_P(SubmitAdapterTest, UnsupportedSchemeDeliversOnce) {
-  Open(ServiceConfig{.num_threads = 2}, /*build_iwp=*/false);
-  NwcRequest request = ValidNwc();
-  request.options = NwcOptions::Iwp();
-  auto delivery = SubmitThrough(backend(), adapter(), request);
-  if (is_service()) {
-    // The service rejects it at submit time, before any queue.
-    EXPECT_TRUE(delivery->Ready());
-  }
-  EXPECT_EQ(delivery->Wait().status.code(), StatusCode::kFailedPrecondition);
-  if (is_service()) {
-    ExpectEqualStamps(*delivery);
-  } else {
-    ExpectOrderedStamps(*delivery);  // the shard's rejection surfaces through the route
-  }
-  Shutdown();
-  EXPECT_EQ(delivery->calls.load(), 1);
 }
 
 TEST_P(SubmitAdapterTest, ShedWatermarkConservesEveryRequest) {

@@ -1,7 +1,5 @@
 #include "flags.h"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 
 #include "common/string_util.h"
@@ -15,21 +13,6 @@ NwcOptions (*const kSchemePresets[])() = {NwcOptions::Plain, NwcOptions::Srr,  N
                                           NwcOptions::Star};
 constexpr DistanceMeasure kMeasures[] = {DistanceMeasure::kMin, DistanceMeasure::kMax,
                                          DistanceMeasure::kAvg, DistanceMeasure::kNearestWindow};
-
-// Each parser accepts only a value that parses completely: no sign on an
-// unsigned count, no surrounding blanks, no trailing text, no overflow.
-template <typename T>
-std::optional<T> ParseNumber(std::string_view text) {
-  T value{};
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || end != text.data() + text.size()) return std::nullopt;
-  return value;
-}
-
-std::optional<double> ParseFinite(std::string_view text) {
-  const std::optional<double> value = ParseNumber<double>(text);
-  return value && std::isfinite(*value) ? value : std::nullopt;
-}
 
 std::optional<Point> ParseXY(std::string_view text) {
   const size_t comma = text.find(',');

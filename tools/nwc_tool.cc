@@ -131,8 +131,8 @@ constexpr Flag kTraceFlags[] = {
     {"out", kText, nullptr, "write the trace here and print a summary (default: stdout)"},
 };
 
-// ServiceConfig, metrics outputs and the sessions' auxiliary structures,
-// shared by serve-batch and serve.
+// ServiceConfig, metrics outputs and the router, shared by serve-batch and
+// serve.
 constexpr Flag kServiceFlags[] = {
     {"threads", kCount, "4", "worker threads (per shard)"},
     {"queue", kCount, "256", "job queue slots (per shard)"},
@@ -168,19 +168,15 @@ constexpr Flag kServeFlags[] = {
     {.name = "port", .type = kCount, .fallback = "0", .help = "TCP port; 0 picks one and prints it",
      .max = 65535},
     {"max-frame-bytes", kCount, "1048576", "largest accepted request frame"},
-    {"no-iwp", kBool, nullptr, "skip the IWP index (requests needing it fail)"},
-    {"no-grid", kBool, nullptr, "skip the density grid (requests needing it fail)"},
 };
 
-/// Opens the tree under --index with the IWP index and density grid that
-/// `options` needs, built from the tree itself. The grid covers the
-/// normalized space so queries outside the data bounds stay sound.
-Result<Session> OpenSession(const Flags& flags, const NwcOptions& options) {
+/// Opens the tree under --index with the IWP index and density grid built
+/// from the tree itself. The grid covers the normalized space so queries
+/// outside the data bounds stay sound.
+Result<Session> OpenSession(const Flags& flags) {
   Result<RStarTree> tree = LoadTree(flags.text("index"));
   if (!tree.ok()) return tree.status();
-  return Session::Open(std::move(tree).value(), {.build_iwp = options.use_iwp,
-                                                  .build_grid = options.use_dep,
-                                                  .grid_cell_size = flags.number("grid-cell"),
+  return Session::Open(std::move(tree).value(), {.grid_cell_size = flags.number("grid-cell"),
                                                   .grid_space = NormalizedSpace()});
 }
 
@@ -247,7 +243,7 @@ int CmdBuild(const Flags& flags) {
 int CmdQuery(const Flags& flags) {
   const NwcOptions options = OptionsFromFlags(flags);
   const NwcQuery query = QueryFromFlags(flags);
-  const Result<Session> session = OpenSession(flags, options);
+  const Result<Session> session = OpenSession(flags);
   if (!session.ok()) return Fail(session.status().ToString());
 
   NwcEngine engine(session->tree(), session->iwp(), session->grid());
@@ -271,7 +267,7 @@ int CmdQuery(const Flags& flags) {
 int CmdKnwc(const Flags& flags) {
   const NwcOptions options = OptionsFromFlags(flags);
   const KnwcQuery query{QueryFromFlags(flags), flags.count("k"), flags.count("m")};
-  const Result<Session> session = OpenSession(flags, options);
+  const Result<Session> session = OpenSession(flags);
   if (!session.ok()) return Fail(session.status().ToString());
 
   KnwcEngine engine(session->tree(), session->iwp(), session->grid());
@@ -310,7 +306,7 @@ void PrintTraceSummary(const QueryTrace& trace, const IoCounter& io) {
 int CmdTrace(const Flags& flags) {
   const NwcOptions options = OptionsFromFlags(flags);
   const NwcQuery query = QueryFromFlags(flags);
-  const Result<Session> session = OpenSession(flags, options);
+  const Result<Session> session = OpenSession(flags);
   if (!session.ok()) return Fail(session.status().ToString());
 
   IoCounter io;
@@ -405,16 +401,13 @@ struct Backend {
   }
 };
 
-/// Opens the tree under --index behind the backend the flags describe,
-/// with the sessions' IWP index and density grid as asked.
-Result<Backend> OpenBackend(const Flags& flags, bool build_iwp, bool build_grid) {
+/// Opens the tree under --index behind the backend the flags describe.
+Result<Backend> OpenBackend(const Flags& flags) {
   Result<ServiceConfig> service_config = ServiceConfigFromFlags(flags);
   if (!service_config.ok()) return service_config.status();
   Result<RStarTree> tree = LoadTree(flags.text("index"));
   if (!tree.ok()) return tree.status();
-  const SessionConfig session_config{.build_iwp = build_iwp,
-                                     .build_grid = build_grid,
-                                     .grid_cell_size = flags.number("grid-cell")};
+  const SessionConfig session_config{.grid_cell_size = flags.number("grid-cell")};
   Backend backend;
   if (flags.count("shards") > 1) {
     ShardRouterConfig config;
@@ -485,8 +478,7 @@ int CmdServeBatch(const Flags& flags) {
   const Status installed = ShutdownSignal::Instance().Install();
   if (!installed.ok()) return Fail(installed.ToString());
 
-  const NwcOptions options = OptionsFromFlags(flags);
-  Result<Backend> opened = OpenBackend(flags, options.use_iwp, options.use_dep);
+  Result<Backend> opened = OpenBackend(flags);
   if (!opened.ok()) return Fail(opened.status().ToString());
   const Backend& served = *opened;
   QueryBackend& backend = served.get();
@@ -628,9 +620,7 @@ int CmdServe(const Flags& flags) {
   const Status installed = ShutdownSignal::Instance().Install();
   if (!installed.ok()) return Fail(installed.ToString());
 
-  // Unlike serve-batch, remote clients may override the scheme per
-  // request, so build every auxiliary structure unless told otherwise.
-  Result<Backend> opened = OpenBackend(flags, !flags.has("no-iwp"), !flags.has("no-grid"));
+  Result<Backend> opened = OpenBackend(flags);
   if (!opened.ok()) return Fail(opened.status().ToString());
   const Backend& served = *opened;
   QueryBackend& backend = served.get();
