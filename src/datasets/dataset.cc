@@ -104,11 +104,17 @@ DatasetStats ComputeStats(const Dataset& dataset) {
   const double cell_x = space.length() / kCells;
   const double cell_y = space.width() / kCells;
   std::unordered_map<size_t, size_t> histogram;
+  // Clamped in double before the cast: an object below the space (or a
+  // NaN offset) lands in cell 0, one at or past the last cell in the last.
+  const auto cell_of = [](double offset, double cell) -> size_t {
+    if (!(cell > 0.0)) return 0;
+    offset /= cell;
+    if (!(offset > 0.0)) return 0;
+    return offset < static_cast<double>(kCells - 1) ? static_cast<size_t>(offset) : kCells - 1;
+  };
   for (const DataObject& obj : dataset.objects) {
-    size_t cx = cell_x > 0.0 ? static_cast<size_t>((obj.pos.x - space.min_x) / cell_x) : 0;
-    size_t cy = cell_y > 0.0 ? static_cast<size_t>((obj.pos.y - space.min_y) / cell_y) : 0;
-    cx = std::min(cx, kCells - 1);
-    cy = std::min(cy, kCells - 1);
+    const size_t cx = cell_of(obj.pos.x - space.min_x, cell_x);
+    const size_t cy = cell_of(obj.pos.y - space.min_y, cell_y);
     ++histogram[cy * kCells + cx];
   }
 

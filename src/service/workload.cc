@@ -22,29 +22,49 @@ Result<std::vector<WorkloadEntry>> LoadWorkloadFile(const std::string& path) {
     ++line_no;
     const size_t start = line.find_first_not_of(" \t\r");
     if (start == std::string::npos || line[start] == '#') continue;
-    WorkloadEntry entry;
-    double x, y, l, w;
-    unsigned long n, k, m;
-    int consumed = 0;
-    const char* text = line.c_str() + start;
-    if (std::sscanf(text, "nwc %lf %lf %lf %lf %lu%n", &x, &y, &l, &w, &n, &consumed) == 5) {
-      entry.nwc = NwcQuery{Point{x, y}, l, w, n};
-    } else if (std::sscanf(text, "knwc %lf %lf %lf %lf %lu %lu %lu%n", &x, &y, &l, &w, &n, &k, &m,
-                           &consumed) == 7) {
-      entry.is_knwc = true;
-      entry.knwc = KnwcQuery{NwcQuery{Point{x, y}, l, w, n}, k, m};
-    } else {
+    // "nwc X Y L W N" or "knwc X Y L W N K M", each field parsed whole:
+    // X, Y, L and W finite numbers, N, K and M unsigned integers.
+    const auto reject = [&](const std::string& what) {
       return Status::InvalidArgument("query file " + path + " line " +
-                                     std::to_string(line_no) +
-                                     ": expected 'nwc X Y L W N' or 'knwc X Y L W N K M'");
-    }
+                                     std::to_string(line_no) + ": " + what);
+    };
+    static constexpr const char* kExpected =
+        "expected 'nwc X Y L W N' or 'knwc X Y L W N K M'";
+    static constexpr const char* kNames[] = {"X", "Y", "L", "W", "N", "K", "M"};
+    std::istringstream stream(line.substr(start));
+    std::string verb, fields[7], rest;
+    stream >> verb;
+    const bool is_knwc = verb == "knwc";
+    const size_t arity = is_knwc ? 7 : 5;
+    if (!is_knwc && verb != "nwc") return reject(kExpected);
+    for (size_t i = 0; i < arity; ++i) stream >> fields[i];
+    if (fields[arity - 1].empty()) return reject(kExpected);
     // Reject trailing junk: 'nwc X Y L W N K M' would otherwise silently
     // drop K and M, serving a different query than the user wrote.
-    const std::string rest(text + consumed);
-    if (rest.find_first_not_of(" \t\r") != std::string::npos) {
-      return Status::InvalidArgument("query file " + path + " line " +
-                                     std::to_string(line_no) + ": unexpected trailing '" +
-                                     rest.substr(rest.find_first_not_of(" \t\r")) + "'");
+    std::getline(stream >> std::ws, rest);
+    if (!rest.empty()) return reject("unexpected trailing '" + rest + "'");
+    const auto reject_field = [&](size_t i, const char* kind) {
+      return reject(std::string(kNames[i]) + " '" + fields[i] + "' is not " + kind);
+    };
+    double reals[4];
+    for (size_t i = 0; i < 4; ++i) {
+      const std::optional<double> value = ParseFinite(fields[i]);
+      if (!value) return reject_field(i, "a finite number");
+      reals[i] = *value;
+    }
+    size_t counts[3] = {0, 0, 0};
+    for (size_t i = 4; i < arity; ++i) {
+      const std::optional<size_t> value = ParseNumber<size_t>(fields[i]);
+      if (!value) return reject_field(i, "an unsigned integer");
+      counts[i - 4] = *value;
+    }
+    WorkloadEntry entry;
+    const NwcQuery base{Point{reals[0], reals[1]}, reals[2], reals[3], counts[0]};
+    if (is_knwc) {
+      entry.is_knwc = true;
+      entry.knwc = KnwcQuery{base, counts[1], counts[2]};
+    } else {
+      entry.nwc = base;
     }
     entries.push_back(entry);
   }

@@ -22,8 +22,10 @@ struct WorkloadEntry {
 
 /// Parses a workload file: one query per line — `nwc X Y L W N` or
 /// `knwc X Y L W N K M` — with '#' comments and blank lines skipped.
-/// Trailing junk on a line is an error (a typo'd line must not silently
-/// serve a different query than the user wrote). Fails on an empty file.
+/// Every field is parsed whole: X, Y, L and W must be finite numbers and
+/// N, K and M unsigned integers with no sign. Trailing junk on a line is
+/// an error (a typo'd line must not silently serve a different query than
+/// the user wrote). Fails on an empty file.
 ///
 /// Shared by `nwc_tool serve-batch` (file replay) and `nwc_load` (network
 /// load generation), so the same file drives both paths.

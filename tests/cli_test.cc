@@ -314,6 +314,21 @@ TEST_F(CliPipelineTest, ErrorPaths) {
   EXPECT_NE(trailing.output.find("trailing"), std::string::npos) << trailing.output;
 }
 
+// A signed N in the query file used to wrap into a huge size_t and serve
+// as a query that finds no window; it must reject the file instead.
+TEST_F(CliPipelineTest, ServeBatchRejectsSignedCountInQueryFile) {
+  const std::string queries_path = TempPath("cli_signed_queries.txt");
+  std::FILE* queries = std::fopen(queries_path.c_str(), "w");
+  ASSERT_NE(queries, nullptr);
+  std::fprintf(queries, "nwc 5000 5000 400 400 -5\n");
+  std::fclose(queries);
+  const CommandResult result = RunTool("serve-batch --index=" + *tree_path_ + " --queries=" +
+                                       queries_path + " --threads=1 --print");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("line 1"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("no window"), std::string::npos) << result.output;
+}
+
 // Count flags are parsed, not cast: a negative or non-numeric value used
 // to wrap into a huge size_t (--threads=-1 threw std::length_error,
 // --queue=-1 made the queue unbounded) or read as 0 (--cache-mb=abc ran

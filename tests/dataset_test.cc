@@ -115,6 +115,18 @@ TEST(DatasetTest, StatsOnSinglePoint) {
   EXPECT_DOUBLE_EQ(stats.mean_occupied_cell_count, 1.0);
 }
 
+// An object far below the space used to be cast to a cell index before it
+// was clamped, which is undefined; it must land in cell 0 like one just
+// inside the space's corner.
+TEST(DatasetTest, StatsClampObjectsFarOutsideTheSpace) {
+  Dataset d;
+  d.space = Rect{0.0, 0.0, 100.0, 100.0};
+  d.objects = {DataObject{0, Point{0.5, 0.5}}, DataObject{1, Point{-1e300, -1e300}}};
+  const DatasetStats stats = ComputeStats(d);
+  EXPECT_DOUBLE_EQ(stats.occupied_cell_fraction, 1.0 / 10000.0);
+  EXPECT_DOUBLE_EQ(stats.mean_occupied_cell_count, 2.0);
+}
+
 TEST(DatasetTest, StatsCardinality) {
   const Dataset d = MakeUniform(12345, 10);
   EXPECT_EQ(ComputeStats(d).cardinality, 12345u);

@@ -5,6 +5,7 @@
 // object", which is what lets a faithful replayer assert zero misses.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -222,6 +223,58 @@ TEST(MutationFileTest, EmptyFileRejected) {
 
 TEST(MutationFileTest, MissingFileRejected) {
   EXPECT_FALSE(LoadMutationFile("/nonexistent/mutations.txt").ok());
+}
+
+// A signed count used to wrap through sscanf's %lu into a huge size_t and
+// serve as a query that finds no window, and a non-finite extent loaded and
+// failed only later, per query. Each now rejects the file with the line and
+// the field that hold it.
+TEST(WorkloadFileTest, UnrepresentableFieldsRejectedWithTheLine) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"nwc 5000 5000 400 400 -5", "N '-5'"},
+      {"knwc 5000 5000 400 400 4 -3 1", "K '-3'"},
+      {"knwc 5000 5000 400 400 4 3 +1", "M '+1'"},
+      {"nwc 5000 5000 nan 400 5", "L 'nan'"},
+      {"nwc 5000 5000 inf 400 5", "L 'inf'"},
+      {"nwc 5000 5000 400 400 5 3", "unexpected trailing '3'"},
+  };
+  for (const auto& [line, field_text] : cases) {
+    SCOPED_TRACE(line);
+    TempFile file("workload_unrepresentable.txt");
+    file.WriteText(std::string("nwc 1 2 3 4 5\n") + line + "\n");
+    const Result<std::vector<WorkloadEntry>> loaded = LoadWorkloadFile(file.path());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    const std::string message = loaded.status().ToString();
+    EXPECT_NE(message.find(file.path() + " line 2"), std::string::npos) << message;
+    EXPECT_NE(message.find(field_text), std::string::npos) << message;
+  }
+}
+
+TEST(WorkloadFileTest, GoodFileLoadsBothKinds) {
+  TempFile file("workload_good.txt");
+  file.WriteText(
+      "# replay\n"
+      "\n"
+      "  nwc 5000.5 -2e3 400 300 5\r\n"
+      "knwc 1 2 3 4 18446744073709551615 3 1\n");
+  const Result<std::vector<WorkloadEntry>> loaded = LoadWorkloadFile(file.path());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_EQ(loaded->size(), 2u);
+  const WorkloadEntry& nwc = (*loaded)[0];
+  EXPECT_FALSE(nwc.is_knwc);
+  EXPECT_EQ(nwc.nwc.q, (Point{5000.5, -2000.0}));
+  EXPECT_EQ(nwc.nwc.length, 400.0);
+  EXPECT_EQ(nwc.nwc.width, 300.0);
+  EXPECT_EQ(nwc.nwc.n, 5u);
+  const WorkloadEntry& knwc = (*loaded)[1];
+  EXPECT_TRUE(knwc.is_knwc);
+  EXPECT_EQ(knwc.knwc.base.q, (Point{1.0, 2.0}));
+  EXPECT_EQ(knwc.knwc.base.length, 3.0);
+  EXPECT_EQ(knwc.knwc.base.width, 4.0);
+  EXPECT_EQ(knwc.knwc.base.n, SIZE_MAX);
+  EXPECT_EQ(knwc.knwc.k, 3u);
+  EXPECT_EQ(knwc.knwc.m, 1u);
 }
 
 }  // namespace

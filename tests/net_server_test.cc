@@ -21,6 +21,7 @@
 #include "datasets/generators.h"
 #include "net/client.h"
 #include "net/wire.h"
+#include "response_compare.h"
 #include "rtree/bulk_load.h"
 #include "service/query_service.h"
 
@@ -50,24 +51,6 @@ NetClient ConnectTo(const NetServer& server) {
   Result<NetClient> client = NetClient::Connect("127.0.0.1", server.port());
   EXPECT_TRUE(client.ok()) << client.status();
   return std::move(client).value();
-}
-
-void ExpectSameNwc(const NwcResponse& got, const NwcResponse& want, size_t index) {
-  EXPECT_EQ(got.status.code(), want.status.code()) << "request " << index;
-  EXPECT_EQ(got.result.found, want.result.found) << "request " << index;
-  EXPECT_EQ(got.result.distance, want.result.distance) << "request " << index;
-  EXPECT_EQ(got.result.objects, want.result.objects) << "request " << index;
-}
-
-void ExpectSameKnwc(const KnwcResponse& got, const KnwcResponse& want, size_t index) {
-  EXPECT_EQ(got.status.code(), want.status.code()) << "request " << index;
-  ASSERT_EQ(got.result.groups.size(), want.result.groups.size()) << "request " << index;
-  for (size_t g = 0; g < want.result.groups.size(); ++g) {
-    EXPECT_EQ(got.result.groups[g].distance, want.result.groups[g].distance)
-        << "request " << index << " group " << g;
-    EXPECT_EQ(got.result.groups[g].objects, want.result.groups[g].objects)
-        << "request " << index << " group " << g;
-  }
 }
 
 // The acceptance differential: one pipelined connection carries a seeded
@@ -126,11 +109,11 @@ TEST(NetServer, DifferentialAgainstDirectSubmission) {
 
   for (size_t i = 0; i < nwc_requests.size(); ++i) {
     const NwcResponse direct = service.SubmitNwc(nwc_requests[i]).get();
-    ExpectSameNwc(nwc_replies[2 * i], direct, i);
+    ExpectSameResponse(nwc_replies[2 * i], direct, i);
   }
   for (size_t i = 0; i < knwc_requests.size(); ++i) {
     const KnwcResponse direct = service.SubmitKnwc(knwc_requests[i]).get();
-    ExpectSameKnwc(knwc_replies[2 * i + 1], direct, i);
+    ExpectSameResponse(knwc_replies[2 * i + 1], direct, i);
   }
 }
 
@@ -515,7 +498,7 @@ TEST(NetServer, UpdateOnDynamicServerIsVisibleToLaterQueries) {
   }
   // And the wire answer matches direct in-process submission exactly.
   const NwcResponse direct = service.SubmitNwc(NwcRequest{probe, {}, 0}).get();
-  ExpectSameNwc(reply.nwc, direct, 3);
+  ExpectSameResponse(reply.nwc, direct, 3);
 
   // A delete that misses comes back as a typed NotFound with the batch
   // still applied (the response's counters say what happened).
@@ -598,7 +581,7 @@ TEST(NetServer, NonFiniteUpdateIsRejectedAndKeepsTheConnection) {
     ASSERT_TRUE(client.Receive(&reply).ok());
     ASSERT_EQ(reply.type, MsgType::kNwcResponse);
     EXPECT_EQ(reply.request_id, id);
-    ExpectSameNwc(reply.nwc, before, id);
+    ExpectSameResponse(reply.nwc, before, id);
     ++id;
   }
 }

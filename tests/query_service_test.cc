@@ -18,6 +18,7 @@
 #include "core/knwc_engine.h"
 #include "core/nwc_engine.h"
 #include "datasets/generators.h"
+#include "response_compare.h"
 #include "rtree/bulk_load.h"
 
 namespace nwc {
@@ -72,16 +73,6 @@ std::vector<KnwcRequest> SeededKnwcRequests(size_t count) {
   return requests;
 }
 
-void ExpectSameObjects(const std::vector<DataObject>& got,
-                       const std::vector<DataObject>& want, size_t index) {
-  ASSERT_EQ(got.size(), want.size()) << "request " << index;
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].id, want[i].id) << "request " << index << " object " << i;
-    EXPECT_EQ(got[i].pos.x, want[i].pos.x) << "request " << index << " object " << i;
-    EXPECT_EQ(got[i].pos.y, want[i].pos.y) << "request " << index << " object " << i;
-  }
-}
-
 TEST(QueryServiceDifferentialTest, FourWorkerBatchMatchesSequentialEngines) {
   const Session session = OpenTestSession();
   ServiceConfig config;
@@ -109,12 +100,8 @@ TEST(QueryServiceDifferentialTest, FourWorkerBatchMatchesSequentialEngines) {
     ASSERT_TRUE(expected.ok()) << "request " << i;
     ASSERT_TRUE(nwc_responses[i].status.ok()) << "request " << i << ": "
                                               << nwc_responses[i].status;
-    ASSERT_EQ(nwc_responses[i].result.found, expected->found) << "request " << i;
-    if (expected->found) {
-      ++found;
-      EXPECT_EQ(nwc_responses[i].result.distance, expected->distance) << "request " << i;
-      ExpectSameObjects(nwc_responses[i].result.objects, expected->objects, i);
-    }
+    ExpectSameResponse(nwc_responses[i], NwcResponse{Status::Ok(), *expected}, i);
+    if (expected->found) ++found;
   }
   EXPECT_GT(found, nwc_requests.size() / 2) << "dataset/query mix should mostly find windows";
 
@@ -125,13 +112,7 @@ TEST(QueryServiceDifferentialTest, FourWorkerBatchMatchesSequentialEngines) {
         knwc_engine.Execute(knwc_requests[i].query, options, nullptr);
     ASSERT_TRUE(expected.ok()) << "request " << i;
     ASSERT_TRUE(knwc_responses[i].status.ok()) << "request " << i;
-    const KnwcResult& got = knwc_responses[i].result;
-    ASSERT_EQ(got.groups.size(), expected->groups.size()) << "request " << i;
-    for (size_t g = 0; g < got.groups.size(); ++g) {
-      EXPECT_EQ(got.groups[g].distance, expected->groups[g].distance)
-          << "request " << i << " group " << g;
-      ExpectSameObjects(got.groups[g].objects, expected->groups[g].objects, i);
-    }
+    ExpectSameResponse(knwc_responses[i], KnwcResponse{Status::Ok(), *expected}, i);
   }
 
   const MetricsSnapshot metrics = service.SnapshotMetrics();

@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "datasets/generators.h"
+#include "response_compare.h"
 #include "rtree/bulk_load.h"
 #include "service/query_service.h"
 
@@ -261,25 +262,6 @@ std::vector<NwcRequest> SeededCacheRequests(size_t count) {
   return requests;
 }
 
-void ExpectSameNwcResponses(const std::vector<NwcResponse>& got,
-                            const std::vector<NwcResponse>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got[i].status.code(), want[i].status.code()) << "request " << i;
-    ASSERT_EQ(got[i].result.found, want[i].result.found) << "request " << i;
-    EXPECT_EQ(got[i].result.distance, want[i].result.distance) << "request " << i;
-    ASSERT_EQ(got[i].result.objects.size(), want[i].result.objects.size()) << "request " << i;
-    for (size_t o = 0; o < want[i].result.objects.size(); ++o) {
-      EXPECT_EQ(got[i].result.objects[o].id, want[i].result.objects[o].id)
-          << "request " << i << " object " << o;
-      EXPECT_EQ(got[i].result.objects[o].pos.x, want[i].result.objects[o].pos.x)
-          << "request " << i << " object " << o;
-      EXPECT_EQ(got[i].result.objects[o].pos.y, want[i].result.objects[o].pos.y)
-          << "request " << i << " object " << o;
-    }
-  }
-}
-
 TEST(ResultCacheDifferentialTest, CachedServiceIsBitExactAgainstUncachedAcrossPresets) {
   const Session session = OpenTestSession();
   // 500+ requests over a 40-query pool: heavy repetition, every preset.
@@ -295,7 +277,7 @@ TEST(ResultCacheDifferentialTest, CachedServiceIsBitExactAgainstUncachedAcrossPr
   QueryService cached(session, cached_config);
   const std::vector<NwcResponse> replay = cached.RunNwcBatch(requests);
 
-  ExpectSameNwcResponses(replay, baseline);
+  ExpectSameResponses(replay, baseline);
 
   ASSERT_NE(cached.result_cache(), nullptr);
   const ResultCache::Stats stats = cached.result_cache()->GetStats();
@@ -325,7 +307,7 @@ TEST(ResultCacheDifferentialTest, CachedServiceStaysExactUnderEvictionPressure) 
   QueryService tiny(session, tiny_config);
   const std::vector<NwcResponse> replay = tiny.RunNwcBatch(requests);
 
-  ExpectSameNwcResponses(replay, baseline);
+  ExpectSameResponses(replay, baseline);
   ASSERT_NE(tiny.result_cache(), nullptr);
   EXPECT_GT(tiny.result_cache()->GetStats().evictions, 0u);
 }
