@@ -1,14 +1,15 @@
 #ifndef NWC_BENCH_BENCH_COMMON_H_
 #define NWC_BENCH_BENCH_COMMON_H_
 
-// Shared plumbing for the per-figure benchmark drivers: the three
-// evaluation datasets (Table 2) at the configured scale, progress
-// reporting, and the CSV output directory.
+// Shared plumbing for the bench drivers: the three evaluation datasets
+// (Table 2) at the configured scale, progress reporting, the CSV output
+// directory, and the one command line of the gate binaries.
 
 #include <sys/stat.h>
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,15 @@ inline void PrintRunConfig(const char* what) {
   std::printf("%s\n", what);
   std::printf("config: scale=%.3g (NWC_SCALE), queries/point=%zu (NWC_QUERIES)\n",
               DatasetScaleFromEnv(), QueryCountFromEnv());
+}
+
+/// main() of a gate binary: `--smoke` runs `smoke` and returns its exit
+/// code; any other command line, none included, prints the usage line and
+/// returns 2.
+inline int RunGate(int argc, char** argv, int (*smoke)()) {
+  if (argc == 2 && std::strcmp(argv[1], "--smoke") == 0) return smoke();
+  std::fprintf(stderr, "usage: %s --smoke\n", argv[0]);
+  return 2;
 }
 
 }  // namespace nwc::bench

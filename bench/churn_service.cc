@@ -1,33 +1,29 @@
-// Churn maintenance cost: incremental MVCC publishes vs rebuild-per-batch.
+// Churn maintenance gate: incremental MVCC publishes vs rebuild-per-batch
+// (CI's bench-smoke job).
 //
 // A dynamic deployment has two ways to keep the index stack fresh while
 // data mutates: apply each batch to the writer R*-tree and publish a
-// copy-on-write snapshot (SnapshotStore — tree clone, IWP build over the
-// clone, frozen grid copy), or rebuild the whole stack
-// from scratch after every batch (STR bulk load + IWP build + grid
-// rebuild). Both serve bit-exact answers; this driver measures what the
-// incremental path saves, and *verifies* the bit-exactness claim by
-// running probe queries against both stacks at every publish point.
+// copy-on-write snapshot (SnapshotStore: tree clone, IWP build over the
+// clone, frozen grid copy), or rebuild the whole stack from scratch after
+// every batch (STR bulk load + IWP build + grid rebuild). Both serve
+// bit-exact answers.
 //
-// The main mode sweeps churn ratios over a MutationWorkload stream,
-// reporting per-batch maintenance time for both strategies and the
-// speedup. Honors NWC_SCALE for the object count.
+// `--smoke` replays 10% churn in batches of 5 over 20k objects through
+// both strategies, running probe queries against both stacks at every
+// publish point. It fails (exit 1) when incremental maintenance is not at
+// least 5x faster than rebuild-per-batch, or when any probe disagrees
+// between the two stacks. Any other command line prints the usage line
+// and exits 2.
 //
-// `--smoke` runs a small fixed gate instead (used by CI): 10% churn in
-// batches of 5 over 20k objects, every publish rebuilding the IWP. The
-// gate fails (exit 1) when incremental
-// maintenance is not at least 5x faster than rebuild-per-batch, or when
-// any probe query disagrees between the two stacks.
+// Publish latency under live reads is perf_report's `snapshot.*` metrics
+// (the ca_churn workload).
 
 #include <cstddef>
-#include <cstring>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "bench_util/table_printer.h"
-#include "common/string_util.h"
 #include "core/nwc_engine.h"
 #include "grid/density_grid.h"
 #include "rtree/bulk_load.h"
@@ -188,57 +184,4 @@ int RunSmoke() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return RunSmoke();
-    std::fprintf(stderr, "unknown flag %s (supported: --smoke)\n", argv[i]);
-    return 2;
-  }
-
-  PrintRunConfig("Churn maintenance: incremental MVCC publish vs rebuild-per-batch");
-  const size_t objects = ScaledCardinality(62556);
-  const double kChurns[] = {0.01, 0.05, 0.1, 0.2};
-
-  TablePrinter table("Maintenance us/batch - incremental | rebuild",
-                     {"churn", "incremental", "rebuild", "speedup"});
-  TablePrinter csv("Churn maintenance (CSV series)",
-                   {"churn", "batches", "incremental_us", "rebuild_us", "speedup", "probes",
-                    "mismatches"});
-
-  for (const double churn : kChurns) {
-    MutationWorkloadConfig config;
-    config.steps = 2000;
-    config.seed = 7;
-    config.churn_ratio = churn;
-    config.initial_objects = objects;
-    const MutationWorkload workload = MakeMutationWorkload(config);
-
-    const ChurnRun run = RunChurn(workload, /*batch_size=*/5, /*probes_per_batch=*/2);
-    if (run.probe_mismatches > 0) {
-      std::fprintf(stderr, "FAIL: %zu probe mismatch(es) at churn %.2f\n", run.probe_mismatches,
-                   churn);
-      return 1;
-    }
-    const double speedup = run.incremental_us > 0 ? static_cast<double>(run.rebuild_us) /
-                                                        static_cast<double>(run.incremental_us)
-                                                  : 0.0;
-    Progress("churn=%.0f%%: %llu us inc vs %llu us rebuild (%.1fx)", churn * 100.0,
-             static_cast<unsigned long long>(run.incremental_us),
-             static_cast<unsigned long long>(run.rebuild_us), speedup);
-    const auto per_batch = [&](uint64_t total_us) {
-      return StrFormat("%.0f", run.batches > 0 ? static_cast<double>(total_us) / run.batches
-                                               : 0.0);
-    };
-    table.AddRow({StrFormat("%.0f%%", churn * 100.0), per_batch(run.incremental_us),
-                  per_batch(run.rebuild_us), StrFormat("%.1fx", speedup)});
-    csv.AddRow({StrFormat("%.2f", churn), StrFormat("%zu", run.batches),
-                StrFormat("%llu", static_cast<unsigned long long>(run.incremental_us)),
-                StrFormat("%llu", static_cast<unsigned long long>(run.rebuild_us)),
-                StrFormat("%.2f", speedup), StrFormat("%zu", run.probes),
-                StrFormat("%zu", run.probe_mismatches)});
-  }
-
-  table.Print();
-  csv.WriteCsv(CsvPath("churn_service.csv"));
-  return 0;
-}
+int main(int argc, char** argv) { return RunGate(argc, argv, RunSmoke); }

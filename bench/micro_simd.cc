@@ -1,7 +1,6 @@
-// Microbenchmark of the SIMD kernel layer: scalar oracle vs AVX2 for each
-// kernel, over leaf-sized and sweep-sized spans.
+// SIMD kernel gate: scalar oracle vs AVX2 (CI's bench-smoke job).
 //
-// `--smoke` runs the CI regression gate instead of the timing table:
+// `--smoke` runs the regression gate over leaf-sized (128-element) spans:
 //   1. bit-exactness of every AVX2 kernel against the scalar oracle over a
 //      randomized sweep (mandatory, any mismatch fails the gate);
 //   2. on AVX2 hosts, a relative timing bar: the vectorized set must not
@@ -10,14 +9,18 @@
 //      loose — CI machines are noisy — but catches a dispatch regression
 //      (vectorized path silently running scalar code) or a kernel that
 //      degenerated to per-element work.
+// Any other command line prints the usage line and exits 2.
+//
+// Per-element timings of the active kernel set are perf_report's `simd.*`
+// metrics.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/float_bits.h"
 #include "common/rng.h"
 #include "geometry/point.h"
@@ -240,33 +243,6 @@ int RunSmoke() {
   return 0;
 }
 
-int RunTable() {
-  std::printf("SIMD kernel microbench: scalar vs %s\n",
-              simd::Avx2Supported() ? "avx2" : "avx2 (unavailable)");
-  const simd::KernelOps* avx2 = simd::Avx2OpsOrNull();
-  for (const size_t span : {32u, 128u, 1024u, 16384u}) {
-    const Workload w = MakeWorkload(span, 42 + span);
-    const int reps = static_cast<int>(4'000'000 / span) + 1;
-    const KernelTimings scalar_t = TimeOps(simd::ScalarOps(), w, reps);
-    const KernelTimings avx2_t = avx2 != nullptr ? TimeOps(*avx2, w, reps) : KernelTimings{};
-    std::printf("span=%zu (reps=%d)\n", span, reps);
-    PrintRow("count_in_window", scalar_t.count_s, avx2_t.count_s);
-    PrintRow("collect_in_window", scalar_t.collect_s, avx2_t.collect_s);
-    PrintRow("batch_distance", scalar_t.distance_s, avx2_t.distance_s);
-    PrintRow("batch_distance_points", scalar_t.distance_points_s, avx2_t.distance_points_s);
-    PrintRow("batch_min_dist", scalar_t.min_dist_s, avx2_t.min_dist_s);
-    PrintRow("collect_intersecting", scalar_t.intersect_s, avx2_t.intersect_s);
-  }
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return RunSmoke();
-    std::fprintf(stderr, "unknown flag %s (supported: --smoke)\n", argv[i]);
-    return 2;
-  }
-  return RunTable();
-}
+int main(int argc, char** argv) { return nwc::bench::RunGate(argc, argv, RunSmoke); }

@@ -1,35 +1,21 @@
-// Server-path cost: loopback TCP serving vs in-process execution.
+// Trace-bit overhead gate over loopback TCP (CI's bench-smoke job).
 //
-// The epoll serving layer (src/net/) adds framing, two socket hops, and
-// an event-loop handoff around every query. This driver prices that
-// path: for worker counts 1, 2, 4 and 8 it first replays a fixed NWC
-// workload in-process through QueryService::RunNwcBatch (the serve-batch
-// path: no sockets, futures harvested inline), then serves the same
-// session over loopback TCP and drives it with the open-loop load
-// generator at a rate below the in-process capacity, reporting achieved
-// q/s, client-observed p50/p95/p99, and the per-query overhead (server
-// p50 minus in-process p50 at the same worker count).
+// `--smoke` serves a CA-like session of 20,000 x NWC_SCALE objects (NWC*,
+// 2 workers) through
+// the epoll server and drives 256 distinct NWC queries at it with the
+// open-loop load generator, best-of-3 runs with the trace bit off and on.
+// It fails (exit 1) when the traced path loses more than 10% throughput
+// against untraced, or when the traced run returns no ServerTiming
+// annotations: the guard for "tracing is free when off, cheap when on".
+// Any other command line prints the usage line and exits 2.
 //
-// Open-loop discipline means latencies include any queueing the server
-// causes; the offered rate is deliberately set to ~60% of the measured
-// in-process capacity (capped) so the numbers characterize the serving
-// layer, not a saturated queue.
-//
-// Honors NWC_SCALE / NWC_QUERIES; the workload is 8x NWC_QUERIES queries
-// (default 200) so the in-process quantiles rest on a real sample.
-//
-// `--smoke` runs the trace-overhead gate instead of the full sweep:
-// best-of-3 loopback runs with the trace bit off and on, failing (exit 1)
-// when the traced path loses more than 10% throughput against untraced —
-// the CI guard for "tracing is free when off, cheap when on".
+// The serving layer's costs (wire latency, decode/dispatch/encode, flush
+// wait, bytes per request) are perf_report's `net.*` metrics.
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 
 #include "bench/bench_common.h"
-#include "bench_util/table_printer.h"
-#include "common/string_util.h"
 #include "net/load_gen.h"
 #include "net/server.h"
 #include "rtree/bulk_load.h"
@@ -133,110 +119,4 @@ int RunSmoke() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return RunSmoke();
-  PrintRunConfig("Server path: loopback TCP vs in-process serve-batch (CA-like, NWC*)");
-  const size_t query_count = QueryCountFromEnv() * 8;
-  const size_t kWorkerCounts[] = {1, 2, 4, 8};
-
-  Dataset dataset = MakeCaLike(kDatasetSeed, ScaledCardinality(62556));
-  Progress("building %s (%zu objects)", dataset.name.c_str(), dataset.size());
-  Result<Session> session =
-      Session::Open(BulkLoadStr(dataset.objects, RTreeOptions{}),
-                    SessionConfig{.grid_cell_size = 25.0, .grid_space = dataset.space});
-  CheckOk(session.status(), "Session::Open");
-
-  const std::vector<Point> points = SampleQueryPoints(dataset, query_count, kQuerySeed);
-  std::vector<NwcRequest> requests;
-  std::vector<WorkloadEntry> workload;
-  requests.reserve(points.size());
-  workload.reserve(points.size());
-  for (const Point& q : points) {
-    const NwcQuery query{q, kDefaultWindow, kDefaultWindow, kDefaultN};
-    requests.push_back(NwcRequest{query, {}});
-    WorkloadEntry entry;
-    entry.is_knwc = false;
-    entry.nwc = query;
-    workload.push_back(entry);
-  }
-
-  TablePrinter table("Server path - in-process vs loopback TCP",
-                     {"workers", "direct q/s", "direct p50", "served q/s", "p50_us", "p95_us",
-                      "p99_us", "overhead p50"});
-  TablePrinter csv("Server path (CSV series)",
-                   {"workers", "direct_qps", "direct_p50_us", "offered_qps", "served_qps",
-                    "p50_us", "p95_us", "p99_us", "errors", "lost"});
-
-  for (const size_t workers : kWorkerCounts) {
-    ServiceConfig config;
-    config.num_threads = workers;
-    config.queue_capacity = 2 * query_count + 1;
-    config.default_options = NwcOptions::Star();
-
-    // In-process baseline: the serve-batch path, no sockets.
-    double direct_qps = 0.0;
-    uint64_t direct_p50 = 0;
-    {
-      QueryService service(*session, config);
-      Stopwatch wall;
-      const std::vector<NwcResponse> responses = service.RunNwcBatch(requests);
-      const double seconds = wall.ElapsedSeconds();
-      for (const NwcResponse& response : responses) {
-        CheckOk(response.status, "server_path direct query");
-      }
-      const MetricsSnapshot metrics = service.SnapshotMetrics();
-      direct_qps = seconds > 0.0 ? static_cast<double>(responses.size()) / seconds : 0.0;
-      direct_p50 = metrics.latency_p50_us;
-    }
-
-    // Served: same session and config behind the epoll server, driven
-    // open-loop from this process over loopback.
-    QueryService service(*session, config);
-    // Deep queue: the load generator's pipelining should meet the write
-    // watermarks and the shed gate only when a test asks for them.
-    Result<std::unique_ptr<NetServer>> server = NetServer::Start(service, NetServerConfig());
-    CheckOk(server.status(), "NetServer::Start");
-
-    LoadGenConfig load;
-    load.port = (*server)->port();
-    load.target_qps = std::min(kMaxOfferedQps, 0.6 * direct_qps);
-    if (load.target_qps < 1.0) load.target_qps = 1.0;
-    load.connections = 4;
-    load.pipeline_depth = 32;
-    load.duration_seconds = 1.5;
-    const Result<LoadGenReport> report = RunLoadGen(load, workload);
-    CheckOk(report.status(), "RunLoadGen");
-    (*server)->RequestDrain();
-    (*server)->Wait();
-
-    const double overhead =
-        static_cast<double>(report->p50_micros) - static_cast<double>(direct_p50);
-    Progress("workers=%zu: direct %.0f q/s p50=%llu us; served %.0f q/s (offered %.0f) "
-             "p50=%llu p95=%llu p99=%llu us, overhead %+.0f us",
-             workers, direct_qps, static_cast<unsigned long long>(direct_p50),
-             report->achieved_qps, load.target_qps,
-             static_cast<unsigned long long>(report->p50_micros),
-             static_cast<unsigned long long>(report->p95_micros),
-             static_cast<unsigned long long>(report->p99_micros), overhead);
-
-    table.AddRow({StrFormat("%zu", workers), StrFormat("%.0f", direct_qps),
-                  StrFormat("%llu us", static_cast<unsigned long long>(direct_p50)),
-                  StrFormat("%.0f", report->achieved_qps),
-                  StrFormat("%llu", static_cast<unsigned long long>(report->p50_micros)),
-                  StrFormat("%llu", static_cast<unsigned long long>(report->p95_micros)),
-                  StrFormat("%llu", static_cast<unsigned long long>(report->p99_micros)),
-                  StrFormat("%+.0f us", overhead)});
-    csv.AddRow({StrFormat("%zu", workers), StrFormat("%.1f", direct_qps),
-                StrFormat("%llu", static_cast<unsigned long long>(direct_p50)),
-                StrFormat("%.1f", load.target_qps), StrFormat("%.1f", report->achieved_qps),
-                StrFormat("%llu", static_cast<unsigned long long>(report->p50_micros)),
-                StrFormat("%llu", static_cast<unsigned long long>(report->p95_micros)),
-                StrFormat("%llu", static_cast<unsigned long long>(report->p99_micros)),
-                StrFormat("%llu", static_cast<unsigned long long>(report->errors)),
-                StrFormat("%llu", static_cast<unsigned long long>(report->lost))});
-  }
-
-  table.Print();
-  csv.WriteCsv(CsvPath("server_path.csv"));
-  return 0;
-}
+int main(int argc, char** argv) { return RunGate(argc, argv, RunSmoke); }

@@ -1,7 +1,9 @@
 #include "bench_util/experiment.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -18,22 +20,30 @@ std::vector<Scheme> AllSchemes() {
   };
 }
 
+namespace {
+
+// Stops the bench binary (exit 2) over an unusable environment value.
+[[noreturn]] void RejectEnv(const char* name, const char* value, const char* expected) {
+  std::fprintf(stderr, "error: %s='%s' is not %s\n", name, value, expected);
+  std::exit(2);
+}
+
+}  // namespace
+
 size_t QueryCountFromEnv() {
   const char* env = std::getenv("NWC_QUERIES");
-  if (env != nullptr) {
-    const long value = std::strtol(env, nullptr, 10);
-    if (value > 0) return static_cast<size_t>(value);
-  }
-  return kDefaultQueryCount;
+  if (env == nullptr) return kDefaultQueryCount;
+  const std::optional<size_t> value = ParseNumber<size_t>(env);
+  if (!value || *value == 0) RejectEnv("NWC_QUERIES", env, "a positive integer");
+  return *value;
 }
 
 double DatasetScaleFromEnv() {
   const char* env = std::getenv("NWC_SCALE");
-  if (env != nullptr) {
-    const double value = std::strtod(env, nullptr);
-    if (value > 0.0 && value <= 1.0) return value;
-  }
-  return 1.0;
+  if (env == nullptr) return 1.0;
+  const std::optional<double> value = ParseFinite(env);
+  if (!value || !(*value > 0.0 && *value <= 1.0)) RejectEnv("NWC_SCALE", env, "a number in (0, 1]");
+  return *value;
 }
 
 size_t ScaledCardinality(size_t cardinality) {

@@ -33,13 +33,16 @@ inline constexpr double kDefaultGridCell = 25.0;
 inline constexpr size_t kDefaultQueryCount = 25;
 
 /// Number of queries per experiment point: NWC_QUERIES env var if set,
-/// otherwise the paper's 25.
+/// otherwise the paper's 25. A value that is not a whole positive integer
+/// prints an error naming the variable and exits the process with 2.
 size_t QueryCountFromEnv();
 
 /// Dataset scale factor in (0, 1]: NWC_SCALE env var if set, otherwise 1
 /// (the paper's full cardinalities). The unoptimized NWC scheme visits
 /// every object and issues one window query each, so full-scale sweeps
-/// take a while on one core; NWC_SCALE trades fidelity for turnaround.
+/// take a while on one core; NWC_SCALE trades fidelity for turnaround. A
+/// value that is not a whole number in (0, 1] prints an error naming the
+/// variable and exits the process with 2.
 double DatasetScaleFromEnv();
 
 /// `cardinality` scaled by DatasetScaleFromEnv(), at least 1.

@@ -288,26 +288,6 @@ void QueryService::SubmitKnwcAsyncTraced(KnwcRequest request, StampedDone<KnwcRe
   Submit<KnwcResponse>(std::move(request), std::move(done));
 }
 
-std::vector<NwcResponse> QueryService::RunNwcBatch(const std::vector<NwcRequest>& requests) {
-  std::vector<std::future<NwcResponse>> futures;
-  futures.reserve(requests.size());
-  for (const NwcRequest& request : requests) futures.push_back(SubmitNwc(request));
-  std::vector<NwcResponse> responses;
-  responses.reserve(requests.size());
-  for (auto& future : futures) responses.push_back(future.get());
-  return responses;
-}
-
-std::vector<KnwcResponse> QueryService::RunKnwcBatch(const std::vector<KnwcRequest>& requests) {
-  std::vector<std::future<KnwcResponse>> futures;
-  futures.reserve(requests.size());
-  for (const KnwcRequest& request : requests) futures.push_back(SubmitKnwc(request));
-  std::vector<KnwcResponse> responses;
-  responses.reserve(requests.size());
-  for (auto& future : futures) responses.push_back(future.get());
-  return responses;
-}
-
 MetricsSnapshot QueryService::SnapshotMetrics() const {
   MetricsSnapshot snapshot = metrics_.Snapshot();
   if (result_cache_ != nullptr) {

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -95,15 +94,14 @@ struct ServiceConfig {
 /// hand-off, then the dequeue and finish stamps around Execute. The stamped
 /// Submit*AsyncTraced overrides forward to it; the future (SubmitNwc) and
 /// plain callback (SubmitNwcAsync) submits are QueryBackend adapters over
-/// those, and RunNwcBatch/RunKnwcBatch are loops over the futures. Sheds
-/// and per-query latency/I/O are visible in SnapshotMetrics().
+/// those. Sheds and per-query latency/I/O are visible in SnapshotMetrics().
 ///
 /// Shutdown (or destruction) drains accepted requests before returning,
 /// so every accepted request's `done` runs (every future becomes ready).
 ///
-/// ThreadSafety: the submits, RunNwcBatch/RunKnwcBatch, ApplyUpdate and
-/// the metrics accessors may be called from any thread. The Session /
-/// SnapshotStore must outlive the service.
+/// ThreadSafety: the submits, ApplyUpdate and the metrics accessors may be
+/// called from any thread. The Session / SnapshotStore must outlive the
+/// service.
 class QueryService : public QueryBackend {
  public:
   /// Serves `session` (not owned, must outlive the service, never mutated)
@@ -132,11 +130,6 @@ class QueryService : public QueryBackend {
   /// their kNWC twins are QueryBackend adapters over these.
   void SubmitNwcAsyncTraced(NwcRequest request, StampedDone<NwcResponse> done) override;
   void SubmitKnwcAsyncTraced(KnwcRequest request, StampedDone<KnwcResponse> done) override;
-
-  /// Convenience: submits every request (blocking on backpressure) and
-  /// waits for all responses, returned in request order.
-  std::vector<NwcResponse> RunNwcBatch(const std::vector<NwcRequest>& requests);
-  std::vector<KnwcResponse> RunKnwcBatch(const std::vector<KnwcRequest>& requests);
 
   /// Applies `mutations` to the backing SnapshotStore and publishes the
   /// next epoch (synchronously — callers wanting async apply wrap it in

@@ -1,8 +1,9 @@
 #include "storage/fault_injector.h"
 
 #include <chrono>
-#include <cstdlib>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "common/string_util.h"
 
@@ -39,6 +40,10 @@ Status FaultPlan::Validate() const {
       return Status::Ok();
     case FaultKind::kLatencySpike:
       if (period == 0) return Status::InvalidArgument("spike period must be >= 1");
+      // OnRead sleeps for a signed std::chrono::microseconds.
+      if (spike_micros > static_cast<uint64_t>(std::chrono::microseconds::max().count())) {
+        return Status::InvalidArgument("spike micros out of range");
+      }
       return Status::Ok();
   }
   return Status::InvalidArgument("unknown fault kind");
@@ -62,38 +67,42 @@ std::string FaultPlan::ToSpec() const {
 }
 
 Result<FaultPlan> ParseFaultPlan(const std::string& spec) {
-  // Split on ':' into kind plus up to two numeric fields.
-  std::string fields[3];
-  size_t count = 0;
-  size_t start = 0;
-  while (count < 3) {
-    const size_t colon = spec.find(':', start);
-    if (colon == std::string::npos) {
-      fields[count++] = spec.substr(start);
-      break;
-    }
-    fields[count++] = spec.substr(start, colon - start);
-    start = colon + 1;
-  }
+  const std::vector<std::string> fields = Split(spec, ':');
   const std::string& kind = fields[0];
+  // Every numeric field is parsed whole; a bad one is named in the error.
+  const auto bad = [&](const char* name, size_t i, const char* expected) {
+    return Status::InvalidArgument("fault spec '" + spec + "': " + name + " '" + fields[i] +
+                                   "' is not " + expected);
+  };
+  const auto count = [&](size_t i) { return ParseNumber<uint64_t>(fields[i]); };
+  constexpr const char* kUnsigned = "an unsigned integer";
   FaultPlan plan;
   if (kind == "none") {
-    if (count != 1) return Status::InvalidArgument("'none' takes no arguments");
+    if (fields.size() != 1) return Status::InvalidArgument("'none' takes no arguments");
     return plan;
   }
   if (kind == "every" || kind == "once") {
-    if (count != 2) return Status::InvalidArgument("expected " + kind + ":N");
-    const uint64_t n = std::strtoull(fields[1].c_str(), nullptr, 10);
-    plan = kind == "every" ? FaultPlan::EveryNth(n) : FaultPlan::OnceAt(n);
+    const char* name = kind == "every" ? "N" : "K";
+    if (fields.size() != 2) return Status::InvalidArgument("expected " + kind + ":" + name);
+    const std::optional<uint64_t> n = count(1);
+    if (!n) return bad(name, 1, kUnsigned);
+    plan = kind == "every" ? FaultPlan::EveryNth(*n) : FaultPlan::OnceAt(*n);
   } else if (kind == "bernoulli") {
-    if (count < 2) return Status::InvalidArgument("expected bernoulli:P[:SEED]");
-    const double p = std::strtod(fields[1].c_str(), nullptr);
-    const uint64_t seed = count == 3 ? std::strtoull(fields[2].c_str(), nullptr, 10) : 1;
-    plan = FaultPlan::Bernoulli(p, seed);
+    if (fields.size() != 2 && fields.size() != 3) {
+      return Status::InvalidArgument("expected bernoulli:P[:SEED]");
+    }
+    const std::optional<double> p = ParseFinite(fields[1]);
+    if (!p) return bad("P", 1, "a finite number");
+    const std::optional<uint64_t> seed = fields.size() == 3 ? count(2) : uint64_t{1};
+    if (!seed) return bad("SEED", 2, kUnsigned);
+    plan = FaultPlan::Bernoulli(*p, *seed);
   } else if (kind == "spike") {
-    if (count != 3) return Status::InvalidArgument("expected spike:N:MICROS");
-    plan = FaultPlan::LatencySpike(std::strtoull(fields[1].c_str(), nullptr, 10),
-                                   std::strtoull(fields[2].c_str(), nullptr, 10));
+    if (fields.size() != 3) return Status::InvalidArgument("expected spike:N:MICROS");
+    const std::optional<uint64_t> n = count(1);
+    if (!n) return bad("N", 1, kUnsigned);
+    const std::optional<uint64_t> micros = count(2);
+    if (!micros) return bad("MICROS", 2, kUnsigned);
+    plan = FaultPlan::LatencySpike(*n, *micros);
   } else {
     return Status::InvalidArgument(
         "unknown fault spec '" + spec +

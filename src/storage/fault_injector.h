@@ -59,7 +59,9 @@ struct FaultPlan {
 };
 
 /// Parses a --inject-faults style spec: "none", "every:N", "once:K",
-/// "bernoulli:P[:SEED]", or "spike:N:MICROS".
+/// "bernoulli:P[:SEED]", or "spike:N:MICROS". N, K, SEED and MICROS are
+/// unsigned integers and P a finite number, each parsed whole; anything
+/// else is InvalidArgument naming the field.
 Result<FaultPlan> ParseFaultPlan(const std::string& spec);
 
 /// Executes a FaultPlan against a stream of simulated page reads.

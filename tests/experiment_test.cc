@@ -38,8 +38,27 @@ TEST(ExperimentTest, QueryCountEnvOverride) {
   setenv("NWC_QUERIES", "3", 1);
   EXPECT_EQ(QueryCountFromEnv(), 3u);
   setenv("NWC_QUERIES", "junk", 1);
-  EXPECT_EQ(QueryCountFromEnv(), kDefaultQueryCount);
+  EXPECT_EXIT(QueryCountFromEnv(), ::testing::ExitedWithCode(2), "NWC_QUERIES='junk'");
+  for (const char* value : {"3x", "0", "-1", "+3", ""}) {
+    setenv("NWC_QUERIES", value, 1);
+    EXPECT_EXIT(QueryCountFromEnv(), ::testing::ExitedWithCode(2), "NWC_QUERIES") << value;
+  }
   unsetenv("NWC_QUERIES");
+}
+
+TEST(ExperimentTest, DatasetScaleEnvOverrideAndRejection) {
+  unsetenv("NWC_SCALE");
+  EXPECT_EQ(DatasetScaleFromEnv(), 1.0);
+  setenv("NWC_SCALE", "0.05", 1);
+  EXPECT_EQ(DatasetScaleFromEnv(), 0.05);
+  EXPECT_EQ(ScaledCardinality(1000), 50u);
+  // A partial or out-of-range value stops the run instead of falling back
+  // to full scale or clamping to 1.
+  for (const char* value : {"0,05", "0.05x", "2", "0", "-0.5", "nan", ""}) {
+    setenv("NWC_SCALE", value, 1);
+    EXPECT_EXIT(DatasetScaleFromEnv(), ::testing::ExitedWithCode(2), "NWC_SCALE") << value;
+  }
+  unsetenv("NWC_SCALE");
 }
 
 TEST(ExperimentTest, SampleQueryPointsDeterministic) {

@@ -1,7 +1,7 @@
 // FaultInjector unit tests: each schedule kind fires exactly where its
 // plan says (determinism is the whole point — a failing run must replay
-// from the logged spec), Reset restarts the stream, and ParseFaultPlan /
-// ToSpec round-trip the CLI spec grammar.
+// from the logged spec), and ParseFaultPlan / ToSpec round-trip the CLI
+// spec grammar and reject any field that is not one whole number.
 
 #include "storage/fault_injector.h"
 
@@ -87,6 +87,9 @@ TEST(FaultPlanTest, ValidateRejectsDegeneratePlans) {
   EXPECT_FALSE(FaultPlan::Bernoulli(0.0, 0).Validate().ok());
   EXPECT_FALSE(FaultPlan::Bernoulli(1.5, 0).Validate().ok());
   EXPECT_FALSE(FaultPlan::LatencySpike(0, 10).Validate().ok());
+  // OnRead sleeps for a signed microsecond count.
+  EXPECT_TRUE(FaultPlan::LatencySpike(1, (uint64_t{1} << 63) - 1).Validate().ok());
+  EXPECT_FALSE(FaultPlan::LatencySpike(1, uint64_t{1} << 63).Validate().ok());
 }
 
 TEST(FaultPlanTest, ParseRoundTripsEveryKind) {
@@ -114,12 +117,42 @@ TEST(FaultPlanTest, ParseDefaultsBernoulliSeedWhenOmitted) {
 TEST(FaultPlanTest, ParseRejectsMalformedSpecs) {
   for (const char* spec :
        {"", "bogus", "every", "every:0", "every:x", "once:", "once:0", "bernoulli:2.0",
-        "bernoulli:0", "spike:5", "spike:0:10", "every:3:extra:fields"}) {
+        "bernoulli:0", "spike:5", "spike:0:10", "every:3:extra:fields", "bernoulli:0.1:1:extra",
+        "spike:1:18446744073709551615"}) {
     const Result<FaultPlan> plan = ParseFaultPlan(spec);
     EXPECT_FALSE(plan.ok()) << "spec '" << spec << "' should not parse";
     if (!plan.ok()) {
       EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << spec;
     }
+  }
+}
+
+TEST(FaultPlanTest, ParseRejectsPartialAndSignedNumbersNamingTheField) {
+  // A sign must not wrap to a huge count (every:-1 would never fire,
+  // spike:1:-1 would sleep a negative time), trailing text must not be
+  // dropped, and the error must name the field, not report a zero period.
+  const struct {
+    const char* spec;
+    const char* field;
+  } cases[] = {
+      {"every:-1", "N '-1'"},
+      {"every:3x", "N '3x'"},
+      {"once:abc", "K 'abc'"},
+      {"once:+2", "K '+2'"},
+      {"bernoulli:0.5junk", "P '0.5junk'"},
+      {"bernoulli:inf", "P 'inf'"},
+      {"bernoulli:0.5:-1", "SEED '-1'"},
+      {"spike:-2:10", "N '-2'"},
+      {"spike:1:-1", "MICROS '-1'"},
+      {"spike:1:5us", "MICROS '5us'"},
+  };
+  for (const auto& c : cases) {
+    const Result<FaultPlan> plan = ParseFaultPlan(c.spec);
+    EXPECT_FALSE(plan.ok()) << "spec '" << c.spec << "' should not parse";
+    if (plan.ok()) continue;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << c.spec;
+    EXPECT_NE(plan.status().message().find(c.field), std::string::npos)
+        << c.spec << ": " << plan.status();
   }
 }
 

@@ -20,6 +20,7 @@
 #include "datasets/generators.h"
 #include "response_compare.h"
 #include "rtree/bulk_load.h"
+#include "submit_all.h"
 
 namespace nwc {
 namespace {
@@ -85,8 +86,8 @@ TEST(QueryServiceDifferentialTest, FourWorkerBatchMatchesSequentialEngines) {
   const std::vector<NwcRequest> nwc_requests = SeededNwcRequests(160);
   const std::vector<KnwcRequest> knwc_requests = SeededKnwcRequests(80);
 
-  const std::vector<NwcResponse> nwc_responses = service.RunNwcBatch(nwc_requests);
-  const std::vector<KnwcResponse> knwc_responses = service.RunKnwcBatch(knwc_requests);
+  const std::vector<NwcResponse> nwc_responses = SubmitAll(service, nwc_requests);
+  const std::vector<KnwcResponse> knwc_responses = SubmitAll(service, knwc_requests);
   ASSERT_EQ(nwc_responses.size(), nwc_requests.size());
   ASSERT_EQ(knwc_responses.size(), knwc_requests.size());
 
@@ -210,7 +211,7 @@ TEST(QueryServiceTest, RunBatchPreservesRequestOrder) {
   for (size_t n = 2; n <= 11; ++n) {
     requests.push_back(NwcRequest{NwcQuery{Point{5000, 5000}, 300, 300, n}, {}});
   }
-  const std::vector<NwcResponse> responses = service.RunNwcBatch(requests);
+  const std::vector<NwcResponse> responses = SubmitAll(service, requests);
   ASSERT_EQ(responses.size(), requests.size());
   for (size_t i = 0; i < responses.size(); ++i) {
     ASSERT_TRUE(responses[i].status.ok());
@@ -233,7 +234,7 @@ TEST(QueryServiceTest, SlowTraceRingRetainsEveryQueryAtZeroThreshold) {
   for (size_t i = 0; i < 5; ++i) {
     requests.push_back(NwcRequest{NwcQuery{Point{4000 + 500.0 * i, 5000}, 300, 300, 4}, {}});
   }
-  const std::vector<NwcResponse> responses = service.RunNwcBatch(requests);
+  const std::vector<NwcResponse> responses = SubmitAll(service, requests);
   for (const NwcResponse& response : responses) ASSERT_TRUE(response.status.ok());
 
   const auto traces = service.SlowTraces();

@@ -18,6 +18,7 @@
 #include "response_compare.h"
 #include "rtree/bulk_load.h"
 #include "service/query_service.h"
+#include "submit_all.h"
 
 namespace nwc {
 namespace {
@@ -270,12 +271,12 @@ TEST(ResultCacheDifferentialTest, CachedServiceIsBitExactAgainstUncachedAcrossPr
   ServiceConfig uncached_config;
   uncached_config.num_threads = 4;
   QueryService uncached(session, uncached_config);
-  const std::vector<NwcResponse> baseline = uncached.RunNwcBatch(requests);
+  const std::vector<NwcResponse> baseline = SubmitAll(uncached, requests);
 
   ServiceConfig cached_config = uncached_config;
   cached_config.result_cache_bytes = 8 << 20;
   QueryService cached(session, cached_config);
-  const std::vector<NwcResponse> replay = cached.RunNwcBatch(requests);
+  const std::vector<NwcResponse> replay = SubmitAll(cached, requests);
 
   ExpectSameResponses(replay, baseline);
 
@@ -298,14 +299,14 @@ TEST(ResultCacheDifferentialTest, CachedServiceStaysExactUnderEvictionPressure) 
   ServiceConfig uncached_config;
   uncached_config.num_threads = 2;
   QueryService uncached(session, uncached_config);
-  const std::vector<NwcResponse> baseline = uncached.RunNwcBatch(requests);
+  const std::vector<NwcResponse> baseline = SubmitAll(uncached, requests);
 
   // A budget far below the working set forces constant eviction; results
   // must not change, only the hit rate.
   ServiceConfig tiny_config = uncached_config;
   tiny_config.result_cache_bytes = 4096;
   QueryService tiny(session, tiny_config);
-  const std::vector<NwcResponse> replay = tiny.RunNwcBatch(requests);
+  const std::vector<NwcResponse> replay = SubmitAll(tiny, requests);
 
   ExpectSameResponses(replay, baseline);
   ASSERT_NE(tiny.result_cache(), nullptr);
@@ -386,7 +387,7 @@ TEST(ResultCacheDifferentialTest, AbortedQueriesNeverPopulateTheCache) {
   QueryService service(session, config);
 
   const std::vector<NwcRequest> requests = SeededCacheRequests(60);
-  const std::vector<NwcResponse> responses = service.RunNwcBatch(requests);
+  const std::vector<NwcResponse> responses = SubmitAll(service, requests);
 
   size_t aborted = 0;
   size_t ok_misses = 0;  // OK queries that executed (not served from cache)
